@@ -1,9 +1,11 @@
 """Nonlinear energy minimization on simplicial meshes.
 
 Finite-element energies are recorded once as array programs with exact
-gradients and Hessian-vector products; sparse Hessians are recovered
-through distance-2 graph coloring; minimization is Newton with
-golden-section line search over direct or AMG-preconditioned CG solves.
+gradients and Hessian-vector products; sparse Hessians are assembled from
+element-local products, or recovered through distance-2 graph coloring for
+energies that are not sums of element densities; minimization is Newton
+with golden-section line search over direct or AMG-preconditioned CG
+solves.
 """
 
 from .autodiff import Program, Recorder, evaluate, gradient, hessian_vector_product

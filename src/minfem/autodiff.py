@@ -589,7 +589,8 @@ class Program:
         adj[self.output_slot] = seed
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for ins in reversed(self.instrs):
-                g = adj[ins.out]
+                # each slot is written by one instruction: its adjoint is final here
+                g, adj[ins.out] = adj[ins.out], None
                 if g is None:
                     continue
                 for slot, contrib in _vjp(ins, ws, g):

@@ -53,13 +53,21 @@ class BenchmarkReport:
 
 
 def _parse_levels(text: str) -> list[int]:
+    """Levels from ``N``, ``N..M`` or ``N,M,...``; ValueError if malformed or empty."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    if "," in text:
-        return [int(part) for part in text.split(",") if part.strip()]
-    return [int(text)]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            levels = list(range(int(lo), int(hi) + 1))
+        elif "," in text:
+            levels = [int(part) for part in text.split(",") if part.strip()]
+        else:
+            levels = [int(text)]
+    except ValueError:
+        raise ValueError(f"invalid levels {text!r}; expected N, N..M or N,M,...") from None
+    if not levels:
+        raise ValueError(f"levels {text!r} select no level")
+    return levels
 
 
 def _newton_config(overrides: dict) -> NewtonConfig:
@@ -287,7 +295,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("minfem: error: give either --level or --levels, not both", file=sys.stderr)
         return 1
     if args.levels:
-        levels = _parse_levels(args.levels)
+        try:
+            levels = _parse_levels(args.levels)
+        except ValueError as exc:
+            print(f"minfem: error: {exc}", file=sys.stderr)
+            return 1
     elif args.level is not None:
         levels = [args.level]
     else:

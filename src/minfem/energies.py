@@ -1,10 +1,16 @@
 """The three benchmark energy functionals as recorded tape programs.
 
-Each ``record_*`` function writes the energy onto a fresh tape over the
-free-dof vector; the resulting program supplies values, exact gradients,
-and Hessian-vector products.  ``build_problem`` bundles mesh, element
-tables, Dirichlet scaffolding, tape, sparsity pattern, and coloring into a
-reusable problem object.
+Each benchmark is written once as an element density: a function of the
+per-component element gathers, each of shape (E, npe), returning the (E,)
+element energies.  Each ``record_*`` function sums it onto a fresh tape
+over the free-dof vector (plus the p-Laplace load term); that program
+supplies values, exact gradients, and Hessian-vector products.
+``build_problem`` bundles mesh, element tables, Dirichlet scaffolding, that
+tape, the sparsity pattern and its coloring into a reusable problem object,
+and records the same density a second time over the element-local dofs.
+``EnergyProblem.hessian`` assembles the sparse Hessian from that second
+tape with npe * components directions, and falls back to the colored
+recovery for a problem built without it.
 """
 
 from __future__ import annotations
@@ -14,16 +20,19 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .autodiff import Program, Recorder
-from .coloring import Coloring, color_pattern
+from .coloring import Coloring, assemble_element_hessian, color_pattern, recover_hessian
 from .fem import (
     DofMap,
     ElementData,
     SparsityPattern,
     assemble_load_vector,
     build_dofmap,
+    element_dofs,
+    element_slots,
     precompute_gradients,
     sparsity_pattern,
 )
@@ -125,52 +134,26 @@ def _scatter_full(rec: Recorder, dofmap: DofMap):
     return rec.scatter(u0, dofmap.freedofs, rec.input_var)
 
 
-def record_plaplace(dofmap: DofMap, elemdata: ElementData, params: PLaplaceParams) -> Program:
-    """Tape of J(v) = sum (1/p)|grad v|^p vol - f . v over the free dofs."""
-    rec = Recorder(dofmap.n_free)
-    v = _scatter_full(rec, dofmap)
-    v_elems = v[elemdata.elems]
+def _plaplace_density(comps, elemdata: ElementData, params: PLaplaceParams):
+    (v_elems,) = comps
     f_x = (v_elems * elemdata.dvx).sum(axis=1)
     f_y = (v_elems * elemdata.dvy).sum(axis=1)
     intgrds = (1.0 / params.p) * (f_x**2 + f_y**2) ** (params.p / 2.0)
-    return rec.build((intgrds * elemdata.vol).sum() - ad.dot(params.f_vec, v))
+    return intgrds * elemdata.vol
 
 
-def record_ginzburg_landau(
-    dofmap: DofMap, elemdata: ElementData, params: GinzburgLandauParams
-) -> Program:
-    """Tape of the double-well energy with the inexact 3-point quadrature."""
-    rec = Recorder(dofmap.n_free)
-    v = _scatter_full(rec, dofmap)
-    v_elems = v[elemdata.elems]
+def _ginzburg_landau_density(comps, elemdata: ElementData, params: GinzburgLandauParams):
+    (v_elems,) = comps
     f_x = (v_elems * elemdata.dvx).sum(axis=1)
     f_y = (v_elems * elemdata.dvy).sum(axis=1)
     e_1 = 0.5 * params.eps * (f_x**2 + f_y**2)
     e_2 = 0.25 * (((v_elems @ params.ip) ** 2 - 1.0) ** 2 @ params.w)
-    return rec.build(((e_1 + e_2) * elemdata.vol).sum())
+    return (e_1 + e_2) * elemdata.vol
 
 
-def record_neohooke(
-    dofmap: DofMap,
-    elemdata: ElementData,
-    params: NeoHookeParams,
-    sample_input: np.ndarray | None = None,
-) -> Program:
-    """Tape of the compressible Neo-Hookean energy over interleaved dofs.
-
-    The determinant enters through its absolute value, so inverted states
-    keep a finite density; det = 0 yields -inf via the log and is left for
-    the line search to reject.
-    """
-    rec = Recorder(dofmap.n_free, sample_input=sample_input)
-    v = _scatter_full(rec, dofmap)
-    elems = elemdata.elems
-    vx = v[3 * elems]
-    vy = v[3 * elems + 1]
-    vz = v[3 * elems + 2]
-
+def _neohooke_density(comps, elemdata: ElementData, params: NeoHookeParams):
     f = {}
-    for row, comp in (("1", vx), ("2", vy), ("3", vz)):
+    for row, comp in zip("123", comps):
         for col, dv in (("1", elemdata.dvx), ("2", elemdata.dvy), ("3", elemdata.dvz)):
             f[row + col] = (comp * dv).sum(axis=1)
 
@@ -188,7 +171,57 @@ def record_neohooke(
         - f["13"] * f["22"] * f["31"]
     )
     w = params.c1 * (i1 - 3.0 - 2.0 * ad.log(det)) + params.d1 * (det - 1.0) ** 2
-    return rec.build((w * elemdata.vol).sum())
+    return w * elemdata.vol
+
+
+def _record_global(density, dofmap, elemdata, params, sample_input=None, load=None) -> Program:
+    """Tape of the summed element densities (minus ``load . v``) over the free dofs."""
+    rec = Recorder(dofmap.n_free, sample_input=sample_input)
+    v = _scatter_full(rec, dofmap)
+    c = dofmap.components
+    comps = [v[c * elemdata.elems + k] for k in range(c)]
+    energy = density(comps, elemdata, params).sum()
+    return rec.build(energy if load is None else energy - ad.dot(load, v))
+
+
+def _record_elementwise(density, elemdata: ElementData, params, components: int) -> Program:
+    """Tape of the summed element densities over the element-local dofs.
+
+    The input has length E * L (L = npe * components); element e's local
+    index a = components * i + comp is entry ``e * L + a``.
+    """
+    n_elems, npe = elemdata.elems.shape
+    local = np.arange(n_elems * npe * components).reshape(n_elems, npe, components)
+    rec = Recorder(local.size)
+    comps = [rec.input_var[local[:, :, k]] for k in range(components)]
+    return rec.build(density(comps, elemdata, params).sum())
+
+
+def record_plaplace(dofmap: DofMap, elemdata: ElementData, params: PLaplaceParams) -> Program:
+    """Tape of J(v) = sum (1/p)|grad v|^p vol - f . v over the free dofs."""
+    return _record_global(_plaplace_density, dofmap, elemdata, params, load=params.f_vec)
+
+
+def record_ginzburg_landau(
+    dofmap: DofMap, elemdata: ElementData, params: GinzburgLandauParams
+) -> Program:
+    """Tape of the double-well energy with the inexact 3-point quadrature."""
+    return _record_global(_ginzburg_landau_density, dofmap, elemdata, params)
+
+
+def record_neohooke(
+    dofmap: DofMap,
+    elemdata: ElementData,
+    params: NeoHookeParams,
+    sample_input: np.ndarray | None = None,
+) -> Program:
+    """Tape of the compressible Neo-Hookean energy over interleaved dofs.
+
+    The determinant enters through its absolute value, so inverted states
+    keep a finite density; det = 0 yields -inf via the log and is left for
+    the line search to reject.
+    """
+    return _record_global(_neohooke_density, dofmap, elemdata, params, sample_input=sample_input)
 
 
 # evaluation-style surface: record on demand and replay once
@@ -212,7 +245,14 @@ def energy_neohooke(u, dofmap, elemdata, params: NeoHookeParams) -> float:
 
 @dataclass(frozen=True, eq=False)
 class EnergyProblem:
-    """Reusable bundle of one benchmark on one mesh level."""
+    """Reusable bundle of one benchmark on one mesh level.
+
+    ``element_program`` is the energy recorded over the element-local dofs
+    (without its linear load term) and ``element_slots`` maps its element
+    Hessian entries into ``pattern`` (see ``fem.element_slots``).  A
+    problem without them, such as an energy that is not a sum of element
+    densities, gets its Hessian through ``coloring`` instead.
+    """
 
     kind: str
     mesh: MeshData
@@ -223,6 +263,8 @@ class EnergyProblem:
     pattern: SparsityPattern
     coloring: Coloring
     initial_guess: np.ndarray
+    element_program: Program | None = None
+    element_slots: np.ndarray | None = None
 
     @property
     def n_dofs(self) -> int:
@@ -243,6 +285,22 @@ class EnergyProblem:
         u = np.array(u, dtype=float)
         return lambda s: self.program.hessian_vector_product(u, s)
 
+    def hessian(self, u: np.ndarray) -> sp.csr_matrix:
+        """Exact sparse Hessian at u over the free dofs.
+
+        Assembled from element-local products when the problem carries an
+        element program, otherwise recovered through the coloring.  A
+        non-finite Hessian raises ``ColoringError`` either way.
+        """
+        if self.element_program is None:
+            return recover_hessian(self.hvp_operator(u), self.coloring, self.pattern)
+        x = self.full_field(u)[element_dofs(self.elemdata.elems, self.dofmap.components)].ravel()
+        return assemble_element_hessian(
+            lambda s: self.element_program.hessian_vector_product(x, s),
+            self.element_slots,
+            self.pattern,
+        )
+
     def full_field(self, u: np.ndarray) -> np.ndarray:
         """Free-dof vector scattered into the Dirichlet scaffolding."""
         v = self.dofmap.u_0.copy()
@@ -250,10 +308,11 @@ class EnergyProblem:
         return v
 
     def with_dirichlet(self, dirichlet: Mapping) -> "EnergyProblem":
-        """Same tape and coloring under new boundary values.
+        """Same tapes, coloring and slot map under new boundary values.
 
         The free-dof set must be unchanged; only u_0 is rebuilt and
-        rebound in the program.
+        rebound in the program.  The element program reads the boundary
+        values from its input, so it is reused as it is.
         """
         dofmap = build_dofmap(self.mesh, self.dofmap.components, dirichlet)
         if not np.array_equal(dofmap.freedofs, self.dofmap.freedofs):
@@ -291,25 +350,29 @@ def problem_from_mesh(kind: str, mesh: MeshData, params=None) -> EnergyProblem:
 
     Applies the benchmark's Dirichlet data (zero for the scalar problems,
     untwisted end faces for the bar) and default parameters, records the
-    tape, and builds the sparsity pattern and coloring.
+    tapes (over the free dofs and over the element-local dofs), and builds
+    the sparsity pattern, its coloring and the element slot map.
     """
     elemdata = precompute_gradients(mesh)
     if kind == "plaplace":
         dofmap = build_dofmap(mesh, 1, {int(b): 0.0 for b in mesh.boundary_nodes})
         if params is None:
             params = PLaplaceParams(p=3.0, f_vec=assemble_load_vector(mesh, elemdata, -10.0))
+        density = _plaplace_density
         program = record_plaplace(dofmap, elemdata, params)
         start = np.zeros(dofmap.n_free)
     elif kind == "ginzburg_landau":
         dofmap = build_dofmap(mesh, 1, {int(b): 0.0 for b in mesh.boundary_nodes})
         if params is None:
             params = GinzburgLandauParams(eps=0.01)
+        density = _ginzburg_landau_density
         program = record_ginzburg_landau(dofmap, elemdata, params)
         start = np.ones(dofmap.n_free)
     elif kind == "neohooke":
         dofmap = build_dofmap(mesh, 3, bar_dirichlet_values(mesh, 0.0))
         if params is None:
             params = NeoHookeParams.from_moduli()
+        density = _neohooke_density
         start = identity_deformation(mesh, dofmap)
         program = record_neohooke(dofmap, elemdata, params, sample_input=start)
     else:
@@ -327,6 +390,8 @@ def problem_from_mesh(kind: str, mesh: MeshData, params=None) -> EnergyProblem:
         pattern=pattern,
         coloring=coloring,
         initial_guess=start,
+        element_program=_record_elementwise(density, elemdata, params, dofmap.components),
+        element_slots=element_slots(mesh.elems, dofmap, pattern),
     )
 
 

@@ -2,7 +2,8 @@
 
 Produces the per-element basis-gradient tables and volumes, the Dirichlet
 scaffolding (free-dof indexing and boundary-value vector), constant load
-vectors, and the symmetric sparsity pattern of the energy Hessian.
+vectors, the symmetric sparsity pattern of the energy Hessian, and the map
+from element Hessian entries to their slots in that pattern.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ __all__ = [
     "build_dofmap",
     "assemble_load_vector",
     "sparsity_pattern",
+    "element_dofs",
+    "element_slots",
 ]
 
 
@@ -211,3 +214,39 @@ def sparsity_pattern(mesh: MeshData, dofmap: DofMap) -> SparsityPattern:
     free = dofmap.freedofs
     restricted = adj[free][:, free].tocsr()
     return SparsityPattern.from_csr(restricted)
+
+
+def element_dofs(elems: np.ndarray, components: int) -> np.ndarray:
+    """Full-field dof of every element-local index, shape (E, npe * components).
+
+    Local index ``a = components * i + comp`` of element e is component
+    ``comp`` of its node ``elems[e, i]``.
+    """
+    dofs = components * elems[:, :, None] + np.arange(components)
+    return dofs.reshape(elems.shape[0], -1)
+
+
+def element_slots(elems: np.ndarray, dofmap: DofMap, pattern: SparsityPattern) -> np.ndarray:
+    """Slot in ``pattern.indices`` of every element Hessian entry (e, a, b).
+
+    Entry (e, a, b) couples local row a with local column b of element e
+    (local indices as in ``element_dofs``).  Entries on a fixed dof go to
+    the spare slot ``pattern.nnz``.  Returns int32 of shape (E, L, L) with
+    L = npe * components.
+    """
+    position = np.full(dofmap.n_total, -1, dtype=np.int64)
+    position[dofmap.freedofs] = np.arange(dofmap.n_free)
+    local = position[element_dofs(elems, dofmap.components)]
+    rows, cols = local[:, :, None], local[:, None, :]
+    free = (rows >= 0) & (cols >= 0)
+    wanted = (rows * pattern.n + cols)[free]
+    # CSR storage order has strictly ascending keys row * n + col; the
+    # trailing -1 matches no key, so a coupling past the end is caught too
+    stored_rows, stored_cols = pattern.rows_cols()
+    keys = np.append(stored_rows * pattern.n + stored_cols, -1)
+    found = np.searchsorted(keys[:-1], wanted)
+    if not np.array_equal(keys[found], wanted):
+        raise ValueError("an element couples free dofs outside the sparsity pattern")
+    slots = np.full(free.shape, pattern.nnz, dtype=np.int32)
+    slots[free] = found
+    return slots

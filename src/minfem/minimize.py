@@ -1,11 +1,13 @@
 """Newton minimization with golden-section line search.
 
-Each iteration recovers the exact sparse Hessian through the problem's
-coloring, solves for the Newton direction (direct or AMG-CG depending on
-size), regularizes with an escalating Tikhonov shift when the solve fails
-or the direction is not a descent direction, and line-searches with golden
-section, rejecting steps where the energy is non-finite.  A load-stepping
-driver handles the twisted-bar continuation.
+Each iteration takes the exact sparse Hessian from
+``EnergyProblem.hessian`` (element-local assembly for the benchmark
+energies, the colored recovery for other problems), solves for the Newton
+direction (direct or AMG-CG depending on size), regularizes with an
+escalating Tikhonov shift when the solve fails or the direction is not a
+descent direction, and line-searches with golden section, rejecting steps
+where the energy is non-finite. A load-stepping driver handles the
+twisted-bar continuation.
 """
 
 from __future__ import annotations
@@ -259,19 +261,24 @@ def newton_minimize(
             return result(u, energy, grad_norm, True)
 
         try:
-            hessian = recover_hessian(problem.hvp_operator(u), problem.coloring, problem.pattern)
+            hessian = problem.hessian(u)
         except ColoringError:
             hessian = None  # singular flat states; fall back to the shifted path
         d, path, inner, shift = _newton_direction(hessian, grad, cfg, near_nullspace)
 
+        trials: dict[float, float] = {}
+
+        def phi(a: float) -> float:
+            # golden_section has always evaluated the alpha it returns
+            if a not in trials:
+                trials[a] = program.evaluate(u + a * d)
+            return trials[a]
+
         alpha = golden_section(
-            lambda a: program.evaluate(u + a * d),
-            cfg.linesearch.alpha_max,
-            cfg.linesearch.interval_tol,
-            cfg.linesearch.max_evals,
+            phi, cfg.linesearch.alpha_max, cfg.linesearch.interval_tol, cfg.linesearch.max_evals
         )
         u_next = u + alpha * d
-        energy_next = program.evaluate(u_next)
+        energy_next = phi(alpha)
         log.append(
             IterationRecord(
                 iteration=len(log) + 1,

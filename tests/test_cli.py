@@ -173,3 +173,11 @@ def test_nonconvergence_yields_partial_report(monkeypatch, capsys):
     code = main(["run", "plaplace", "--levels", "1..2"])
     assert code == 2
     assert "incomplete" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("levels", ["abc", "3..1", "1..x"])
+def test_malformed_or_empty_levels_are_usage_errors(levels, capsys):
+    assert main(["run", "plaplace", "--levels", levels]) == 1
+    captured = capsys.readouterr()
+    assert "minfem: error:" in captured.err and "levels" in captured.err
+    assert captured.out == ""

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from minfem.coloring import ColoringError, color_pattern, recover_hessian
+from minfem.coloring import (
+    ColoringError,
+    assemble_element_hessian,
+    color_pattern,
+    recover_hessian,
+)
 from minfem.energies import build_problem
-from minfem.fem import SparsityPattern, build_dofmap, sparsity_pattern
+from minfem.fem import SparsityPattern, build_dofmap, element_dofs, sparsity_pattern
+from minfem.minimize import benchmark_initial_guess
 from minfem.mesh import build_lshape_mesh, build_square_mesh
 
 
@@ -139,3 +145,44 @@ def test_probe_blocks_do_not_change_result():
     full = recover_hessian(op, problem.coloring, problem.pattern, probe_block=64)
     small = recover_hessian(op, problem.coloring, problem.pattern, probe_block=3)
     assert np.array_equal(full.toarray(), small.toarray())
+
+
+def greedy_coloring_oracle(pattern: SparsityPattern) -> np.ndarray:
+    """The distance-2 greedy coloring with per-column np.unique gap search."""
+    a = pattern.tocsr(dtype=np.int8)
+    conflict = (a @ a).tocsr()
+    conflict.sort_indices()
+    order = np.lexsort((np.arange(pattern.n), -np.diff(a.indptr)))
+    color = np.full(pattern.n, -1, dtype=np.int64)
+    for j in order:
+        used = color[conflict.indices[conflict.indptr[j] : conflict.indptr[j + 1]]]
+        used = np.unique(used[used >= 0])
+        gap = np.nonzero(used != np.arange(used.size))[0]
+        color[j] = int(gap[0]) if gap.size else used.size
+    return color
+
+
+@pytest.mark.parametrize(
+    "kind,level", [("plaplace", 3), ("ginzburg_landau", 3), ("neohooke", 1)]
+)
+def test_coloring_matches_greedy_oracle_on_benchmark_patterns(kind, level):
+    pattern = build_problem(kind, level).pattern
+    coloring = color_pattern(pattern)
+    expected = greedy_coloring_oracle(pattern)
+    assert np.array_equal(coloring.color_of, expected)
+    assert coloring.n_colors == expected.max() + 1
+
+
+def test_element_assembly_nonfinite_entry_names_row():
+    problem = build_problem("plaplace", 1)
+    u = benchmark_initial_guess(problem)
+    x = problem.full_field(u)[element_dofs(problem.elemdata.elems, 1)].ravel()
+    target = problem.dofmap.freedofs[5]  # a free node; its rows go non-finite
+
+    def bad_hvp(s):
+        out = problem.element_program.hessian_vector_product(x, s)
+        out[np.nonzero(problem.elemdata.elems.ravel() == target)[0]] = np.inf
+        return out
+
+    with pytest.raises(ColoringError, match="row 5$"):
+        assemble_element_hessian(bad_hvp, problem.element_slots, problem.pattern)

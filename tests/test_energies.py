@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from helpers import dense_hessian_by_probes, random_benchmark_state
+from helpers import dense_hessian_by_probes, make_quadratic_problem, random_benchmark_state
+from minfem.coloring import recover_hessian
 from minfem.energies import (
     GinzburgLandauParams,
     NeoHookeParams,
@@ -13,7 +15,7 @@ from minfem.energies import (
     problem_from_mesh,
     record_plaplace,
 )
-from minfem.fem import build_dofmap, precompute_gradients
+from minfem.fem import SparsityPattern, build_dofmap, element_slots, precompute_gradients
 from minfem.mesh import MeshData, Region, bar_mesh_from_cells
 
 
@@ -223,3 +225,56 @@ def test_record_consistency_between_surfaces():
     program = record_plaplace(dofmap, elemdata, params)
     u = np.array([0.5, -1.0, 2.0])
     assert program.evaluate(u) == energy_plaplace(u, dofmap, elemdata, params)
+
+
+def twisted_bar_state(problem, angle, rng):
+    """Free dofs of a bar twisted uniformly along its axis, plus small noise."""
+    x, y, z = problem.mesh.nodes.T
+    t = angle * x / x.max()
+    field = np.stack([x, y * np.cos(t) + z * np.sin(t), -y * np.sin(t) + z * np.cos(t)], axis=1)
+    return field.ravel()[problem.dofmap.freedofs] + 3e-4 * rng.standard_normal(problem.n_dofs)
+
+
+def assert_matches_colored_recovery(problem, u):
+    elementwise = problem.hessian(u)
+    colored = recover_hessian(problem.hvp_operator(u), problem.coloring, problem.pattern)
+    scale = abs(colored).max()
+    assert scale > 0.0
+    assert abs(elementwise - colored).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("kind", ["plaplace", "ginzburg_landau", "neohooke"])
+def test_element_hessian_matches_colored_recovery(kind, tiny_bar_problem):
+    problem = tiny_bar_problem if kind == "neohooke" else build_problem(kind, 2)
+    assert problem.element_program is not None
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        assert_matches_colored_recovery(problem, random_benchmark_state(problem, rng))
+
+
+def test_element_hessian_matches_colored_recovery_on_rebound_bar():
+    problem = build_problem("neohooke", 1)
+    angle = 2.0 * np.pi / 3.0
+    twisted = problem.with_dirichlet(bar_dirichlet_values(problem.mesh, angle))
+    assert twisted.element_program is problem.element_program
+    assert twisted.element_slots is problem.element_slots
+    rng = np.random.default_rng(8)
+    assert_matches_colored_recovery(twisted, twisted_bar_state(problem, angle, rng))
+
+
+def test_problem_without_element_program_uses_colored_recovery():
+    rng = np.random.default_rng(9)
+    m = rng.standard_normal((6, 6))
+    a = m.T @ m + np.eye(6)
+    problem = make_quadratic_problem(a, rng.standard_normal(6))
+    assert problem.element_program is None
+    u = rng.standard_normal(6)
+    expected = recover_hessian(problem.hvp_operator(u), problem.coloring, problem.pattern)
+    assert np.array_equal(problem.hessian(u).toarray(), expected.toarray())
+
+
+def test_element_slots_reject_couplings_outside_pattern():
+    problem = build_problem("plaplace", 1)
+    diagonal = SparsityPattern.from_csr(sp.identity(problem.n_dofs, format="csr"))
+    with pytest.raises(ValueError, match="outside the sparsity pattern"):
+        element_slots(problem.mesh.elems, problem.dofmap, diagonal)

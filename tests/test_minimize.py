@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import make_quadratic_problem
-from minfem.coloring import recover_hessian
+from minfem.coloring import ColoringError, recover_hessian
 from minfem.energies import bar_dirichlet_values, build_problem
 from minfem.minimize import (
     NewtonConfig,
@@ -137,3 +137,36 @@ def test_benchmark_initial_guess_plaplace_is_harmonic_like():
     # negative under the downward load, and finite p = 3 energy
     assert np.all(np.isfinite(u0)) and u0.max() < 0.0
     assert np.isfinite(problem.program.evaluate(u0))
+
+
+def test_nonfinite_element_hessian_takes_shifted_path():
+    # |grad u|^3 has no finite second derivative at grad u = 0
+    problem = build_problem("plaplace", 1)
+    zero = np.zeros(problem.n_dofs)
+    with pytest.raises(ColoringError, match="non-finite"):
+        problem.hessian(zero)
+    with pytest.raises(NewtonError) as info:
+        newton_minimize(problem, zero, NewtonConfig(max_iters=1))
+    first = info.value.best.iteration_log[0]
+    assert first.shift > 0.0 and first.alpha > 0.0
+
+
+def test_line_search_energy_is_reused(monkeypatch):
+    problem = build_problem("ginzburg_landau", 1)
+    program = type(problem.program)
+    calls = []
+    original = program.evaluate
+    monkeypatch.setattr(program, "evaluate", lambda self, u: calls.append(1) or original(self, u))
+    distinct_trials = []
+
+    def counting_golden(phi, *args):
+        seen = set()
+        alpha = golden_section(lambda a: seen.add(a) or phi(a), *args)
+        distinct_trials.append(len(seen))
+        return alpha
+
+    monkeypatch.setattr("minfem.minimize.golden_section", counting_golden)
+    result = newton_minimize(problem, benchmark_initial_guess(problem))
+    # one evaluation at the start, then only the line search's own samples
+    assert len(calls) == 1 + sum(distinct_trials)
+    assert result.converged
