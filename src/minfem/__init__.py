@@ -54,7 +54,6 @@ from .solvers import (
     SolverError,
     build_amg,
     pcg_solve,
-    solve_auto,
     solve_direct,
 )
 

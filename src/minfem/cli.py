@@ -9,11 +9,14 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
+from .coloring import ColoringError
 from .energies import EnergyProblem, build_problem
 from .mesh import MeshData
 from .minimize import (
@@ -24,11 +27,14 @@ from .minimize import (
     continuation_hyperelastic,
     newton_minimize,
 )
+from .solvers import SolverError
 
 __all__ = ["BenchmarkReport", "ReportRow", "run_benchmark", "report_table", "export_solution", "main"]
 
 BENCHMARK_NAMES = {"plaplace": "plaplace", "gl": "ginzburg_landau", "hyper": "neohooke"}
 CSV_HEADER = "dofs,setup_s,solve_s,iters,J"
+# failures that end a level with a partial report instead of a traceback
+LEVEL_ERRORS = (NewtonError, SolverError, ColoringError)
 
 
 @dataclass(frozen=True)
@@ -122,8 +128,12 @@ def _proportional_step_time(steps, t, total_solve_s):
 def run_benchmark(name: str, levels: Iterable[int], overrides: dict | None = None) -> BenchmarkReport:
     """Build and minimize each level, timing setup and solve separately.
 
-    ``name`` is one of plaplace | gl | hyper.  Nonconvergence stops the
-    run and yields a partial report (``complete = False``).
+    ``name`` is one of plaplace | gl | hyper.  Nonconvergence, or a
+    solver or Hessian failure anywhere in a level (the initial guess
+    included), stops the run and yields a partial report
+    (``complete = False`` with ``error`` set).  ``--parallel-levels`` runs
+    at most one level per CPU and cancels the queued levels after the
+    first failure.
     """
     if name not in BENCHMARK_NAMES:
         raise ValueError(f"unknown benchmark {name!r}; expected one of {sorted(BENCHMARK_NAMES)}")
@@ -147,23 +157,24 @@ def run_benchmark(name: str, levels: Iterable[int], overrides: dict | None = Non
     def one(level: int):
         return _run_level(kind, level, config)
 
+    outcomes = []
     if overrides.get("parallel_levels") and len(levels) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=len(levels)) as pool:
+        workers = min(len(levels), os.cpu_count() or 1)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(one, level) for level in levels]
-            outcomes = []
             for future in futures:  # report rows stay ordered by level
                 try:
                     outcomes.append(future.result())
-                except NewtonError as exc:
+                except LEVEL_ERRORS as exc:
                     report.complete = False
                     report.error = str(exc)
+                    pool.shutdown(cancel_futures=True)  # drop the levels still queued
                     break
     else:
-        outcomes = []
         for level in levels:
             try:
                 outcomes.append(one(level))
-            except NewtonError as exc:
+            except LEVEL_ERRORS as exc:
                 report.complete = False
                 report.error = str(exc)
                 break
@@ -307,6 +318,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if any(level < 1 for level in levels):
         print("minfem: error: levels must be positive", file=sys.stderr)
         return 1
+    for flag, value in (("--tol-grad", args.tol_grad), ("--tol-energy", args.tol_energy)):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            print(f"minfem: error: {flag} must be finite and positive, got {value}", file=sys.stderr)
+            return 1
 
     overrides = {
         "tol_grad": args.tol_grad,

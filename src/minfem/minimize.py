@@ -3,11 +3,13 @@
 Each iteration takes the exact sparse Hessian from
 ``EnergyProblem.hessian`` (element-local assembly for the benchmark
 energies, the colored recovery for other problems), solves for the Newton
-direction (direct or AMG-CG depending on size), regularizes with an
-escalating Tikhonov shift when the solve fails or the direction is not a
-descent direction, and line-searches with golden section, rejecting steps
-where the energy is non-finite. A load-stepping driver handles the
-twisted-bar continuation.
+direction (direct or AMG-CG depending on size; successive AMG builds in
+one call share the aggregation wherever the sparsity structure and
+near-nullspace repeat exactly), regularizes with an escalating Tikhonov
+shift when the solve fails or the direction is not a descent direction,
+and line-searches with golden section, rejecting steps where the energy
+is non-finite. A load-stepping loop handles the twisted-bar
+continuation.
 """
 
 from __future__ import annotations
@@ -163,20 +165,35 @@ def golden_section(
     return 0.0
 
 
+@dataclass(eq=False)
+class _AmgReuse:
+    """The AMG structure of the latest build, kept for one Newton solve."""
+
+    structure: tuple[solvers.LevelStructure, ...] = ()
+
+
 def _solve_newton_system(
     h: sp.csr_matrix,
     rhs: np.ndarray,
     method: str,
     near_nullspace: np.ndarray,
+    amg: _AmgReuse | None = None,
 ) -> tuple[np.ndarray, str, int]:
-    """One linear solve along the configured path; returns (x, path, inner)."""
+    """One linear solve along the configured path; returns (x, path, inner).
+
+    ``auto`` solves directly up to ``solvers.DIRECT_DOF_LIMIT`` unknowns and
+    by AMG-CG above.  An AMG build starts from ``amg.structure`` and leaves
+    its own there; only the structure is kept, never the hierarchy.
+    """
     n = rhs.shape[0]
     if method == "auto":
         method = "direct" if n <= solvers.DIRECT_DOF_LIMIT else "amg"
     if method == "direct":
         return solvers.solve_direct(h, rhs), "direct", 0
     if method == "amg":
-        hierarchy = solvers.build_amg(h, near_nullspace)
+        hierarchy = solvers.build_amg(h, near_nullspace, amg.structure if amg else ())
+        if amg is not None:
+            amg.structure = hierarchy.structure
         x, inner = solvers.pcg_solve(h, rhs, hierarchy, rtol=1e-8, maxiter=400)
         return x, "amg", inner
     if method == "diag-cg":
@@ -190,6 +207,7 @@ def _newton_direction(
     grad: np.ndarray,
     config: NewtonConfig,
     near_nullspace: np.ndarray,
+    amg: _AmgReuse,
 ) -> tuple[np.ndarray, str, int, float]:
     """Descent direction from H d = -g, with escalating Tikhonov shifts."""
     n = grad.shape[0]
@@ -206,7 +224,9 @@ def _newton_direction(
     for shift in shifts:
         candidate = h if shift == 0.0 else (h + shift * eye).tocsr()
         try:
-            d, path, inner = _solve_newton_system(candidate, -grad, config.solver, near_nullspace)
+            d, path, inner = _solve_newton_system(
+                candidate, -grad, config.solver, near_nullspace, amg
+            )
         except solvers.SolverError as exc:
             last_error = exc
             continue
@@ -229,6 +249,13 @@ def newton_minimize(
     ``grad_tol * (1 + |J(u_init)|)`` or when the relative energy decrease
     stagnates below ``energy_tol``.  Energy is monotone across accepted
     steps by line-search construction.
+
+    On the AMG path, each build reuses the aggregates, tentative
+    prolongators and coarse near-nullspaces of the previous build in this
+    call, level by level, while the level's CSR ``indptr``/``indices`` and
+    near-nullspace block are exactly the same (see ``solvers.build_amg``);
+    only the numeric part is redone.  Nothing carries over to another
+    call or problem.
     """
     cfg = config or NewtonConfig()
     program = problem.program
@@ -240,6 +267,7 @@ def newton_minimize(
         raise NewtonError(f"energy at the initial guess is non-finite ({energy})")
     gtol = cfg.grad_tol * (1.0 + abs(energy))
     near_nullspace = problem.near_nullspace()
+    amg = _AmgReuse()
 
     log: list[IterationRecord] = []
 
@@ -264,7 +292,7 @@ def newton_minimize(
             hessian = problem.hessian(u)
         except ColoringError:
             hessian = None  # singular flat states; fall back to the shifted path
-        d, path, inner, shift = _newton_direction(hessian, grad, cfg, near_nullspace)
+        d, path, inner, shift = _newton_direction(hessian, grad, cfg, near_nullspace, amg)
 
         trials: dict[float, float] = {}
 
@@ -313,7 +341,7 @@ def benchmark_initial_guess(problem: EnergyProblem) -> np.ndarray:
     identically zero Hessian at u = 0 (second derivative of |F|^p at
     F = 0 for p = 3), so its Newton run starts from the minimizer of the
     p = 2 quadratic energy instead: one linear solve through the same
-    tape, coloring, and solver pipeline.
+    tape, coloring, and solver dispatch as a Newton step.
     """
     if problem.kind != "plaplace":
         return problem.initial_guess.copy()
@@ -324,7 +352,7 @@ def benchmark_initial_guess(problem: EnergyProblem) -> np.ndarray:
     hess = recover_hessian(
         lambda s: quad.hessian_vector_product(zero, s), problem.coloring, problem.pattern
     )
-    return solvers.solve_auto(hess, -grad, problem.near_nullspace())
+    return _solve_newton_system(hess, -grad, "auto", problem.near_nullspace())[0]
 
 
 class ContinuationError(NewtonError):

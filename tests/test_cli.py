@@ -11,6 +11,8 @@ from minfem.cli import (
     report_table,
     run_benchmark,
 )
+from minfem.coloring import ColoringError
+from minfem.solvers import SolverError
 
 
 @pytest.fixture(scope="module")
@@ -181,3 +183,78 @@ def test_malformed_or_empty_levels_are_usage_errors(levels, capsys):
     captured = capsys.readouterr()
     assert "minfem: error:" in captured.err and "levels" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("error", [SolverError, ColoringError])
+def test_failure_outside_newton_yields_partial_report(error, monkeypatch, capsys):
+    import minfem.cli as cli
+
+    def failing_guess(problem):
+        raise error("forced failure in the initial guess")
+
+    monkeypatch.setattr(cli, "benchmark_initial_guess", failing_guess)
+    report = run_benchmark("plaplace", [1])
+    assert not report.complete
+    assert "forced failure" in report.error
+    assert report.rows == []
+
+    assert main(["run", "plaplace", "--level", "1"]) == 2
+    assert "incomplete" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--tol-grad", "--tol-energy"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-6"])
+def test_nonfinite_or_nonpositive_tolerances_are_usage_errors(flag, value, capsys):
+    assert main(["run", "plaplace", "--level", "1", f"{flag}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert "minfem: error:" in captured.err and flag in captured.err
+    assert captured.out == ""
+
+
+def test_parallel_levels_capped_at_cpus_and_cancelled_after_failure(monkeypatch):
+    import concurrent.futures
+    import threading
+
+    import minfem.cli as cli
+
+    shutdown_called = threading.Event()
+    workers: list[int] = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            if cancel_futures:
+                shutdown_called.set()
+            super().shutdown(wait=wait, cancel_futures=cancel_futures)
+
+    started: list[int] = []
+
+    def fake_level(kind, level, config):
+        started.append(level)
+        if level == 1:
+            raise SolverError("forced failure at level 1")
+        # a level the worker picked up before the failure was seen ends
+        # only once the queued levels have been cancelled
+        assert shutdown_called.wait(timeout=30)
+        return [], []
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_run_level", fake_level)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    report = run_benchmark("plaplace", [1, 2, 3], {"parallel_levels": True})
+    assert workers == [1]
+    assert not report.complete and "forced failure" in report.error
+    assert 3 not in started
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    run_benchmark("plaplace", [1, 2], {"parallel_levels": True})
+    assert workers[-1] == 1
+
+    shutdown_called.set()  # later levels finish at once
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    run_benchmark("plaplace", [1, 2, 3], {"parallel_levels": True})
+    assert workers[-1] == 2

@@ -1,17 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from minfem.coloring import recover_hessian
 from minfem.energies import PLaplaceParams, build_problem, record_plaplace
+from minfem.minimize import _solve_newton_system, benchmark_initial_guess
 from minfem.solvers import (
     DIRECT_DOF_LIMIT,
     AmgHierarchy,
     IndefiniteSystemError,
     SolverError,
+    _aggregate,
+    _tentative_prolongator,
     build_amg,
     pcg_solve,
-    solve_auto,
     solve_direct,
 )
 
@@ -147,13 +151,13 @@ def test_direct_and_amg_paths_agree():
     assert gap <= 1e-6
 
 
-def test_solve_auto_paths():
+def test_auto_dispatch_paths():
     small = laplacian_1d(33)
     b = np.arange(33, dtype=float)
-    assert np.allclose(solve_auto(small, b), solve_direct(small, b))
+    x, path, _ = _solve_newton_system(small, b, "auto", np.ones((33, 1)))
+    assert path == "direct"
+    assert np.allclose(x, solve_direct(small, b))
     # the threshold is inclusive: 15,000 unknowns still go direct
-    from minfem.minimize import _solve_newton_system
-
     at_limit = laplacian_1d(DIRECT_DOF_LIMIT)
     x, path, _ = _solve_newton_system(at_limit, np.ones(DIRECT_DOF_LIMIT), "auto", np.ones((DIRECT_DOF_LIMIT, 1)))
     assert path == "direct"
@@ -163,3 +167,185 @@ def test_solve_auto_paths():
     )
     assert path == "amg" and inner > 0
     assert np.linalg.norm(above @ x - 1.0) <= 1e-8 * np.linalg.norm(np.ones(DIRECT_DOF_LIMIT + 1))
+
+
+# ---------------------------------------------------------------------------
+# AMG structure reuse
+
+
+def two_hessians(kind: str, level: int):
+    """Hessians at the benchmark start and at a perturbed point, plus the near-nullspace."""
+    problem = build_problem(kind, level)
+    u0 = benchmark_initial_guess(problem)
+    rng = np.random.default_rng(11)
+    u1 = 0.9 * u0 + 0.05 * np.abs(u0).max() * rng.uniform(-1.0, 1.0, u0.size)
+    return problem.hessian(u0), problem.hessian(u1), problem.near_nullspace()
+
+
+def assert_same_hierarchy(got: AmgHierarchy, want: AmgHierarchy):
+    assert got.level_sizes() == want.level_sizes()
+    for g, w in zip(got.levels, want.levels):
+        for name in ("a", "p", "r"):
+            gm, wm = getattr(g, name), getattr(w, name)
+            if wm is None:
+                assert gm is None
+                continue
+            for field in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(gm, field), getattr(wm, field)), (name, field)
+    assert len(got.structure) == len(want.structure)
+    for g, w in zip(got.structure, want.structure):
+        assert np.array_equal(g.b_coarse, w.b_coarse)
+        for field in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(g.t, field), getattr(w.t, field))
+
+
+@pytest.mark.parametrize("kind, level", [("ginzburg_landau", 3), ("plaplace", 3)])
+def test_amg_structure_reuse_is_bit_identical(kind, level):
+    h0, h1, ns = two_hessians(kind, level)
+    shift = 1e-3 * float(np.abs(h1.diagonal()).max())
+    shifted = (h1 + shift * sp.identity(h1.shape[0], format="csr")).tocsr()
+    rhs = np.random.default_rng(5).standard_normal(h1.shape[0])
+    stored = build_amg(h0, ns).structure
+    assert len(stored) >= 2
+    for h in (h1, shifted):
+        fresh = build_amg(h, ns)
+        reused = build_amg(h, ns, stored)
+        assert all(new is old for new, old in zip(reused.structure, stored))
+        assert_same_hierarchy(reused, fresh)
+        _, it_fresh = pcg_solve(h, rhs, fresh, rtol=1e-8, maxiter=400)
+        _, it_reused = pcg_solve(h, rhs, reused, rtol=1e-8, maxiter=400)
+        assert it_reused == it_fresh
+
+
+def test_amg_structure_change_rebuilds_that_level_and_coarser():
+    h0, h1, ns = two_hessians("ginzburg_landau", 3)
+    stored = build_amg(h0, ns).structure
+    assert len(stored) >= 2
+
+    # a coupling removed from the fine pattern: every level is rebuilt
+    pruned = h1.tolil()
+    pruned[0, 1] = pruned[1, 0] = 0.0
+    pruned = pruned.tocsr()
+    pruned.eliminate_zeros()
+    for h, b in ((pruned, ns), (h1, 2.0 * ns)):
+        rebuilt = build_amg(h, b, stored)
+        assert all(new is not old for new, old in zip(rebuilt.structure, stored))
+        assert_same_hierarchy(rebuilt, build_amg(h, b))
+
+    # a stale level-0 key rebuilds level 1 too, although its own key still matches
+    tampered = list(stored)
+    tampered[0] = dataclasses.replace(stored[0], near_nullspace=2.0 * ns)
+    rebuilt = build_amg(h1, ns, tampered)
+    assert all(new is not old for new, old in zip(rebuilt.structure, stored))
+    assert_same_hierarchy(rebuilt, build_amg(h1, ns))
+
+    # a changed near-nullspace at level 1 keeps level 0 and rebuilds level 1 on
+    tampered = list(stored)
+    tampered[1] = dataclasses.replace(stored[1], near_nullspace=2.0 * stored[1].near_nullspace)
+    rebuilt = build_amg(h1, ns, tampered)
+    assert rebuilt.structure[0] is stored[0]
+    assert all(new is not old for new, old in zip(rebuilt.structure[1:], stored[1:]))
+    assert_same_hierarchy(rebuilt, build_amg(h1, ns))
+
+    # so does a changed pattern at level 1
+    tampered[1] = dataclasses.replace(stored[1], indices=stored[1].indices[::-1].copy())
+    rebuilt = build_amg(h1, ns, tampered)
+    assert rebuilt.structure[0] is stored[0]
+    assert all(new is not old for new, old in zip(rebuilt.structure[1:], stored[1:]))
+
+
+# the per-row NumPy implementations that `_aggregate` and `_tentative_prolongator`
+# replaced, kept as oracles
+
+
+def aggregate_oracle(a: sp.csr_matrix) -> tuple[np.ndarray, int]:
+    n = a.shape[0]
+    indptr, indices = a.indptr, a.indices
+    agg = np.full(n, -1, dtype=np.int64)
+    next_agg = 0
+
+    def neighbors(i: int) -> np.ndarray:
+        nbr = indices[indptr[i] : indptr[i + 1]]
+        return nbr[nbr != i]
+
+    for i in range(n):
+        if agg[i] != -1:
+            continue
+        nbr = neighbors(i)
+        if (agg[nbr] == -1).all():
+            agg[i] = next_agg
+            agg[nbr] = next_agg
+            next_agg += 1
+    attach: list[tuple[int, int]] = []
+    for i in range(n):
+        if agg[i] != -1:
+            continue
+        cand = agg[neighbors(i)]
+        cand = cand[cand >= 0]
+        if cand.size:
+            attach.append((i, int(cand[0])))
+    for i, k in attach:
+        agg[i] = k
+    for i in range(n):
+        if agg[i] != -1:
+            continue
+        nbr = neighbors(i)
+        agg[i] = next_agg
+        agg[nbr[agg[nbr] == -1]] = next_agg
+        next_agg += 1
+    return agg, next_agg
+
+
+def tentative_prolongator_oracle(agg: np.ndarray, n_agg: int, b: np.ndarray):
+    n, m = b.shape
+    order = np.argsort(agg, kind="stable")
+    bounds = np.searchsorted(agg[order], np.arange(n_agg + 1))
+    rows, cols, vals, coarse_rows = [], [], [], []
+    col_offset = 0
+    for k in range(n_agg):
+        members = order[bounds[k] : bounds[k + 1]]
+        q_mat, r_mat = np.linalg.qr(b[members])
+        diag = np.abs(np.diag(r_mat))
+        keep = diag > 1e-12 * max(diag.max(), 1e-300)
+        if not keep.any():
+            keep[0] = True
+        q_mat = q_mat[:, keep]
+        kk = q_mat.shape[1]
+        rows.append(np.repeat(members, kk))
+        cols.append(np.tile(np.arange(col_offset, col_offset + kk), members.size))
+        vals.append(q_mat.ravel())
+        coarse_rows.append(r_mat[keep, :])
+        col_offset += kk
+    t = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, col_offset),
+    )
+    return t, np.vstack(coarse_rows)
+
+
+def identical(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kind, level", [("ginzburg_landau", 3), ("plaplace", 3), ("neohooke", 1)])
+def test_aggregation_and_tentative_prolongator_match_oracles(kind, level):
+    problem = build_problem(kind, level)
+    a = problem.hessian(benchmark_initial_guess(problem))
+    n = a.shape[0]
+    coarse = build_amg(a + sp.identity(n), problem.near_nullspace()).levels[1].a
+    for mat in (a, coarse):
+        agg, n_agg = _aggregate(mat)
+        want_agg, want_n = aggregate_oracle(mat)
+        assert n_agg == want_n and identical(agg, want_agg)
+    agg, n_agg = _aggregate(a)
+    # the benchmark near-nullspace, then one with a repeated column and an
+    # all-zero aggregate, which drop columns in the keep rule
+    ns = problem.near_nullspace()
+    degenerate = np.column_stack([ns, ns[:, :1], np.arange(n) % 3]).astype(float)
+    degenerate[agg == 0] = 0.0
+    for b in (ns, degenerate):
+        t, b_coarse = _tentative_prolongator(agg, n_agg, b)
+        want_t, want_b = tentative_prolongator_oracle(agg, n_agg, b)
+        assert identical(b_coarse, want_b)
+        for field in ("data", "indices", "indptr"):
+            assert identical(getattr(t, field), getattr(want_t, field))
