@@ -8,7 +8,7 @@ with golden-section line search over direct or AMG-preconditioned CG
 solves.
 """
 
-from .autodiff import Program, Recorder, evaluate, gradient, hessian_vector_product
+from .autodiff import Program, Recorder
 from .coloring import Coloring, color_pattern, recover_hessian
 from .energies import (
     EnergyProblem,
@@ -16,9 +16,6 @@ from .energies import (
     NeoHookeParams,
     PLaplaceParams,
     build_problem,
-    energy_ginzburg_landau,
-    energy_neohooke,
-    energy_plaplace,
     problem_from_mesh,
 )
 from .fem import (

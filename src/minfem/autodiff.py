@@ -14,6 +14,17 @@ scalar powers, log, abs, row/full sums, dot products, and products against
 constant matrices.  ``abs`` differentiates with sign(x), taking the value
 0 at x = 0.  Non-finite values propagate through replays without raising;
 the caller decides.
+
+The replay kernels are written for speed but keep numpy's bits.  A row
+sum over fewer than 8 columns adds the columns one by one, which is what
+``ndarray.sum(axis=1)`` does below its pairwise-summation threshold of 8
+(numpy starts from +0.0, so only an all -0.0 row needs the trailing
+``+ 0.0``); wider rows still go through ``np.sum``.  The adjoint of a
+gather scatter-adds with ``np.bincount``, which, like ``np.add.at`` on a
+zero vector, adds each entry onto 0.0 in index order; gathers are taken
+from vectors only, and negative indices are wrapped when recorded.  The
+reverse sweep computes no adjoint for an operand that does not depend on
+the input.
 """
 
 from __future__ import annotations
@@ -30,9 +41,6 @@ __all__ = [
     "Var",
     "log",
     "dot",
-    "evaluate",
-    "gradient",
-    "hessian_vector_product",
 ]
 
 
@@ -88,7 +96,9 @@ def _neg(a):
 def _mul(a, b):
     if isinstance(a, _Dual):
         if isinstance(b, _Dual):
-            return _Dual(a.val * b.val, a.dot * _x(b.val) + b.dot * _x(a.val))
+            dot = a.dot * _x(b.val)
+            dot += b.dot * _x(a.val)
+            return _Dual(a.val * b.val, dot)
         return _Dual(a.val * b, a.dot * _x(b))
     if isinstance(b, _Dual):
         return _Dual(a * b.val, b.dot * _x(a))
@@ -136,10 +146,23 @@ def _sum_all(a):
     return _Dual(float(np.sum(a.val)), a.dot.reshape(-1, k).sum(axis=0))
 
 
+def _row_sum(a):
+    # numpy adds fewer than 8 elements one by one onto +0.0; the final
+    # += 0.0 turns an all -0.0 row into +0.0, as that start does
+    n = a.shape[1]
+    if not 2 <= n < 8:
+        return a.sum(axis=1)
+    out = a[:, 0] + a[:, 1]
+    for j in range(2, n):
+        out += a[:, j]
+    out += 0.0
+    return out
+
+
 def _sum_rows(a):
     if not isinstance(a, _Dual):
-        return a.sum(axis=1)
-    return _Dual(a.val.sum(axis=1), a.dot.sum(axis=1))
+        return _row_sum(a)
+    return _Dual(_row_sum(a.val), _row_sum(a.dot))
 
 
 def _take(a, idx):
@@ -178,16 +201,17 @@ def _zero_at(g, idx):
     return _Dual(val, dot)
 
 
-def _scatter_add(g, idx, base_shape):
-    # adjoint of gather: accumulate g back through idx
+def _scatter_add(g, idx, n):
+    # adjoint of a gather from a vector of length n: accumulate g back
+    # through the non-negative idx; bincount adds onto 0.0 in index order
+    flat = idx.ravel()
     if not isinstance(g, _Dual):
-        out = np.zeros(base_shape)
-        np.add.at(out, idx, g)
-        return out
-    val = np.zeros(base_shape)
-    np.add.at(val, idx, g.val)
-    dot = np.zeros(base_shape + (g.dot.shape[-1],))
-    np.add.at(dot, idx, g.dot)
+        return np.bincount(flat, weights=g.ravel(), minlength=n)
+    val = np.bincount(flat, weights=g.val.ravel(), minlength=n)
+    k = g.dot.shape[-1]
+    dot = np.empty((n, k))
+    for j in range(k):
+        dot[:, j] = np.bincount(flat, weights=g.dot[..., j].ravel(), minlength=n)
     return _Dual(val, dot)
 
 
@@ -401,6 +425,11 @@ class Recorder:
         idx = np.asarray(idx)
         if idx.dtype.kind not in "iu":
             raise TypeError("gather index must be an integer array")
+        if len(a.shape) != 1:
+            raise TypeError(f"gather needs a 1-D operand, got shape {a.shape}")
+        if idx.dtype.kind == "i" and (idx < 0).any():
+            # the reverse sweep's bincount takes only non-negative indices
+            idx = np.where(idx < 0, idx + a.shape[0], idx)
         return self._emit("take", (a,), idx)
 
     def _matmul(self, a: Var, m: np.ndarray) -> Var:
@@ -470,43 +499,47 @@ _FORWARD: dict[str, Callable] = {
 }
 
 
-def _vjp(instr: Instr, ws: list, g) -> list[tuple[int, Any]]:
-    """Adjoint contributions of one instruction, as (slot, value) pairs."""
+def _vjp(instr: Instr, ws: list, g, diff: frozenset[int]) -> list[tuple[int, Any]]:
+    """Adjoint contributions of one instruction to its operands in ``diff``.
+
+    A constant operand gets no contribution, so none is computed for it.
+    """
     op, args, aux = instr.op, instr.args, instr.aux
     a = ws[args[0]]
+
+    def each(*rules):
+        return [(slot, rule()) for slot, rule in zip(args, rules) if slot in diff]
+
     if op == "add":
-        return [(args[0], g), (args[1], g)]
+        return each(lambda: g, lambda: g)
     if op == "sub":
-        return [(args[0], g), (args[1], _neg(g))]
-    if op == "mul":
-        return [(args[0], _mul(g, ws[args[1]])), (args[1], _mul(g, a))]
+        return each(lambda: g, lambda: _neg(g))
+    if op == "mul" or op == "dot":
+        return each(lambda: _mul(g, ws[args[1]]), lambda: _mul(g, a))
     if op == "div":
-        b = ws[args[1]]
-        da = _div(g, b)
-        return [(args[0], da), (args[1], _neg(_mul(da, ws[instr.out])))]
+        da = _div(g, ws[args[1]])
+        return each(lambda: da, lambda: _neg(_mul(da, ws[instr.out])))
     if op == "neg":
-        return [(args[0], _neg(g))]
+        return each(lambda: _neg(g))
     if op == "abs":
-        return [(args[0], _mul(g, np.sign(_val(a))))]
+        return each(lambda: _mul(g, np.sign(_val(a))))
     if op == "pow":
-        return [(args[0], _mul(g, _mul(_pow(a, aux - 1.0), aux)))]
+        return each(lambda: _mul(g, _mul(_pow(a, aux - 1.0), aux)))
     if op == "log":
-        return [(args[0], _div(g, a))]
+        return each(lambda: _div(g, a))
     if op == "sum":
-        return [(args[0], _bcast_full(g, np.shape(_val(a))))]
+        return each(lambda: _bcast_full(g, np.shape(_val(a))))
     if op == "sum_rows":
-        return [(args[0], _bcast_rows(g, np.shape(_val(a))[1]))]
+        return each(lambda: _bcast_rows(g, np.shape(_val(a))[1]))
     if op == "take":
-        return [(args[0], _scatter_add(g, aux, np.shape(_val(a))))]
+        return each(lambda: _scatter_add(g, aux, np.shape(_val(a))[0]))
     if op == "put":
-        return [(args[0], _zero_at(g, aux)), (args[1], _take(g, aux))]
-    if op == "dot":
-        return [(args[0], _mul(g, ws[args[1]])), (args[1], _mul(g, a))]
+        return each(lambda: _zero_at(g, aux), lambda: _take(g, aux))
     if op == "matmul":
         m = _val(ws[args[1]])
         if m.ndim == 2:
-            return [(args[0], _matmul(g, m.T))]
-        return [(args[0], _outer_vec(g, m))]
+            return each(lambda: _matmul(g, m.T))
+        return each(lambda: _outer_vec(g, m))
     raise AssertionError(f"unknown op {op}")
 
 
@@ -593,9 +626,7 @@ class Program:
                 g, adj[ins.out] = adj[ins.out], None
                 if g is None:
                     continue
-                for slot, contrib in _vjp(ins, ws, g):
-                    if slot not in self.diff:
-                        continue
+                for slot, contrib in _vjp(ins, ws, g, self.diff):
                     cur = adj[slot]
                     adj[slot] = contrib if cur is None else _add(cur, contrib)
         return adj[self.input_slot]
@@ -636,18 +667,3 @@ class Program:
         else:
             out = np.array(grad.dot, dtype=float)
         return out[:, 0] if single else out
-
-
-# module-level conveniences mirroring the operation surface
-
-
-def evaluate(program: Program, u) -> float:
-    return program.evaluate(u)
-
-
-def gradient(program: Program, u) -> np.ndarray:
-    return program.gradient(u)
-
-
-def hessian_vector_product(program: Program, u, s) -> np.ndarray:
-    return program.hessian_vector_product(u, s)

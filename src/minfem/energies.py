@@ -46,9 +46,6 @@ __all__ = [
     "record_plaplace",
     "record_ginzburg_landau",
     "record_neohooke",
-    "energy_plaplace",
-    "energy_ginzburg_landau",
-    "energy_neohooke",
     "identity_deformation",
     "bar_dirichlet_values",
     "problem_from_mesh",
@@ -222,21 +219,6 @@ def record_neohooke(
     the line search to reject.
     """
     return _record_global(_neohooke_density, dofmap, elemdata, params, sample_input=sample_input)
-
-
-# evaluation-style surface: record on demand and replay once
-
-
-def energy_plaplace(u, dofmap, elemdata, params: PLaplaceParams) -> float:
-    return record_plaplace(dofmap, elemdata, params).evaluate(u)
-
-
-def energy_ginzburg_landau(u, dofmap, elemdata, params: GinzburgLandauParams) -> float:
-    return record_ginzburg_landau(dofmap, elemdata, params).evaluate(u)
-
-
-def energy_neohooke(u, dofmap, elemdata, params: NeoHookeParams) -> float:
-    return record_neohooke(dofmap, elemdata, params).evaluate(u)
 
 
 # ---------------------------------------------------------------------------

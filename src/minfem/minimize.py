@@ -93,6 +93,14 @@ class IterationRecord:
 
 @dataclass(frozen=True, eq=False)
 class MinimizeResult:
+    """Final iterate of one Newton minimization and why it stopped.
+
+    ``stop_reason`` is ``"grad"`` (gradient norm under the threshold),
+    ``"stagnation"`` (relative energy decrease under ``energy_tol``,
+    whatever the gradient norm) or ``"max_iters"`` (the best iterate
+    carried by the ``NewtonError`` raised after ``max_iters`` steps).
+    """
+
     u_star: np.ndarray
     u_full: np.ndarray
     energy: float
@@ -100,6 +108,7 @@ class MinimizeResult:
     grad_norm: float
     iteration_log: tuple[IterationRecord, ...]
     converged: bool
+    stop_reason: str
 
 
 class NewtonError(RuntimeError):
@@ -271,7 +280,7 @@ def newton_minimize(
 
     log: list[IterationRecord] = []
 
-    def result(u_vec, j_val, gnorm, converged):
+    def result(u_vec, j_val, gnorm, stop_reason):
         return MinimizeResult(
             u_star=u_vec,
             u_full=problem.full_field(u_vec),
@@ -279,14 +288,15 @@ def newton_minimize(
             iterations=len(log),
             grad_norm=gnorm,
             iteration_log=tuple(log),
-            converged=converged,
+            converged=stop_reason != "max_iters",
+            stop_reason=stop_reason,
         )
 
     for _ in range(cfg.max_iters):
         energy, grad = program.value_and_gradient(u)
         grad_norm = float(np.abs(grad).max()) if grad.size else 0.0
         if grad_norm <= gtol:
-            return result(u, energy, grad_norm, True)
+            return result(u, energy, grad_norm, "grad")
 
         try:
             hessian = problem.hessian(u)
@@ -322,10 +332,10 @@ def newton_minimize(
         u, energy = u_next, energy_next
         if stagnated:
             grad = program.gradient(u)
-            return result(u, energy, float(np.abs(grad).max()), True)
+            return result(u, energy, float(np.abs(grad).max()), "stagnation")
 
     grad = program.gradient(u)
-    best = result(u, energy, float(np.abs(grad).max()), False)
+    best = result(u, energy, float(np.abs(grad).max()), "max_iters")
     raise NewtonError(f"Newton did not converge in {cfg.max_iters} iterations", best=best)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from helpers import (
     dense_hessian_by_probes,
     random_benchmark_state,
 )
-from minfem.autodiff import Recorder, dot, evaluate, gradient, hessian_vector_product
-from minfem.energies import build_problem
+from minfem import autodiff
+from minfem.autodiff import Recorder, dot
+from minfem.energies import build_problem, problem_from_mesh
+from minfem.fem import element_dofs
 
 
 def sum_of_squares_program(n=3):
@@ -39,10 +43,10 @@ def random_states(problem, rng, count):
 def test_sum_of_squares_value_gradient_hvp():
     prog = sum_of_squares_program()
     u = np.array([1.0, 2.0, 3.0])
-    assert evaluate(prog, u) == 14.0
-    assert np.allclose(gradient(prog, u), [2.0, 4.0, 6.0])
+    assert prog.evaluate(u) == 14.0
+    assert np.allclose(prog.gradient(u), [2.0, 4.0, 6.0])
     s = np.array([0.5, -1.0, 2.0])
-    assert np.allclose(hessian_vector_product(prog, u, s), 2.0 * s)
+    assert np.allclose(prog.hessian_vector_product(u, s), 2.0 * s)
 
 
 def test_quadratic_hvp_is_matrix_product():
@@ -52,9 +56,9 @@ def test_quadratic_hvp_is_matrix_product():
     prog = quadratic_program(a)
     u = rng.standard_normal(5)
     s = rng.standard_normal(5)
-    assert np.allclose(hessian_vector_product(prog, u, s), a @ s, atol=1e-13)
+    assert np.allclose(prog.hessian_vector_product(u, s), a @ s, atol=1e-13)
     stacked = rng.standard_normal((5, 4))
-    assert np.allclose(hessian_vector_product(prog, u, stacked), a @ stacked, atol=1e-13)
+    assert np.allclose(prog.hessian_vector_product(u, stacked), a @ stacked, atol=1e-13)
 
 
 def test_gradient_matches_central_differences(small_benchmarks):
@@ -139,8 +143,8 @@ def test_replay_determinism_bitwise():
 def test_abs_uses_sign_zero_at_origin():
     rec = Recorder(3)
     prog = rec.build(abs(rec.input_var).sum())
-    assert np.all(gradient(prog, np.zeros(3)) == 0.0)
-    assert np.allclose(gradient(prog, np.array([2.0, -3.0, 0.0])), [1.0, -1.0, 0.0])
+    assert np.all(prog.gradient(np.zeros(3)) == 0.0)
+    assert np.allclose(prog.gradient(np.array([2.0, -3.0, 0.0])), [1.0, -1.0, 0.0])
 
 
 def test_input_shape_errors():
@@ -181,7 +185,7 @@ def test_scatter_gradient_routes_only_free_slots():
     base = rec.constant(np.array([5.0, 5.0, 5.0]), name="u_0")
     v = rec.scatter(base, np.array([0, 2]), rec.input_var)
     prog = rec.build((v**2).sum())
-    g = gradient(prog, np.array([1.0, -2.0]))
+    g = prog.gradient(np.array([1.0, -2.0]))
     assert np.allclose(g, [2.0, -4.0])
 
 
@@ -189,3 +193,143 @@ def test_program_signature_is_stable():
     p1 = build_problem("plaplace", 1)
     p2 = build_problem("plaplace", 1)
     assert p1.program.signature() == p2.program.signature()
+
+
+# the replay kernels as they were first written: numpy's row reduction and
+# unbuffered np.add.at; the faster kernels must reproduce their bits
+
+
+def oracle_sum_rows(a):
+    if not isinstance(a, autodiff._Dual):
+        return a.sum(axis=1)
+    return autodiff._Dual(a.val.sum(axis=1), a.dot.sum(axis=1))
+
+
+def oracle_scatter_add(g, idx, n):
+    if not isinstance(g, autodiff._Dual):
+        out = np.zeros(n)
+        np.add.at(out, idx, g)
+        return out
+    val = np.zeros(n)
+    np.add.at(val, idx, g.val)
+    dot = np.zeros((n, g.dot.shape[-1]))
+    np.add.at(dot, idx, g.dot)
+    return autodiff._Dual(val, dot)
+
+
+def assert_same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    assert x.shape == y.shape
+    assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def assert_same_dual_bits(x, y):
+    if isinstance(y, autodiff._Dual):
+        assert isinstance(x, autodiff._Dual)
+        assert_same_bits(x.val, y.val)
+        assert_same_bits(x.dot, y.dot)
+    else:
+        assert_same_bits(x, y)
+
+
+def heavy_tailed(rng, shape):
+    """Cauchy samples over 16 decades with signed zeros mixed in."""
+    data = rng.standard_cauchy(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    zeros = rng.random(shape) < 0.05
+    data[zeros] = np.where(rng.random(shape) < 0.5, -0.0, 0.0)[zeros]
+    return data
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_sum_rows_matches_numpy_reduction(width):
+    rng = np.random.default_rng(100 + width)
+    a = heavy_tailed(rng, (2000, width))
+    a[:3] = -0.0  # all -0.0 rows sum to +0.0
+    assert_same_bits(autodiff._sum_rows(a), oracle_sum_rows(a))
+    for k in (1, 6):
+        dual = autodiff._Dual(a, heavy_tailed(rng, (2000, width, k)))
+        dual.dot[:3] = -0.0
+        assert_same_dual_bits(autodiff._sum_rows(dual), oracle_sum_rows(dual))
+
+
+def test_scatter_add_matches_add_at():
+    rng = np.random.default_rng(7)
+    n = 50
+    idx = rng.integers(0, n - 5, (700, 3))  # repeats, and entries never hit
+    idx[:10] = 4
+    g = heavy_tailed(rng, idx.shape)
+    g[:10] = -0.0  # an entry reached only by -0.0 stays +0.0
+    assert_same_bits(autodiff._scatter_add(g, idx, n), oracle_scatter_add(g, idx, n))
+    for k in (1, 6):
+        dot = heavy_tailed(rng, idx.shape + (k,))
+        dot[:10] = -0.0
+        dual = autodiff._Dual(g, dot)
+        assert_same_dual_bits(
+            autodiff._scatter_add(dual, idx, n), oracle_scatter_add(dual, idx, n)
+        )
+
+
+def replays(program, u, s):
+    value, grad = program.value_and_gradient(u)
+    return program.evaluate(u), value, grad, program.hessian_vector_product(u, s)
+
+
+def jittered(problem, seed):
+    # structured meshes give element gradients with zero entries, which hide
+    # the order of a row sum; moved nodes make every entry count
+    mesh = problem.mesh
+    rng = np.random.default_rng(seed)
+    nodes = mesh.nodes + 1e-3 * rng.uniform(-1.0, 1.0, mesh.nodes.shape)
+    return problem_from_mesh(problem.kind, dataclasses.replace(mesh, nodes=nodes))
+
+
+@pytest.fixture(scope="module")
+def level3_benchmarks(tiny_bar_problem):
+    gl = build_problem("ginzburg_landau", 3)
+    return [
+        gl,
+        build_problem("plaplace", 3),
+        tiny_bar_problem,
+        jittered(gl, 1),
+        jittered(tiny_bar_problem, 2),
+    ]
+
+
+def test_tape_replays_match_oracle_kernels(level3_benchmarks, monkeypatch):
+    rng = np.random.default_rng(31)
+    cases = []
+    for problem in level3_benchmarks:
+        u = random_benchmark_state(problem, rng)
+        x = problem.full_field(u)[element_dofs(problem.elemdata.elems, problem.dofmap.components)]
+        x = x.ravel()
+        cases.append((problem.program, u, rng.standard_normal((u.size, 6))))
+        cases.append((problem.element_program, x, rng.standard_normal((x.size, 6))))
+    fast = [replays(*case) for case in cases]
+    monkeypatch.setattr(autodiff, "_sum_rows", oracle_sum_rows)
+    monkeypatch.setattr(autodiff, "_scatter_add", oracle_scatter_add)
+    for case, got in zip(cases, fast):
+        for x, y in zip(got, replays(*case)):
+            assert_same_bits(x, y)
+
+
+def test_negative_gather_indices_match_add_at_oracle():
+    idx = np.array([-1, 0, -1])
+    rec = Recorder(3)
+    w = rec.input_var[idx]
+    prog = rec.build((w**3).sum())
+    u = np.array([0.7, -1.3, 2.1])
+    s = np.array([0.4, 1.1, -0.6])
+    grad = np.zeros(3)
+    np.add.at(grad, idx, 3.0 * u[idx] ** 2)
+    hvp = np.zeros(3)
+    np.add.at(hvp, idx, 6.0 * u[idx] * s[idx])
+    assert prog.evaluate(u) == float((u[idx] ** 3.0).sum())
+    assert_same_bits(prog.gradient(u), grad)
+    assert_same_bits(prog.hessian_vector_product(u, s), hvp)
+
+
+def test_gather_needs_a_vector_operand():
+    rec = Recorder(4)
+    block = rec.input_var[np.array([[0, 1], [2, 3]])]
+    with pytest.raises(TypeError):
+        block[np.array([0])]

@@ -10,9 +10,8 @@ from minfem.energies import (
     PLaplaceParams,
     bar_dirichlet_values,
     build_problem,
-    energy_neohooke,
-    energy_plaplace,
     problem_from_mesh,
+    record_neohooke,
     record_plaplace,
 )
 from minfem.fem import SparsityPattern, build_dofmap, element_slots, precompute_gradients
@@ -40,7 +39,7 @@ def test_plaplace_zero_state_zero_energy():
 def test_plaplace_single_triangle_hand_value():
     _, elemdata, dofmap = single_triangle_setup()
     params = PLaplaceParams(p=3.0, f_vec=np.zeros(3))
-    value = energy_plaplace(np.array([0.0, 1.0, 0.0]), dofmap, elemdata, params)
+    value = record_plaplace(dofmap, elemdata, params).evaluate(np.array([0.0, 1.0, 0.0]))
     # F = (1, 0): J = (1/3) * 1 * (1/2)
     assert abs(value - 1.0 / 6.0) < 1e-15
 
@@ -76,7 +75,7 @@ def test_neohooke_uniform_dilation_hand_value():
     dofmap = build_dofmap(mesh, 3, {})
     params = NeoHookeParams.from_moduli()
     u = 2.0 * mesh.nodes.ravel()
-    value = energy_neohooke(u, dofmap, elemdata, params)
+    value = record_neohooke(dofmap, elemdata, params).evaluate(u)
     expected = (params.c1 * (12.0 - 3.0 - 2.0 * np.log(8.0)) + params.d1 * 49.0) / 6.0
     assert abs(value - expected) < 1e-9 * abs(expected)
 
@@ -224,7 +223,7 @@ def test_record_consistency_between_surfaces():
     params = PLaplaceParams(p=3.0, f_vec=np.array([1.0, 2.0, 3.0]))
     program = record_plaplace(dofmap, elemdata, params)
     u = np.array([0.5, -1.0, 2.0])
-    assert program.evaluate(u) == energy_plaplace(u, dofmap, elemdata, params)
+    assert program.evaluate(u) == record_plaplace(dofmap, elemdata, params).evaluate(u)
 
 
 def twisted_bar_state(problem, angle, rng):

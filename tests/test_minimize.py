@@ -170,3 +170,99 @@ def test_line_search_energy_is_reused(monkeypatch):
     # one evaluation at the start, then only the line search's own samples
     assert len(calls) == 1 + sum(distinct_trials)
     assert result.converged
+
+
+def test_stop_reason_grad():
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((5, 5))
+    problem = make_quadratic_problem(m.T @ m + 5.0 * np.eye(5), rng.standard_normal(5))
+    result = newton_minimize(problem, np.zeros(5))
+    assert result.stop_reason == "grad" and result.converged
+
+
+def test_stop_reason_stagnation():
+    # GL energies are non-negative, so any first step decreases J by at most
+    # energy_tol * (1 + |J|) with energy_tol = 1; the gradient stays far above 1e-14
+    problem = build_problem("ginzburg_landau", 1)
+    config = NewtonConfig(grad_tol=1e-14, energy_tol=1.0)
+    result = newton_minimize(problem, benchmark_initial_guess(problem), config)
+    assert result.stop_reason == "stagnation" and result.converged
+    assert result.iterations == 1
+    assert result.grad_norm > 1e-14 * (1.0 + abs(result.iteration_log[0].energy))
+
+
+def test_stop_reason_max_iters():
+    problem = build_problem("ginzburg_landau", 1)
+    config = NewtonConfig(max_iters=1, grad_tol=1e-14)
+    with pytest.raises(NewtonError) as info:
+        newton_minimize(problem, benchmark_initial_guess(problem), config)
+    best = info.value.best
+    assert best.stop_reason == "max_iters" and not best.converged
+
+
+def _pinned(result):
+    log = result.iteration_log
+    return (
+        result.energy.hex(),
+        result.iterations,
+        tuple(rec.inner_iterations for rec in log),
+        sum(rec.shift > 0.0 for rec in log),
+        tuple(rec.alpha.hex() for rec in log),
+    )
+
+
+# Energy bits, Newton iterations, CG iterations per step, shifted steps and
+# line-search alphas of two reference runs.  A change to the replay kernels
+# that moves one bit of any energy, gradient or Hessian shows up here.
+GL4_AMG_PINNED = (
+    "0x1.628a7f1813ef9p-2",
+    3,
+    (7, 8, 8),
+    0,
+    ("0x1.235382032d2f6p+0", "0x1.160eb4dc65589p+0", "0x1.023ac13cd2dd2p+0"),
+)
+TINY_BAR_PINNED = (
+    (
+        "0x1.bfa2c7cbb435bp+2",
+        5,
+        (0, 0, 0, 0, 0),
+        0,
+        (
+            "0x1.ae796a3e4fb20p-1",
+            "0x1.6e62cdb45a4fcp+0",
+            "0x1.ddf242a61f9e2p-1",
+            "0x1.00495b76071fap+0",
+            "0x1.002206e951713p+0",
+        ),
+    ),
+    (
+        "0x1.c5c5beb32637ap+4",
+        5,
+        (0, 0, 0, 0, 0),
+        0,
+        (
+            "0x1.30aa2969ebd40p+0",
+            "0x1.3fb5bd72309bap+0",
+            "0x1.07534def054dcp+0",
+            "0x1.009694f1775eap+0",
+            "0x1.ffe7c03916fccp-1",
+        ),
+    ),
+)
+
+
+def test_gl_level4_amg_bits_are_pinned():
+    problem = build_problem("ginzburg_landau", 4)
+    result = newton_minimize(problem, benchmark_initial_guess(problem), NewtonConfig(solver="amg"))
+    assert _pinned(result) == GL4_AMG_PINNED
+
+
+def test_tiny_bar_first_load_steps_bits_are_pinned(tiny_bar_problem):
+    u = tiny_bar_problem.initial_guess.copy()
+    for step, pinned in zip((1, 2), TINY_BAR_PINNED):
+        stepped = tiny_bar_problem.with_dirichlet(
+            bar_dirichlet_values(tiny_bar_problem.mesh, step * np.pi / 3.0)
+        )
+        result = newton_minimize(stepped, u)
+        assert _pinned(result) == pinned, f"load step {step}"
+        u = result.u_star
