@@ -8,12 +8,13 @@ the reverse sweep, which differentiates the gradient exactly in the given
 directions; several directions are propagated at once through a trailing
 tangent axis.
 
-The primitive set is exactly what the benchmark energies need: scatter-set
-into a fixed vector, gather by an index matrix, elementwise arithmetic,
-scalar powers, log, abs, row/full sums, dot products, and products against
-constant matrices.  ``abs`` differentiates with sign(x), taking the value
-0 at x = 0.  Non-finite values propagate through replays without raising;
-the caller decides.
+The primitive set is exactly what the benchmark energies need: gather by
+an index matrix, elementwise arithmetic, scalar powers, log, abs, row/full
+sums, dot products, and products against constant matrices.  ``abs``
+differentiates with sign(x), taking the value 0 at x = 0; ``x**0`` is
+recorded as a constant of ones, so its derivatives are 0 at x = 0 too.
+Non-finite values propagate through replays without raising; the caller
+decides.
 
 The replay kernels are written for speed but keep numpy's bits.  A row
 sum over fewer than 8 columns adds the columns one by one, which is what
@@ -120,7 +121,7 @@ def _div(a, b):
 def _pow(a, e):
     if not isinstance(a, _Dual):
         return a**e
-    if e == 0.0:  # constant: avoid 0 * x**-1 at x = 0
+    if e == 0.0:  # the reverse rule of x**1: constant 1, no 0 * x**-1 at x = 0
         return _Dual(a.val**e, np.zeros_like(a.dot))
     if e == 1.0:
         return _Dual(a.val**e, a.dot)
@@ -169,36 +170,6 @@ def _take(a, idx):
     if not isinstance(a, _Dual):
         return a[idx]
     return _Dual(a.val[idx], a.dot[idx])
-
-
-def _put(base, idx, vals):
-    # base with vals written at idx; tangents follow the same placement
-    if not isinstance(base, _Dual) and not isinstance(vals, _Dual):
-        out = base.copy()
-        out[idx] = vals
-        return out
-    bval = _val(base)
-    out = bval.copy()
-    out[idx] = _val(vals)
-    k = (vals.dot if isinstance(vals, _Dual) else base.dot).shape[-1]
-    if isinstance(base, _Dual):
-        dot = base.dot.copy()
-    else:
-        dot = np.zeros(bval.shape + (k,))
-    dot[idx] = vals.dot if isinstance(vals, _Dual) else 0.0
-    return _Dual(out, dot)
-
-
-def _zero_at(g, idx):
-    if not isinstance(g, _Dual):
-        out = g.copy()
-        out[idx] = 0.0
-        return out
-    val = g.val.copy()
-    val[idx] = 0.0
-    dot = g.dot.copy()
-    dot[idx] = 0.0
-    return _Dual(val, dot)
 
 
 def _scatter_add(g, idx, n):
@@ -324,6 +295,9 @@ class Var:
     def __pow__(self, exponent):
         if isinstance(exponent, Var) or not np.isscalar(exponent):
             raise TypeError("power exponent must be a plain real number")
+        if exponent == 0:
+            # x**0 = 1 everywhere, NaN included, with derivative 0
+            return self.rec.constant(np.ones(self.shape))
         return self.rec._unary("pow", self, aux=float(exponent))
 
     def __matmul__(self, other):
@@ -352,32 +326,26 @@ class Var:
 class Recorder:
     """Records an array program over one input vector.
 
-    The recording replays each primitive on a sample input so that shapes
-    are concrete; the recorded values are discarded.
+    The recording replays each primitive on an all-zeros input so that
+    shapes are concrete; the recorded values are discarded.
     """
 
-    def __init__(self, n_inputs: int, sample_input: np.ndarray | None = None):
+    def __init__(self, n_inputs: int):
         self.n_inputs = int(n_inputs)
-        if sample_input is None:
-            sample_input = np.zeros(self.n_inputs)
-        sample_input = np.asarray(sample_input, dtype=float)
-        if sample_input.shape != (self.n_inputs,):
-            raise ValueError("sample_input must be a vector of length n_inputs")
         self._instrs: list[Instr] = []
-        self._values: list[Any] = [sample_input]
+        self._values: list[Any] = [np.zeros(self.n_inputs)]
         self._diff: set[int] = {0}
         self._consts: dict[int, np.ndarray | float] = {}
-        self._named: dict[str, int] = {}
         self._const_cache: dict[int, int] = {}
         self._const_keepalive: list = []  # ids in the cache must stay live
         self.input_var = Var(self, 0, (self.n_inputs,))
 
     # -- slot management ----------------------------------------------------
 
-    def constant(self, value, name: str | None = None) -> Var:
+    def constant(self, value) -> Var:
         """Register a constant array or scalar as a tape slot."""
         key = id(value)
-        if name is None and key in self._const_cache:
+        if key in self._const_cache:
             slot = self._const_cache[key]
             return Var(self, slot, np.shape(self._values[slot]))
         if isinstance(value, (int, float, np.floating, np.integer)):
@@ -389,10 +357,6 @@ class Recorder:
         self._consts[slot] = stored
         self._const_cache[key] = slot
         self._const_keepalive.append(value)
-        if name is not None:
-            if name in self._named:
-                raise ValueError(f"duplicate constant name {name!r}")
-            self._named[name] = slot
         return Var(self, slot, np.shape(stored))
 
     def _as_var(self, operand) -> Var:
@@ -438,11 +402,6 @@ class Recorder:
     def _dot(self, a, b) -> Var:
         return self._emit("dot", (self._as_var(a), self._as_var(b)))
 
-    def scatter(self, base, idx, vals) -> Var:
-        """base with vals written at positions idx (out-of-place)."""
-        idx = np.asarray(idx)
-        return self._emit("put", (self._as_var(base), self._as_var(vals)), idx)
-
     def log(self, a: Var) -> Var:
         return self._unary("log", a)
 
@@ -457,7 +416,6 @@ class Recorder:
             input_slot=0,
             output_slot=output.slot,
             consts=dict(self._consts),
-            named=dict(self._named),
             diff=frozenset(self._diff),
         )
 
@@ -493,7 +451,6 @@ _FORWARD: dict[str, Callable] = {
     "sum": lambda v, aux: _sum_all(v[0]),
     "sum_rows": lambda v, aux: _sum_rows(v[0]),
     "take": lambda v, aux: _take(v[0], aux),
-    "put": lambda v, aux: _put(v[0], aux, v[1]),
     "dot": lambda v, aux: _vdot(v[0], v[1]),
     "matmul": lambda v, aux: _matmul(v[0], _val(v[1])),
 }
@@ -533,8 +490,6 @@ def _vjp(instr: Instr, ws: list, g, diff: frozenset[int]) -> list[tuple[int, Any
         return each(lambda: _bcast_rows(g, np.shape(_val(a))[1]))
     if op == "take":
         return each(lambda: _scatter_add(g, aux, np.shape(_val(a))[0]))
-    if op == "put":
-        return each(lambda: _zero_at(g, aux), lambda: _take(g, aux))
     if op == "matmul":
         m = _val(ws[args[1]])
         if m.ndim == 2:
@@ -557,34 +512,7 @@ class Program:
     input_slot: int
     output_slot: int
     consts: dict[int, np.ndarray | float]
-    named: dict[str, int]
     diff: frozenset[int]
-
-    # -- constants ----------------------------------------------------------
-
-    def rebind(self, name: str, value: np.ndarray) -> "Program":
-        """New program sharing this tape with a named constant replaced."""
-        if name not in self.named:
-            raise KeyError(f"program has no constant named {name!r}")
-        slot = self.named[name]
-        old = self.consts[slot]
-        value = np.asarray(value, dtype=float)
-        if value.shape != np.shape(old):
-            raise ValueError(
-                f"constant {name!r} has shape {np.shape(old)}, got {value.shape}"
-            )
-        consts = dict(self.consts)
-        consts[slot] = value
-        return Program(
-            instrs=self.instrs,
-            n_slots=self.n_slots,
-            n_inputs=self.n_inputs,
-            input_slot=self.input_slot,
-            output_slot=self.output_slot,
-            consts=consts,
-            named=self.named,
-            diff=self.diff,
-        )
 
     def signature(self) -> bytes:
         """Deterministic byte serialization of the tape and constants."""
@@ -595,7 +523,6 @@ class Program:
             self.input_slot,
             self.output_slot,
             sorted(self.consts.items(), key=lambda kv: kv[0]),
-            sorted(self.named.items()),
         )
         return pickle.dumps(payload)
 

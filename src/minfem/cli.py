@@ -94,35 +94,19 @@ def _run_level(kind: str, level: int, config: NewtonConfig):
 
     rows: list[ReportRow] = []
     results: list[tuple[MinimizeResult, EnergyProblem]] = []
-    t0 = time.perf_counter()
     if kind == "neohooke":
         steps = continuation_hyperelastic(level, config=config, problem=problem)
-        solve_s = time.perf_counter() - t0
-        for t in range(3, 25, 3):  # the reported load steps
-            res = steps[t - 1]
-            rows.append(
-                ReportRow(
-                    problem.n_dofs,
-                    setup_s,
-                    _proportional_step_time(steps, t, solve_s),
-                    res.iterations,
-                    res.energy,
-                )
-            )
+        for res in steps[2::3]:  # the reported load steps t = 3, 6, ..., 24
+            rows.append(ReportRow(problem.n_dofs, setup_s, res.solve_s, res.iterations, res.energy))
             results.append((res, problem))
     else:
+        t0 = time.perf_counter()
         u0 = benchmark_initial_guess(problem)
         res = newton_minimize(problem, u0, config)
         solve_s = time.perf_counter() - t0
         rows.append(ReportRow(problem.n_dofs, setup_s, solve_s, res.iterations, res.energy))
         results.append((res, problem))
     return rows, results
-
-
-def _proportional_step_time(steps, t, total_solve_s):
-    # per-step wall time is not tracked; report the proportional share
-    iters = sum(s.iterations for s in steps) or 1
-    return total_solve_s * steps[t - 1].iterations / iters
 
 
 def run_benchmark(name: str, levels: Iterable[int], overrides: dict | None = None) -> BenchmarkReport:

@@ -3,14 +3,17 @@
 Each benchmark is written once as an element density: a function of the
 per-component element gathers, each of shape (E, npe), returning the (E,)
 element energies.  Each ``record_*`` function sums it onto a fresh tape
-over the free-dof vector (plus the p-Laplace load term); that program
-supplies values, exact gradients, and Hessian-vector products.
-``build_problem`` bundles mesh, element tables, Dirichlet scaffolding, that
-tape, the sparsity pattern and its coloring into a reusable problem object,
-and records the same density a second time over the element-local dofs.
-``EnergyProblem.hessian`` assembles the sparse Hessian from that second
-tape with npe * components directions, and falls back to the colored
-recovery for a problem built without it.
+over the full nodal field (plus the p-Laplace load term); that program
+supplies values, exact gradients, and Hessian-vector products.  The tape
+knows nothing of the Dirichlet data: ``EnergyProblem`` lifts a free-dof
+vector into the field through ``DofMap.u_0``, the one home of the
+boundary values, and restricts gradients and Hessian-vector products back
+to the free dofs.  ``build_problem`` bundles mesh, element tables,
+Dirichlet scaffolding, that tape, the sparsity pattern and its coloring
+into a reusable problem object, and records the same density a second
+time over the element-local dofs.  ``EnergyProblem.hessian`` assembles the
+sparse Hessian from that second tape with npe * components directions,
+and falls back to the colored recovery for a problem built without it.
 """
 
 from __future__ import annotations
@@ -126,11 +129,6 @@ class NeoHookeParams:
 # tape recordings
 
 
-def _scatter_full(rec: Recorder, dofmap: DofMap):
-    u0 = rec.constant(dofmap.u_0, name="u_0")
-    return rec.scatter(u0, dofmap.freedofs, rec.input_var)
-
-
 def _plaplace_density(comps, elemdata: ElementData, params: PLaplaceParams):
     (v_elems,) = comps
     f_x = (v_elems * elemdata.dvx).sum(axis=1)
@@ -171,54 +169,47 @@ def _neohooke_density(comps, elemdata: ElementData, params: NeoHookeParams):
     return w * elemdata.vol
 
 
-def _record_global(density, dofmap, elemdata, params, sample_input=None, load=None) -> Program:
-    """Tape of the summed element densities (minus ``load . v``) over the free dofs."""
-    rec = Recorder(dofmap.n_free, sample_input=sample_input)
-    v = _scatter_full(rec, dofmap)
-    c = dofmap.components
-    comps = [v[c * elemdata.elems + k] for k in range(c)]
-    energy = density(comps, elemdata, params).sum()
+def _record(density, elemdata: ElementData, params, n_inputs: int, gathers, load=None) -> Program:
+    """Tape of the summed element densities (minus ``load . v``) over one input vector.
+
+    ``gathers[k]`` is the (E, npe) index array of component k of every
+    element's nodes in the input.
+    """
+    rec = Recorder(n_inputs)
+    v = rec.input_var
+    energy = density([v[idx] for idx in gathers], elemdata, params).sum()
     return rec.build(energy if load is None else energy - ad.dot(load, v))
 
 
-def _record_elementwise(density, elemdata: ElementData, params, components: int) -> Program:
-    """Tape of the summed element densities over the element-local dofs.
-
-    The input has length E * L (L = npe * components); element e's local
-    index a = components * i + comp is entry ``e * L + a``.
-    """
-    n_elems, npe = elemdata.elems.shape
-    local = np.arange(n_elems * npe * components).reshape(n_elems, npe, components)
-    rec = Recorder(local.size)
-    comps = [rec.input_var[local[:, :, k]] for k in range(components)]
-    return rec.build(density(comps, elemdata, params).sum())
+def _field_gathers(dofmap: DofMap, elemdata: ElementData) -> list[np.ndarray]:
+    """Per-component element gathers from the full field (components interleaved)."""
+    c = dofmap.components
+    return [c * elemdata.elems + k for k in range(c)]
 
 
 def record_plaplace(dofmap: DofMap, elemdata: ElementData, params: PLaplaceParams) -> Program:
-    """Tape of J(v) = sum (1/p)|grad v|^p vol - f . v over the free dofs."""
-    return _record_global(_plaplace_density, dofmap, elemdata, params, load=params.f_vec)
+    """Tape of J(v) = sum (1/p)|grad v|^p vol - f . v over the full field."""
+    gathers = _field_gathers(dofmap, elemdata)
+    return _record(_plaplace_density, elemdata, params, dofmap.n_total, gathers, params.f_vec)
 
 
 def record_ginzburg_landau(
     dofmap: DofMap, elemdata: ElementData, params: GinzburgLandauParams
 ) -> Program:
     """Tape of the double-well energy with the inexact 3-point quadrature."""
-    return _record_global(_ginzburg_landau_density, dofmap, elemdata, params)
+    gathers = _field_gathers(dofmap, elemdata)
+    return _record(_ginzburg_landau_density, elemdata, params, dofmap.n_total, gathers)
 
 
-def record_neohooke(
-    dofmap: DofMap,
-    elemdata: ElementData,
-    params: NeoHookeParams,
-    sample_input: np.ndarray | None = None,
-) -> Program:
-    """Tape of the compressible Neo-Hookean energy over interleaved dofs.
+def record_neohooke(dofmap: DofMap, elemdata: ElementData, params: NeoHookeParams) -> Program:
+    """Tape of the compressible Neo-Hookean energy over the full field (components interleaved).
 
     The determinant enters through its absolute value, so inverted states
     keep a finite density; det = 0 yields -inf via the log and is left for
     the line search to reject.
     """
-    return _record_global(_neohooke_density, dofmap, elemdata, params, sample_input=sample_input)
+    gathers = _field_gathers(dofmap, elemdata)
+    return _record(_neohooke_density, elemdata, params, dofmap.n_total, gathers)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +219,13 @@ def record_neohooke(
 @dataclass(frozen=True, eq=False)
 class EnergyProblem:
     """Reusable bundle of one benchmark on one mesh level.
+
+    ``program`` is the energy recorded over the full nodal field and
+    knows nothing of the boundary: ``dofmap.u_0`` is the one home of the
+    Dirichlet values.  ``evaluate``, ``value_and_gradient``, ``gradient``
+    and ``hessian_vector_product`` take free-dof vectors, lift them into
+    the field (directions get zeros at the fixed dofs) and restrict the
+    results to ``dofmap.freedofs``.
 
     ``element_program`` is the energy recorded over the element-local dofs
     (without its linear load term) and ``element_slots`` maps its element
@@ -262,10 +260,31 @@ class EnergyProblem:
         modes[np.arange(self.n_dofs), comp] = 1.0
         return modes
 
+    def evaluate(self, u: np.ndarray) -> float:
+        """J at the free-dof vector u."""
+        return self.program.evaluate(self.full_field(u))
+
+    def value_and_gradient(self, u: np.ndarray) -> tuple[float, np.ndarray]:
+        """J(u) and its exact gradient over the free dofs."""
+        value, grad = self.program.value_and_gradient(self.full_field(u))
+        return value, grad[self.dofmap.freedofs]
+
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        """Exact gradient of J at u over the free dofs."""
+        return self.value_and_gradient(u)[1]
+
+    def hessian_vector_product(self, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Exact H(u) @ s over the free dofs, for (n,) or stacked (n, k) directions."""
+        s = np.asarray(s, dtype=float)
+        free = self.dofmap.freedofs
+        lifted = np.zeros((self.dofmap.n_total,) + s.shape[1:])
+        lifted[free] = s
+        return self.program.hessian_vector_product(self.full_field(u), lifted)[free]
+
     def hvp_operator(self, u: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Hessian-probe closure at fixed u, accepting stacked directions."""
         u = np.array(u, dtype=float)
-        return lambda s: self.program.hessian_vector_product(u, s)
+        return lambda s: self.hessian_vector_product(u, s)
 
     def hessian(self, u: np.ndarray) -> sp.csr_matrix:
         """Exact sparse Hessian at u over the free dofs.
@@ -284,23 +303,24 @@ class EnergyProblem:
         )
 
     def full_field(self, u: np.ndarray) -> np.ndarray:
-        """Free-dof vector scattered into the Dirichlet scaffolding."""
+        """Free-dof vector lifted into the field: ``u_0`` at the fixed dofs."""
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.n_dofs,):
+            raise ValueError(f"free-dof vector must have shape ({self.n_dofs},), got {u.shape}")
         v = self.dofmap.u_0.copy()
         v[self.dofmap.freedofs] = u
         return v
 
     def with_dirichlet(self, dirichlet: Mapping) -> "EnergyProblem":
-        """Same tapes, coloring and slot map under new boundary values.
+        """The same problem under new boundary values: only the dofmap changes.
 
-        The free-dof set must be unchanged; only u_0 is rebuilt and
-        rebound in the program.  The element program reads the boundary
-        values from its input, so it is reused as it is.
+        The free-dof set must be unchanged.  Neither tape holds boundary
+        values, so both are reused as they are.
         """
         dofmap = build_dofmap(self.mesh, self.dofmap.components, dirichlet)
         if not np.array_equal(dofmap.freedofs, self.dofmap.freedofs):
             raise ValueError("new Dirichlet data changes the free-dof set")
-        program = self.program.rebind("u_0", dofmap.u_0)
-        return dataclasses.replace(self, dofmap=dofmap, program=program)
+        return dataclasses.replace(self, dofmap=dofmap)
 
 
 def identity_deformation(mesh: MeshData, dofmap: DofMap) -> np.ndarray:
@@ -332,7 +352,7 @@ def problem_from_mesh(kind: str, mesh: MeshData, params=None) -> EnergyProblem:
 
     Applies the benchmark's Dirichlet data (zero for the scalar problems,
     untwisted end faces for the bar) and default parameters, records the
-    tapes (over the free dofs and over the element-local dofs), and builds
+    tapes (over the full nodal field and over the element-local dofs), and builds
     the sparsity pattern, its coloring and the element slot map.
     """
     elemdata = precompute_gradients(mesh)
@@ -356,12 +376,16 @@ def problem_from_mesh(kind: str, mesh: MeshData, params=None) -> EnergyProblem:
             params = NeoHookeParams.from_moduli()
         density = _neohooke_density
         start = identity_deformation(mesh, dofmap)
-        program = record_neohooke(dofmap, elemdata, params, sample_input=start)
+        program = record_neohooke(dofmap, elemdata, params)
     else:
         raise ValueError(f"unknown benchmark kind {kind!r}; expected one of {BENCHMARK_KINDS}")
 
     pattern = sparsity_pattern(mesh, dofmap)
     coloring = color_pattern(pattern)
+    # element e's local index a = c * i + comp is input entry e * npe * c + a
+    c = dofmap.components
+    n_elems, npe = mesh.elems.shape
+    local = np.arange(n_elems * npe * c).reshape(n_elems, npe, c)
     return EnergyProblem(
         kind=kind,
         mesh=mesh,
@@ -372,7 +396,9 @@ def problem_from_mesh(kind: str, mesh: MeshData, params=None) -> EnergyProblem:
         pattern=pattern,
         coloring=coloring,
         initial_guess=start,
-        element_program=_record_elementwise(density, elemdata, params, dofmap.components),
+        element_program=_record(
+            density, elemdata, params, local.size, [local[:, :, k] for k in range(c)]
+        ),
         element_slots=element_slots(mesh.elems, dofmap, pattern),
     )
 

@@ -55,7 +55,9 @@ class DofMap:
 
     Vector dofs interleave per node: node k's components occupy slots
     ``components*k .. components*k + components - 1``.  ``u_0`` carries the
-    Dirichlet values at fixed dofs and zeros at free dofs.
+    Dirichlet values at fixed dofs and zeros at free dofs.  It is the one
+    home of the boundary values: the energy tapes are recorded over the
+    full field and hold none of them.
     """
 
     n_total: int

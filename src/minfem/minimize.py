@@ -14,8 +14,10 @@ continuation.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,8 +34,6 @@ from .energies import (
 )
 
 __all__ = [
-    "LineSearchConfig",
-    "RegularizationConfig",
     "NewtonConfig",
     "IterationRecord",
     "MinimizeResult",
@@ -46,26 +46,23 @@ __all__ = [
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-@dataclass(frozen=True)
-class LineSearchConfig:
-    alpha_max: float = 2.0
-    interval_tol: float = 1e-10
-    max_evals: int = 100
-
-
-@dataclass(frozen=True)
-class RegularizationConfig:
-    initial_scale: float = 1e-6  # of max |diag H|, floored at the scale itself
-    growth: float = 10.0
-    max_tries: int = 20
+# golden-section line search over [0, ALPHA_MAX]
+ALPHA_MAX = 2.0
+INTERVAL_TOL = 1e-10
+MAX_EVALS = 100
+# Tikhonov shifts: SHIFT_SCALE * max(max |diag H|, 1), then SHIFT_GROWTH
+# times larger, SHIFT_TRIES shifts in all
+SHIFT_SCALE = 1e-6
+SHIFT_GROWTH = 10.0
+SHIFT_TRIES = 20
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Everything the textbook method leaves open.
+    """The settable parts of the method.
 
-    ``grad_tol`` is a scale: the stopping threshold on the gradient
+    The line search and the Tikhonov shifts use the module constants
+    above.  ``grad_tol`` is a scale: the stopping threshold on the gradient
     infinity norm is ``grad_tol * (1 + |J(u_init)|)``.  ``energy_tol``
     stops on relative energy stagnation.  ``solver`` picks the linear
     path: auto (direct up to 15,000 dofs, AMG-CG above), or forced
@@ -75,8 +72,6 @@ class NewtonConfig:
     grad_tol: float = 1e-6
     energy_tol: float = 1e-10
     max_iters: int = 200
-    linesearch: LineSearchConfig = field(default_factory=LineSearchConfig)
-    regularization: RegularizationConfig = field(default_factory=RegularizationConfig)
     solver: str = "auto"
 
 
@@ -99,6 +94,8 @@ class MinimizeResult:
     ``"stagnation"`` (relative energy decrease under ``energy_tol``,
     whatever the gradient norm) or ``"max_iters"`` (the best iterate
     carried by the ``NewtonError`` raised after ``max_iters`` steps).
+    ``solve_s`` is the wall time of the ``newton_minimize`` call that
+    produced it.
     """
 
     u_star: np.ndarray
@@ -109,6 +106,7 @@ class MinimizeResult:
     iteration_log: tuple[IterationRecord, ...]
     converged: bool
     stop_reason: str
+    solve_s: float
 
 
 class NewtonError(RuntimeError):
@@ -122,8 +120,8 @@ class NewtonError(RuntimeError):
 def golden_section(
     phi: Callable[[float], float],
     alpha_max: float,
-    interval_tol: float = 1e-10,
-    max_evals: int = 100,
+    interval_tol: float = INTERVAL_TOL,
+    max_evals: int = MAX_EVALS,
 ) -> float:
     """Golden-section minimization of phi on [0, alpha_max].
 
@@ -220,13 +218,12 @@ def _newton_direction(
 ) -> tuple[np.ndarray, str, int, float]:
     """Descent direction from H d = -g, with escalating Tikhonov shifts."""
     n = grad.shape[0]
-    reg = config.regularization
     diag_max = float(np.abs(h.diagonal()).max()) if h is not None else 0.0
     if h is None:
         h = sp.csr_matrix((n, n))
     shifts = [0.0] if h.nnz else []
-    lam = reg.initial_scale * max(diag_max, 1.0)
-    shifts += [lam * reg.growth**k for k in range(reg.max_tries)]
+    lam = SHIFT_SCALE * max(diag_max, 1.0)
+    shifts += [lam * SHIFT_GROWTH**k for k in range(SHIFT_TRIES)]
     eye = sp.identity(n, format="csr")
 
     last_error: Exception | None = None
@@ -266,12 +263,12 @@ def newton_minimize(
     only the numeric part is redone.  Nothing carries over to another
     call or problem.
     """
+    started = time.perf_counter()
     cfg = config or NewtonConfig()
-    program = problem.program
     u = np.array(u_init, dtype=float)
     if u.shape != (problem.n_dofs,):
         raise ValueError(f"u_init must have shape ({problem.n_dofs},), got {u.shape}")
-    energy = program.evaluate(u)
+    energy = problem.evaluate(u)
     if not np.isfinite(energy):
         raise NewtonError(f"energy at the initial guess is non-finite ({energy})")
     gtol = cfg.grad_tol * (1.0 + abs(energy))
@@ -290,10 +287,11 @@ def newton_minimize(
             iteration_log=tuple(log),
             converged=stop_reason != "max_iters",
             stop_reason=stop_reason,
+            solve_s=time.perf_counter() - started,
         )
 
     for _ in range(cfg.max_iters):
-        energy, grad = program.value_and_gradient(u)
+        energy, grad = problem.value_and_gradient(u)
         grad_norm = float(np.abs(grad).max()) if grad.size else 0.0
         if grad_norm <= gtol:
             return result(u, energy, grad_norm, "grad")
@@ -309,12 +307,10 @@ def newton_minimize(
         def phi(a: float) -> float:
             # golden_section has always evaluated the alpha it returns
             if a not in trials:
-                trials[a] = program.evaluate(u + a * d)
+                trials[a] = problem.evaluate(u + a * d)
             return trials[a]
 
-        alpha = golden_section(
-            phi, cfg.linesearch.alpha_max, cfg.linesearch.interval_tol, cfg.linesearch.max_evals
-        )
+        alpha = golden_section(phi, ALPHA_MAX, INTERVAL_TOL, MAX_EVALS)
         u_next = u + alpha * d
         energy_next = phi(alpha)
         log.append(
@@ -331,10 +327,10 @@ def newton_minimize(
         stagnated = (energy - energy_next) <= cfg.energy_tol * (1.0 + abs(energy))
         u, energy = u_next, energy_next
         if stagnated:
-            grad = program.gradient(u)
+            grad = problem.gradient(u)
             return result(u, energy, float(np.abs(grad).max()), "stagnation")
 
-    grad = program.gradient(u)
+    grad = problem.gradient(u)
     best = result(u, energy, float(np.abs(grad).max()), "max_iters")
     raise NewtonError(f"Newton did not converge in {cfg.max_iters} iterations", best=best)
 
@@ -351,17 +347,16 @@ def benchmark_initial_guess(problem: EnergyProblem) -> np.ndarray:
     identically zero Hessian at u = 0 (second derivative of |F|^p at
     F = 0 for p = 3), so its Newton run starts from the minimizer of the
     p = 2 quadratic energy instead: one linear solve through the same
-    tape, coloring, and solver dispatch as a Newton step.
+    dofmap, coloring, and solver dispatch as a Newton step.
     """
     if problem.kind != "plaplace":
         return problem.initial_guess.copy()
     quad_params = PLaplaceParams(p=2.0, f_vec=problem.params.f_vec)
-    quad = record_plaplace(problem.dofmap, problem.elemdata, quad_params)
+    quad_program = record_plaplace(problem.dofmap, problem.elemdata, quad_params)
+    quad = dataclasses.replace(problem, params=quad_params, program=quad_program)
     zero = np.zeros(problem.n_dofs)
     grad = quad.gradient(zero)
-    hess = recover_hessian(
-        lambda s: quad.hessian_vector_product(zero, s), problem.coloring, problem.pattern
-    )
+    hess = recover_hessian(quad.hvp_operator(zero), problem.coloring, problem.pattern)
     return _solve_newton_system(hess, -grad, "auto", problem.near_nullspace())[0]
 
 

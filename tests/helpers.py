@@ -30,8 +30,8 @@ def make_quadratic_problem(a: np.ndarray, b: np.ndarray) -> EnergyProblem:
     )
 
 
-def central_difference_gradient(program, u: np.ndarray) -> np.ndarray:
-    """Componentwise central differences with step 1e-6 * max(1, |u_i|)."""
+def central_difference_gradient(problem, u: np.ndarray) -> np.ndarray:
+    """Componentwise central differences of ``problem.evaluate``, step 1e-6 * max(1, |u_i|)."""
     u = np.asarray(u, dtype=float)
     grad = np.empty_like(u)
     for i in range(u.size):
@@ -39,14 +39,14 @@ def central_difference_gradient(program, u: np.ndarray) -> np.ndarray:
         up, down = u.copy(), u.copy()
         up[i] += h
         down[i] -= h
-        grad[i] = (program.evaluate(up) - program.evaluate(down)) / (2.0 * h)
+        grad[i] = (problem.evaluate(up) - problem.evaluate(down)) / (2.0 * h)
     return grad
 
 
 def dense_hessian_by_probes(problem: EnergyProblem, u: np.ndarray) -> np.ndarray:
     """Hessian columns from hvp against every unit vector."""
     n = u.shape[0]
-    return problem.program.hessian_vector_product(u, np.eye(n))
+    return problem.hessian_vector_product(u, np.eye(n))
 
 
 def random_benchmark_state(problem: EnergyProblem, rng: np.random.Generator) -> np.ndarray:

@@ -65,8 +65,8 @@ def test_gradient_matches_central_differences(small_benchmarks):
     rng = np.random.default_rng(11)
     for problem in small_benchmarks:
         for u in random_states(problem, rng, 3):
-            g = problem.program.gradient(u)
-            fd = central_difference_gradient(problem.program, u)
+            g = problem.gradient(u)
+            fd = central_difference_gradient(problem, u)
             rel = np.linalg.norm(g - fd) / np.linalg.norm(fd)
             assert rel < 1e-6, f"{problem.kind}: relative error {rel:.2e}"
 
@@ -83,7 +83,7 @@ def test_hvp_matches_fd_of_gradient(small_benchmarks):
             up, down = u.copy(), u.copy()
             up[j] += h
             down[j] -= h
-            fd[:, j] = (problem.program.gradient(up) - problem.program.gradient(down)) / (2 * h)
+            fd[:, j] = (problem.gradient(up) - problem.gradient(down)) / (2 * h)
         rel = np.abs(dense - fd).max() / np.abs(fd).max()
         assert rel < 1e-5, f"{problem.kind}: relative error {rel:.2e}"
 
@@ -94,7 +94,7 @@ def test_hvp_linearity_and_symmetry(small_benchmarks):
         u = next(iter(random_states(problem, rng, 1)))
         n = u.size
         s1, s2 = rng.standard_normal(n), rng.standard_normal(n)
-        hvp = problem.program.hessian_vector_product
+        hvp = problem.hessian_vector_product
         combo = hvp(u, 0.3 * s1 - 1.7 * s2)
         parts = 0.3 * hvp(u, s1) - 1.7 * hvp(u, s2)
         scale = np.abs(parts).max()
@@ -115,13 +115,11 @@ def test_directional_derivative_second_order(small_benchmarks):
         u = next(iter(random_states(problem, rng, 1)))
         s = rng.standard_normal(u.size)
         s /= np.linalg.norm(s)
-        exact = float(problem.program.gradient(u) @ s)
+        exact = float(problem.gradient(u) @ s)
         steps = np.array(step_sets[problem.kind])
         errors = []
         for eps in steps:
-            fd = (problem.program.evaluate(u + eps * s) - problem.program.evaluate(u - eps * s)) / (
-                2 * eps
-            )
+            fd = (problem.evaluate(u + eps * s) - problem.evaluate(u - eps * s)) / (2 * eps)
             errors.append(abs(fd - exact))
         slope = np.polyfit(np.log(steps), np.log(np.maximum(errors, 1e-300)), 1)[0]
         assert slope > 1.7, f"{problem.kind}: observed order {slope:.2f}"
@@ -132,11 +130,11 @@ def test_replay_determinism_bitwise():
     rng = np.random.default_rng(2)
     u = rng.standard_normal(problem.n_dofs)
     s = rng.standard_normal(problem.n_dofs)
-    assert problem.program.evaluate(u) == problem.program.evaluate(u)
-    g1, g2 = problem.program.gradient(u), problem.program.gradient(u)
+    assert problem.evaluate(u) == problem.evaluate(u)
+    g1, g2 = problem.gradient(u), problem.gradient(u)
     assert np.array_equal(g1, g2)
-    h1 = problem.program.hessian_vector_product(u, s)
-    h2 = problem.program.hessian_vector_product(u, s)
+    h1 = problem.hessian_vector_product(u, s)
+    h2 = problem.hessian_vector_product(u, s)
     assert np.array_equal(h1, h2)
 
 
@@ -164,29 +162,15 @@ def test_nonfinite_propagates_to_caller():
     assert prog.evaluate(np.array([0.0, 1.0])) == -np.inf
 
 
-def test_rebind_named_constant():
-    rec = Recorder(2)
-    base = rec.constant(np.array([10.0, 20.0, 30.0]), name="offset")
-    v = rec.scatter(base, np.array([0, 2]), rec.input_var)
-    prog = rec.build(v.sum())
-    u = np.array([1.0, 2.0])
-    assert prog.evaluate(u) == 1.0 + 20.0 + 2.0
-    swapped = prog.rebind("offset", np.array([0.0, 5.0, 0.0]))
-    assert swapped.evaluate(u) == 1.0 + 5.0 + 2.0
-    assert prog.evaluate(u) == 23.0  # original untouched
-    with pytest.raises(KeyError):
-        prog.rebind("missing", np.zeros(3))
-    with pytest.raises(ValueError):
-        prog.rebind("offset", np.zeros(4))
-
-
-def test_scatter_gradient_routes_only_free_slots():
-    rec = Recorder(2)
-    base = rec.constant(np.array([5.0, 5.0, 5.0]), name="u_0")
-    v = rec.scatter(base, np.array([0, 2]), rec.input_var)
-    prog = rec.build((v**2).sum())
-    g = prog.gradient(np.array([1.0, -2.0]))
-    assert np.allclose(g, [2.0, -4.0])
+def test_zeroth_power_has_zero_derivatives_at_zero():
+    rec = Recorder(3)
+    v = rec.input_var
+    prog = rec.build((v**0.0).sum() + v.sum())
+    u = np.array([0.0, 1.0, 2.0])
+    assert prog.evaluate(u) == 6.0
+    assert_same_bits(prog.gradient(u), np.ones(3))
+    assert_same_bits(prog.hessian_vector_product(u, np.array([1.0, -2.0, 0.5])), np.zeros(3))
+    assert_same_bits(prog.hessian_vector_product(u, np.eye(3)), np.zeros((3, 3)))
 
 
 def test_program_signature_is_stable():
@@ -300,9 +284,9 @@ def test_tape_replays_match_oracle_kernels(level3_benchmarks, monkeypatch):
     cases = []
     for problem in level3_benchmarks:
         u = random_benchmark_state(problem, rng)
-        x = problem.full_field(u)[element_dofs(problem.elemdata.elems, problem.dofmap.components)]
-        x = x.ravel()
-        cases.append((problem.program, u, rng.standard_normal((u.size, 6))))
+        v = problem.full_field(u)
+        x = v[element_dofs(problem.elemdata.elems, problem.dofmap.components)].ravel()
+        cases.append((problem.program, v, rng.standard_normal((v.size, 6))))
         cases.append((problem.element_program, x, rng.standard_normal((x.size, 6))))
     fast = [replays(*case) for case in cases]
     monkeypatch.setattr(autodiff, "_sum_rows", oracle_sum_rows)

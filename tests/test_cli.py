@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -258,3 +259,19 @@ def test_parallel_levels_capped_at_cpus_and_cancelled_after_failure(monkeypatch)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     run_benchmark("plaplace", [1, 2, 3], {"parallel_levels": True})
     assert workers[-1] == 2
+
+
+def test_bar_rows_report_measured_load_step_times(monkeypatch, tiny_bar_problem):
+    import minfem.cli as cli
+
+    # equal iteration counts with unequal times: a share of the total by
+    # iterations would report the same time on every row
+    steps = [
+        SimpleNamespace(iterations=4, energy=float(t), solve_s=0.01 * t * t) for t in range(1, 25)
+    ]
+    monkeypatch.setattr(cli, "build_problem", lambda kind, level: tiny_bar_problem)
+    monkeypatch.setattr(cli, "continuation_hyperelastic", lambda level, config, problem: steps)
+    report = run_benchmark("hyper", [1])
+    assert [row.solve_s for row in report.rows] == [0.01 * t * t for t in range(3, 25, 3)]
+    assert [row.J for row in report.rows] == [float(t) for t in range(3, 25, 3)]
+    assert all(row.iters == 4 and row.dofs == tiny_bar_problem.n_dofs for row in report.rows)

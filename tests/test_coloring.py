@@ -119,7 +119,7 @@ def test_recovery_matches_dense_probe_hessian_gl():
     problem = build_problem("ginzburg_landau", 1)
     u = np.full(problem.n_dofs, 0.7)
     recovered = recover_hessian(problem.hvp_operator(u), problem.coloring, problem.pattern)
-    dense = problem.program.hessian_vector_product(u, np.eye(problem.n_dofs))
+    dense = problem.hessian_vector_product(u, np.eye(problem.n_dofs))
     rows, cols = problem.pattern.rows_cols()
     gap = np.abs(recovered.toarray()[rows, cols] - dense[rows, cols]).max()
     assert gap < 1e-12

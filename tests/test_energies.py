@@ -3,8 +3,10 @@ import pytest
 import scipy.sparse as sp
 
 from helpers import dense_hessian_by_probes, make_quadratic_problem, random_benchmark_state
-from minfem.coloring import recover_hessian
+from minfem.autodiff import Recorder
+from minfem.coloring import color_pattern, recover_hessian
 from minfem.energies import (
+    EnergyProblem,
     GinzburgLandauParams,
     NeoHookeParams,
     PLaplaceParams,
@@ -14,7 +16,7 @@ from minfem.energies import (
     record_neohooke,
     record_plaplace,
 )
-from minfem.fem import SparsityPattern, build_dofmap, element_slots, precompute_gradients
+from minfem.fem import DofMap, SparsityPattern, build_dofmap, element_slots, precompute_gradients
 from minfem.mesh import MeshData, Region, bar_mesh_from_cells
 
 
@@ -33,7 +35,7 @@ def single_triangle_setup():
 
 def test_plaplace_zero_state_zero_energy():
     problem = build_problem("plaplace", 1)
-    assert problem.program.evaluate(np.zeros(problem.n_dofs)) == 0.0
+    assert problem.evaluate(np.zeros(problem.n_dofs)) == 0.0
 
 
 def test_plaplace_single_triangle_hand_value():
@@ -46,21 +48,19 @@ def test_plaplace_single_triangle_hand_value():
 
 def test_gl_constant_states():
     problem = build_problem("ginzburg_landau", 1)
-    ones = np.ones(problem.n_dofs)
     zeros = np.zeros(problem.n_dofs)
-    # v = 1 needs Dirichlet 1 as well: rebind the scaffold to all ones;
+    # v = 1 needs Dirichlet 1 as well: evaluate the field tape on all ones;
     # the quadrature weights sum to 1 only to round-off, hence the 1e-30
-    lifted = problem.program.rebind("u_0", np.ones(problem.dofmap.n_total))
-    assert abs(lifted.evaluate(ones)) < 1e-30
+    assert abs(problem.program.evaluate(np.ones(problem.dofmap.n_total))) < 1e-30
     # v = 0 everywhere: constant integrand 1/4 over |Omega| = 4
-    assert abs(problem.program.evaluate(zeros) - 1.0) < 1e-14
+    assert abs(problem.evaluate(zeros) - 1.0) < 1e-14
 
 
 def test_neohooke_identity_is_stress_free(tiny_bar_problem):
     problem = tiny_bar_problem
     u = problem.initial_guess
-    assert abs(problem.program.evaluate(u)) < 1e-18
-    assert np.abs(problem.program.gradient(u)).max() < 1e-9
+    assert abs(problem.evaluate(u)) < 1e-18
+    assert np.abs(problem.gradient(u)).max() < 1e-9
 
 
 def test_neohooke_uniform_dilation_hand_value():
@@ -84,9 +84,9 @@ def test_neohooke_translation_and_rotation_invariance(free_bar_problem):
     problem = free_bar_problem
     rng = np.random.default_rng(9)
     v = problem.initial_guess + 2e-4 * rng.standard_normal(problem.n_dofs)
-    j0 = problem.program.evaluate(v)
+    j0 = problem.evaluate(v)
     shifted = (v.reshape(-1, 3) + np.array([0.3, -1.2, 0.7])).ravel()
-    assert abs(problem.program.evaluate(shifted) - j0) <= 1e-10 * abs(j0)
+    assert abs(problem.evaluate(shifted) - j0) <= 1e-10 * abs(j0)
     angle = 0.83
     rot = np.array(
         [
@@ -96,7 +96,7 @@ def test_neohooke_translation_and_rotation_invariance(free_bar_problem):
         ]
     )
     rotated = (v.reshape(-1, 3) @ rot.T).ravel()
-    assert abs(problem.program.evaluate(rotated) - j0) <= 1e-8 * abs(j0)
+    assert abs(problem.evaluate(rotated) - j0) <= 1e-8 * abs(j0)
 
 
 def straight_loop_gl(v_full, mesh, elemdata, params):
@@ -121,7 +121,7 @@ def test_gl_matches_independent_element_loop():
     for u in states:
         v_full = problem.full_field(u)
         expected = straight_loop_gl(v_full, problem.mesh, problem.elemdata, problem.params)
-        got = problem.program.evaluate(u)
+        got = problem.evaluate(u)
         assert abs(got - expected) <= 1e-12 * (1.0 + abs(expected))
 
 
@@ -131,8 +131,8 @@ def test_plaplace_energy_is_convex_on_segments():
     for _ in range(10):
         u1 = rng.standard_normal(problem.n_dofs)
         u2 = rng.standard_normal(problem.n_dofs)
-        mid = problem.program.evaluate(0.5 * (u1 + u2))
-        avg = 0.5 * (problem.program.evaluate(u1) + problem.program.evaluate(u2))
+        mid = problem.evaluate(0.5 * (u1 + u2))
+        avg = 0.5 * (problem.evaluate(u1) + problem.evaluate(u2))
         assert mid <= avg + 1e-12
 
 
@@ -179,11 +179,11 @@ def test_build_problem_deterministic():
 def test_with_dirichlet_reuses_tape(tiny_bar_problem):
     problem = tiny_bar_problem
     twisted = problem.with_dirichlet(bar_dirichlet_values(problem.mesh, np.pi / 6))
-    assert twisted.program.instrs is problem.program.instrs
+    assert twisted.program is problem.program
     assert twisted.coloring is problem.coloring
     assert not np.array_equal(twisted.dofmap.u_0, problem.dofmap.u_0)
     # identity free part under twisted faces stores finite energy
-    assert np.isfinite(twisted.program.evaluate(problem.initial_guess))
+    assert np.isfinite(twisted.evaluate(problem.initial_guess))
 
 
 def test_bar_dirichlet_rotation_values():
@@ -270,6 +270,66 @@ def test_problem_without_element_program_uses_colored_recovery():
     u = rng.standard_normal(6)
     expected = recover_hessian(problem.hvp_operator(u), problem.coloring, problem.pattern)
     assert np.array_equal(problem.hessian(u).toarray(), expected.toarray())
+
+
+def free_dof_problem_cases(tiny_bar_problem):
+    """(problem, u) for the three kinds and the tiny bar twisted by pi/3."""
+    rng = np.random.default_rng(43)
+    cases = []
+    problems = [build_problem("plaplace", 1), build_problem("ginzburg_landau", 1), tiny_bar_problem]
+    for problem in problems:
+        cases.append((problem, random_benchmark_state(problem, rng)))
+    twist = bar_dirichlet_values(tiny_bar_problem.mesh, np.pi / 3)
+    twisted = tiny_bar_problem.with_dirichlet(twist)
+    cases.append((twisted, twisted_bar_state(tiny_bar_problem, np.pi / 3, rng)))
+    return cases, rng
+
+
+def test_problem_replays_are_field_program_replays(tiny_bar_problem):
+    cases, rng = free_dof_problem_cases(tiny_bar_problem)
+    for problem, u in cases:
+        free = problem.dofmap.freedofs
+        v = problem.full_field(u)
+        assert np.array_equal(v[free], u)
+        fixed = np.setdiff1d(np.arange(problem.dofmap.n_total), free)
+        assert np.array_equal(v[fixed], problem.dofmap.u_0[fixed])
+        value, grad = problem.program.value_and_gradient(v)
+        assert problem.evaluate(u) == problem.program.evaluate(v)
+        got_value, got_grad = problem.value_and_gradient(u)
+        assert got_value == value
+        assert np.array_equal(got_grad, grad[free])
+        assert np.array_equal(problem.gradient(u), grad[free])
+        for s in (rng.standard_normal(problem.n_dofs), rng.standard_normal((problem.n_dofs, 4))):
+            lifted = np.zeros((problem.dofmap.n_total,) + s.shape[1:])
+            lifted[free] = s
+            expected = problem.program.hessian_vector_product(v, lifted)[free]
+            assert np.array_equal(problem.hessian_vector_product(u, s), expected)
+            assert np.array_equal(problem.hvp_operator(u)(s), expected)
+
+
+def test_problem_gradient_routes_only_free_dofs():
+    # J(v) = sum v^2 over a field whose middle entry is fixed at 5
+    rec = Recorder(3)
+    program = rec.build((rec.input_var**2).sum())
+    dofmap = DofMap(3, 1, freedofs=np.array([0, 2]), u_0=np.array([0.0, 5.0, 0.0]))
+    pattern = SparsityPattern.from_csr(sp.identity(2, format="csr"))
+    problem = EnergyProblem(
+        kind="squares",
+        mesh=None,
+        elemdata=None,
+        dofmap=dofmap,
+        params=None,
+        program=program,
+        pattern=pattern,
+        coloring=color_pattern(pattern),
+        initial_guess=np.zeros(2),
+    )
+    u = np.array([1.0, -2.0])
+    assert problem.evaluate(u) == 1.0 + 25.0 + 4.0
+    assert np.array_equal(problem.gradient(u), [2.0, -4.0])
+    assert np.array_equal(problem.hessian_vector_product(u, np.array([1.0, 3.0])), [2.0, 6.0])
+    with pytest.raises(ValueError, match="free-dof vector"):
+        problem.evaluate(np.zeros(3))
 
 
 def test_element_slots_reject_couplings_outside_pattern():

@@ -30,11 +30,10 @@ def stiffness_on_square(level: int):
     """Exact 2D stiffness matrix through the p = 2 tape at u = 0."""
     problem = build_problem("ginzburg_landau", level)
     params = PLaplaceParams(p=2.0, f_vec=np.zeros(problem.dofmap.n_total))
-    quad = record_plaplace(problem.dofmap, problem.elemdata, params)
+    program = record_plaplace(problem.dofmap, problem.elemdata, params)
+    quad = dataclasses.replace(problem, params=params, program=program)
     zeros = np.zeros(problem.n_dofs)
-    return recover_hessian(
-        lambda s: quad.hessian_vector_product(zeros, s), problem.coloring, problem.pattern
-    )
+    return recover_hessian(quad.hvp_operator(zeros), problem.coloring, problem.pattern)
 
 
 def test_direct_identity_and_hand_solve():
