@@ -12,9 +12,17 @@ The primitive set is exactly what the benchmark energies need: gather by
 an index matrix, elementwise arithmetic, scalar powers, log, abs, row/full
 sums, dot products, and products against constant matrices.  ``abs``
 differentiates with sign(x), taking the value 0 at x = 0; ``x**0`` is
-recorded as a constant of ones, so its derivatives are 0 at x = 0 too.
-Non-finite values propagate through replays without raising; the caller
-decides.
+recorded as a constant of ones, so its derivatives are 0 at x = 0 too, and
+the adjoint of ``x**1`` is passed back unchanged.  Non-finite values
+propagate through replays without raising; the caller decides.
+
+Element Hessians come from the same tape: ``gather_hessian_vector_product``
+seeds the outputs of the gathers from the input with element-local
+directions instead of seeding the input, and stops the reverse sweep at
+those gathers, so the adjoint tangents are read per element and never
+scattered into the field.  This is second-order adjoint preaccumulation
+at intermediate variables (Griewank and Walther, Evaluating Derivatives,
+2nd ed., SIAM 2008).
 
 The replay kernels are written for speed but keep numpy's bits.  A row
 sum over fewer than 8 columns adds the columns one by one, which is what
@@ -121,8 +129,6 @@ def _div(a, b):
 def _pow(a, e):
     if not isinstance(a, _Dual):
         return a**e
-    if e == 0.0:  # the reverse rule of x**1: constant 1, no 0 * x**-1 at x = 0
-        return _Dual(a.val**e, np.zeros_like(a.dot))
     if e == 1.0:
         return _Dual(a.val**e, a.dot)
     return _Dual(a.val**e, a.dot * _x(e * a.val ** (e - 1.0)))
@@ -481,6 +487,8 @@ def _vjp(instr: Instr, ws: list, g, diff: frozenset[int]) -> list[tuple[int, Any
     if op == "abs":
         return each(lambda: _mul(g, np.sign(_val(a))))
     if op == "pow":
+        if aux == 1.0:
+            return each(lambda: g)
         return each(lambda: _mul(g, _mul(_pow(a, aux - 1.0), aux)))
     if op == "log":
         return each(lambda: _div(g, a))
@@ -534,21 +542,29 @@ class Program:
             raise ValueError(f"input must have shape ({self.n_inputs},), got {u.shape}")
         return u
 
-    def _forward(self, u_value) -> list:
+    def _forward(self, u_value, seeds: dict | None = None) -> list:
+        # seeds[slot] turns the value written to slot into a dual with that tangent
+        seeds = seeds or {}
         ws: list = [None] * self.n_slots
         for slot, value in self.consts.items():
             ws[slot] = value
         ws[self.input_slot] = u_value
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for ins in self.instrs:
-                ws[ins.out] = _FORWARD[ins.op]([ws[s] for s in ins.args], ins.aux)
+                value = _FORWARD[ins.op]([ws[s] for s in ins.args], ins.aux)
+                ws[ins.out] = value if ins.out not in seeds else _Dual(value, seeds[ins.out])
         return ws
 
-    def _reverse(self, ws, seed):
+    def _reverse(self, ws, seed, stop: tuple[int, ...] | None = None) -> list:
+        # adjoints of the stop slots (default: the input); an instruction
+        # writing a stop slot keeps its adjoint instead of passing it back
+        stop = (self.input_slot,) if stop is None else stop
         adj: list = [None] * self.n_slots
         adj[self.output_slot] = seed
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for ins in reversed(self.instrs):
+                if ins.out in stop:
+                    continue
                 # each slot is written by one instruction: its adjoint is final here
                 g, adj[ins.out] = adj[ins.out], None
                 if g is None:
@@ -556,7 +572,7 @@ class Program:
                 for slot, contrib in _vjp(ins, ws, g, self.diff):
                     cur = adj[slot]
                     adj[slot] = contrib if cur is None else _add(cur, contrib)
-        return adj[self.input_slot]
+        return [adj[slot] for slot in stop]
 
     def evaluate(self, u) -> float:
         """Replay the program, returning the scalar value J(u)."""
@@ -567,7 +583,7 @@ class Program:
         """J(u) and its exact gradient in one forward/reverse sweep."""
         u = self._check_input(u)
         ws = self._forward(u)
-        grad = self._reverse(ws, 1.0)
+        (grad,) = self._reverse(ws, 1.0)
         if grad is None:
             grad = np.zeros(self.n_inputs)
         return float(_val(ws[self.output_slot])), np.array(grad, dtype=float)
@@ -588,9 +604,41 @@ class Program:
                 f"direction must have leading dimension {self.n_inputs}, got {s.shape}"
             )
         ws = self._forward(_Dual(u, s))
-        grad = self._reverse(ws, 1.0)
+        (grad,) = self._reverse(ws, 1.0)
         if grad is None or not isinstance(grad, _Dual):
             out = np.zeros((self.n_inputs, s.shape[1]))
         else:
             out = np.array(grad.dot, dtype=float)
         return out[:, 0] if single else out
+
+    def gather_hessian_vector_product(self, u, seeds) -> list[np.ndarray]:
+        """Second-order adjoints at the gathers from the input, for seeded gathers.
+
+        ``seeds`` holds one tangent array of shape ``idx.shape + (k,)`` per
+        ``take`` from the input, in tape order.  The forward sweep runs on
+        the plain input and turns each gather's output into a dual with
+        its seed; the reverse sweep stops at the gathers and returns their
+        adjoint tangents, in the same order and shapes.  For a sum of
+        element densities, local one-hot seeds give every element Hessian
+        block at once.  Raises ``ValueError`` when anything other than a
+        gather or a dot product with a constant reads the input (the
+        latter is linear, so it adds nothing to the Hessian).
+        """
+        u = self._check_input(u)
+        gathers = []
+        for ins in self.instrs:
+            if self.input_slot not in ins.args:
+                continue
+            if ins.op == "take":
+                gathers.append(ins.out)
+            elif not (ins.op == "dot" and sum(s in self.diff for s in ins.args) == 1):
+                raise ValueError(f"the input is read by {ins.op!r}, not only by gathers")
+        seeds = [np.asarray(seed, dtype=float) for seed in seeds]
+        if len(seeds) != len(gathers):
+            raise ValueError(f"expected {len(gathers)} seeds, one per gather, got {len(seeds)}")
+        ws = self._forward(u, dict(zip(gathers, seeds)))
+        adjoints = self._reverse(ws, 1.0, tuple(gathers))
+        return [
+            np.array(adj.dot, dtype=float) if isinstance(adj, _Dual) else np.zeros_like(seed)
+            for adj, seed in zip(adjoints, seeds)
+        ]

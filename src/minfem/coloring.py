@@ -7,10 +7,12 @@ Two constructions share the pattern and the symmetrization:
   row; one Hessian-vector product per color then determines every stored
   entry exactly (63 products for the bar, 9 for the 2D benchmarks).
 - ``assemble_element_hessian`` needs an energy that is a sum of element
-  densities, recorded over the element-local dofs.  Its Hessian there is
-  block-diagonal, so the npe * components local one-hot directions (12 for
-  tetrahedra, 3 for triangles) give every element block at once; the
-  blocks are summed into the pattern through a precomputed slot map.
+  densities and an ``hvp`` that applies every element's Hessian block to
+  its own element-local direction (``EnergyProblem.hessian`` seeds the
+  energy tape's per-component gathers).  The npe * components local
+  one-hot directions (12 for tetrahedra, 3 for triangles) then give every
+  element block at once; the blocks are summed into the pattern through a
+  precomputed slot map.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ __all__ = [
 ]
 
 
-# element-local directions per product: the tape's working memory grows with
-# the block; on the bar, 6 peaks near the colored recovery's 8 global ones
+# directions per product: the tape's working memory grows with the block;
+# on the bar, 6 element-local directions peak near 8 global color probes
+_PROBE_BLOCK = 8
 _ELEMENT_PROBE_BLOCK = 6
 
 
@@ -81,7 +84,6 @@ def recover_hessian(
     hvp: Callable[[np.ndarray], np.ndarray],
     coloring: Coloring,
     pattern: SparsityPattern,
-    probe_block: int = 8,
 ) -> sp.csr_matrix:
     """Assemble the sparse Hessian from one probe per color.
 
@@ -96,8 +98,8 @@ def recover_hessian(
     seeds[np.arange(n), coloring.color_of] = 1.0
 
     probes = np.empty((n, k))
-    for start in range(0, k, probe_block):
-        stop = min(start + probe_block, k)
+    for start in range(0, k, _PROBE_BLOCK):
+        stop = min(start + _PROBE_BLOCK, k)
         block = np.asarray(hvp(seeds[:, start:stop]))
         if block.shape != (n, stop - start):
             raise ValueError(f"hvp returned shape {block.shape}, expected ({n}, {stop - start})")
@@ -117,14 +119,13 @@ def assemble_element_hessian(
 ) -> sp.csr_matrix:
     """Assemble the sparse Hessian of a sum of element densities.
 
-    ``hvp`` must map stacked element-local directions of shape (E * L, k)
-    to the matching products, where element e's local index a is row
-    ``e * L + a``.  Local direction a is one at index a of every element,
-    so its product holds column a of every element's (L, L) block.
-    ``slots`` (E, L, L) names the pattern slot of each block entry, the
-    spare slot ``pattern.nnz`` for entries on fixed dofs; the entries are
-    summed there and symmetrized as in ``recover_hessian``.  A non-finite
-    sum raises, naming its row.
+    ``hvp`` must map stacked element-local directions of shape (E, L, k)
+    to their products with every element's (L, L) Hessian block.  Local
+    direction a is one at index a of every element, so its product holds
+    column a of every block.  ``slots`` (E, L, L) names the pattern slot
+    of each block entry, the spare slot ``pattern.nnz`` for entries on
+    fixed dofs; the entries are summed there and symmetrized as in
+    ``recover_hessian``.  A non-finite sum raises, naming its row.
     """
     n_elems, n_local = slots.shape[:2]
     data = np.zeros(pattern.nnz + 1)
@@ -132,7 +133,7 @@ def assemble_element_hessian(
         stop = min(start + _ELEMENT_PROBE_BLOCK, n_local)
         seeds = np.zeros((n_elems, n_local, stop - start))
         seeds[:, start:stop, :] = np.eye(stop - start)
-        block = np.asarray(hvp(seeds.reshape(n_elems * n_local, stop - start)))
+        block = np.asarray(hvp(seeds))
         data += np.bincount(
             slots[:, :, start:stop].ravel(), weights=block.ravel(), minlength=pattern.nnz + 1
         )

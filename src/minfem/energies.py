@@ -3,17 +3,18 @@
 Each benchmark is written once as an element density: a function of the
 per-component element gathers, each of shape (E, npe), returning the (E,)
 element energies.  Each ``record_*`` function sums it onto a fresh tape
-over the full nodal field (plus the p-Laplace load term); that program
-supplies values, exact gradients, and Hessian-vector products.  The tape
-knows nothing of the Dirichlet data: ``EnergyProblem`` lifts a free-dof
-vector into the field through ``DofMap.u_0``, the one home of the
-boundary values, and restricts gradients and Hessian-vector products back
-to the free dofs.  ``build_problem`` bundles mesh, element tables,
-Dirichlet scaffolding, that tape, the sparsity pattern and its coloring
-into a reusable problem object, and records the same density a second
-time over the element-local dofs.  ``EnergyProblem.hessian`` assembles the
-sparse Hessian from that second tape with npe * components directions,
-and falls back to the colored recovery for a problem built without it.
+over the full nodal field (plus the p-Laplace load term); that one
+program supplies values, exact gradients, Hessian-vector products and
+the element Hessian blocks.  The tape knows nothing of the Dirichlet
+data: ``EnergyProblem`` lifts a free-dof vector into the field through
+``DofMap.u_0``, the one home of the boundary values, and restricts
+gradients and Hessian-vector products back to the free dofs.
+``build_problem`` bundles mesh, element tables, Dirichlet scaffolding,
+that tape, the sparsity pattern, its coloring and the element slot map
+into a reusable problem object.  ``EnergyProblem.hessian`` seeds the
+tape's per-component gathers with the npe * components element-local
+one-hot directions and sums the blocks into the pattern; a problem
+without a slot map gets the colored recovery instead.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .fem import (
     SparsityPattern,
     assemble_load_vector,
     build_dofmap,
-    element_dofs,
     element_slots,
     precompute_gradients,
     sparsity_pattern,
@@ -169,36 +169,30 @@ def _neohooke_density(comps, elemdata: ElementData, params: NeoHookeParams):
     return w * elemdata.vol
 
 
-def _record(density, elemdata: ElementData, params, n_inputs: int, gathers, load=None) -> Program:
-    """Tape of the summed element densities (minus ``load . v``) over one input vector.
+def _record(density, dofmap: DofMap, elemdata: ElementData, params, load=None) -> Program:
+    """Tape of the summed element densities (minus ``load . v``) over the full field.
 
-    ``gathers[k]`` is the (E, npe) index array of component k of every
-    element's nodes in the input.
+    Component k of element e's nodes sits at ``c * elems[e] + k`` in the
+    field (components interleaved); the density reads one gather per
+    component.
     """
-    rec = Recorder(n_inputs)
-    v = rec.input_var
-    energy = density([v[idx] for idx in gathers], elemdata, params).sum()
-    return rec.build(energy if load is None else energy - ad.dot(load, v))
-
-
-def _field_gathers(dofmap: DofMap, elemdata: ElementData) -> list[np.ndarray]:
-    """Per-component element gathers from the full field (components interleaved)."""
     c = dofmap.components
-    return [c * elemdata.elems + k for k in range(c)]
+    rec = Recorder(dofmap.n_total)
+    v = rec.input_var
+    energy = density([v[c * elemdata.elems + k] for k in range(c)], elemdata, params).sum()
+    return rec.build(energy if load is None else energy - ad.dot(load, v))
 
 
 def record_plaplace(dofmap: DofMap, elemdata: ElementData, params: PLaplaceParams) -> Program:
     """Tape of J(v) = sum (1/p)|grad v|^p vol - f . v over the full field."""
-    gathers = _field_gathers(dofmap, elemdata)
-    return _record(_plaplace_density, elemdata, params, dofmap.n_total, gathers, params.f_vec)
+    return _record(_plaplace_density, dofmap, elemdata, params, params.f_vec)
 
 
 def record_ginzburg_landau(
     dofmap: DofMap, elemdata: ElementData, params: GinzburgLandauParams
 ) -> Program:
     """Tape of the double-well energy with the inexact 3-point quadrature."""
-    gathers = _field_gathers(dofmap, elemdata)
-    return _record(_ginzburg_landau_density, elemdata, params, dofmap.n_total, gathers)
+    return _record(_ginzburg_landau_density, dofmap, elemdata, params)
 
 
 def record_neohooke(dofmap: DofMap, elemdata: ElementData, params: NeoHookeParams) -> Program:
@@ -208,8 +202,7 @@ def record_neohooke(dofmap: DofMap, elemdata: ElementData, params: NeoHookeParam
     keep a finite density; det = 0 yields -inf via the log and is left for
     the line search to reject.
     """
-    gathers = _field_gathers(dofmap, elemdata)
-    return _record(_neohooke_density, elemdata, params, dofmap.n_total, gathers)
+    return _record(_neohooke_density, dofmap, elemdata, params)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +220,12 @@ class EnergyProblem:
     the field (directions get zeros at the fixed dofs) and restrict the
     results to ``dofmap.freedofs``.
 
-    ``element_program`` is the energy recorded over the element-local dofs
-    (without its linear load term) and ``element_slots`` maps its element
-    Hessian entries into ``pattern`` (see ``fem.element_slots``).  A
-    problem without them, such as an energy that is not a sum of element
-    densities, gets its Hessian through ``coloring`` instead.
+    ``element_slots`` maps each element's (L, L) Hessian block, with
+    L = npe * components, into ``pattern`` (see ``fem.element_slots``);
+    ``hessian`` takes the blocks from ``program`` itself, as second-order
+    adjoints at its per-component gathers.  A problem without a slot map,
+    such as an energy that is not a sum of element densities, gets its
+    Hessian through ``coloring`` instead.
     """
 
     kind: str
@@ -243,7 +237,6 @@ class EnergyProblem:
     pattern: SparsityPattern
     coloring: Coloring
     initial_guess: np.ndarray
-    element_program: Program | None = None
     element_slots: np.ndarray | None = None
 
     @property
@@ -289,18 +282,25 @@ class EnergyProblem:
     def hessian(self, u: np.ndarray) -> sp.csr_matrix:
         """Exact sparse Hessian at u over the free dofs.
 
-        Assembled from element-local products when the problem carries an
-        element program, otherwise recovered through the coloring.  A
-        non-finite Hessian raises ``ColoringError`` either way.
+        With a slot map, the element blocks come from ``program``'s gather
+        adjoints under local one-hot seeds (element e's local index
+        a = c * i + comp is its node i, component comp); without one, the
+        Hessian is recovered through the coloring.  A non-finite Hessian
+        raises ``ColoringError`` either way.
         """
-        if self.element_program is None:
+        if self.element_slots is None:
             return recover_hessian(self.hvp_operator(u), self.coloring, self.pattern)
-        x = self.full_field(u)[element_dofs(self.elemdata.elems, self.dofmap.components)].ravel()
-        return assemble_element_hessian(
-            lambda s: self.element_program.hessian_vector_product(x, s),
-            self.element_slots,
-            self.pattern,
-        )
+        v = self.full_field(u)
+        c = self.dofmap.components
+
+        def element_hvp(s: np.ndarray) -> np.ndarray:
+            out = np.empty_like(s)
+            seeds = [s[:, k::c] for k in range(c)]
+            for k, block in enumerate(self.program.gather_hessian_vector_product(v, seeds)):
+                out[:, k::c] = block
+            return out
+
+        return assemble_element_hessian(element_hvp, self.element_slots, self.pattern)
 
     def full_field(self, u: np.ndarray) -> np.ndarray:
         """Free-dof vector lifted into the field: ``u_0`` at the fixed dofs."""
@@ -314,8 +314,8 @@ class EnergyProblem:
     def with_dirichlet(self, dirichlet: Mapping) -> "EnergyProblem":
         """The same problem under new boundary values: only the dofmap changes.
 
-        The free-dof set must be unchanged.  Neither tape holds boundary
-        values, so both are reused as they are.
+        The free-dof set must be unchanged.  The tape holds no boundary
+        values, so it is reused as it is.
         """
         dofmap = build_dofmap(self.mesh, self.dofmap.components, dirichlet)
         if not np.array_equal(dofmap.freedofs, self.dofmap.freedofs):
@@ -352,40 +352,32 @@ def problem_from_mesh(kind: str, mesh: MeshData, params=None) -> EnergyProblem:
 
     Applies the benchmark's Dirichlet data (zero for the scalar problems,
     untwisted end faces for the bar) and default parameters, records the
-    tapes (over the full nodal field and over the element-local dofs), and builds
-    the sparsity pattern, its coloring and the element slot map.
+    tape over the full nodal field, and builds the sparsity pattern, its
+    coloring and the element slot map.
     """
     elemdata = precompute_gradients(mesh)
     if kind == "plaplace":
         dofmap = build_dofmap(mesh, 1, {int(b): 0.0 for b in mesh.boundary_nodes})
         if params is None:
             params = PLaplaceParams(p=3.0, f_vec=assemble_load_vector(mesh, elemdata, -10.0))
-        density = _plaplace_density
         program = record_plaplace(dofmap, elemdata, params)
         start = np.zeros(dofmap.n_free)
     elif kind == "ginzburg_landau":
         dofmap = build_dofmap(mesh, 1, {int(b): 0.0 for b in mesh.boundary_nodes})
         if params is None:
             params = GinzburgLandauParams(eps=0.01)
-        density = _ginzburg_landau_density
         program = record_ginzburg_landau(dofmap, elemdata, params)
         start = np.ones(dofmap.n_free)
     elif kind == "neohooke":
         dofmap = build_dofmap(mesh, 3, bar_dirichlet_values(mesh, 0.0))
         if params is None:
             params = NeoHookeParams.from_moduli()
-        density = _neohooke_density
         start = identity_deformation(mesh, dofmap)
         program = record_neohooke(dofmap, elemdata, params)
     else:
         raise ValueError(f"unknown benchmark kind {kind!r}; expected one of {BENCHMARK_KINDS}")
 
     pattern = sparsity_pattern(mesh, dofmap)
-    coloring = color_pattern(pattern)
-    # element e's local index a = c * i + comp is input entry e * npe * c + a
-    c = dofmap.components
-    n_elems, npe = mesh.elems.shape
-    local = np.arange(n_elems * npe * c).reshape(n_elems, npe, c)
     return EnergyProblem(
         kind=kind,
         mesh=mesh,
@@ -394,11 +386,8 @@ def problem_from_mesh(kind: str, mesh: MeshData, params=None) -> EnergyProblem:
         params=params,
         program=program,
         pattern=pattern,
-        coloring=coloring,
+        coloring=color_pattern(pattern),
         initial_guess=start,
-        element_program=_record(
-            density, elemdata, params, local.size, [local[:, :, k] for k in range(c)]
-        ),
         element_slots=element_slots(mesh.elems, dofmap, pattern),
     )
 

@@ -1,15 +1,15 @@
 """Newton minimization with golden-section line search.
 
 Each iteration takes the exact sparse Hessian from
-``EnergyProblem.hessian`` (element-local assembly for the benchmark
-energies, the colored recovery for other problems), solves for the Newton
-direction (direct or AMG-CG depending on size; successive AMG builds in
-one call share the aggregation wherever the sparsity structure and
-near-nullspace repeat exactly), regularizes with an escalating Tikhonov
-shift when the solve fails or the direction is not a descent direction,
-and line-searches with golden section, rejecting steps where the energy
-is non-finite. A load-stepping loop handles the twisted-bar
-continuation.
+``EnergyProblem.hessian`` (element blocks from the energy tape's gathers
+for the benchmark energies, the colored recovery for other problems),
+solves for the Newton direction (direct or AMG-CG depending on size;
+successive AMG builds in one call share the aggregation wherever the
+sparsity structure and near-nullspace repeat exactly), regularizes with
+an escalating Tikhonov shift when the solve fails or the direction is
+not a descent direction, and line-searches with golden section,
+rejecting steps where the energy is non-finite. A load-stepping loop
+handles the twisted-bar continuation.
 """
 
 from __future__ import annotations

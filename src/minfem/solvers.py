@@ -279,7 +279,7 @@ def _spectral_radius_estimate(a: sp.csr_matrix, d_inv: np.ndarray, iters: int = 
 
 def build_amg(
     a: sp.spmatrix,
-    near_nullspace: Sequence[np.ndarray] | np.ndarray,
+    near_nullspace: np.ndarray,
     structure: Sequence[LevelStructure] = (),
 ) -> AmgHierarchy:
     """Smoothed-aggregation hierarchy for a symmetric positive-diagonal matrix.
@@ -289,6 +289,8 @@ def build_amg(
     step (omega = 4/3 over a 10-step power-iteration estimate of
     rho(D^-1 A)) smooths it.  Coarse operators are Galerkin products;
     coarsening stops at 64 dofs or when aggregation stalls.
+    ``near_nullspace`` is an (n,) or (n, m) array with one row per matrix
+    row; any other row count raises ``ValueError``.
 
     ``structure`` is the ``structure`` of an earlier hierarchy.  Level k
     reuses its entry when the level's CSR ``indptr``, CSR ``indices`` and
@@ -300,8 +302,8 @@ def build_amg(
     b = np.asarray(near_nullspace, dtype=float)
     if b.ndim == 1:
         b = b[:, None]
-    elif b.shape[0] != a.shape[0]:
-        b = np.column_stack(list(near_nullspace))
+    if b.shape[0] != a.shape[0]:
+        raise ValueError(f"near-nullspace has {b.shape[0]} rows, the matrix {a.shape[0]}")
     if np.any(a.diagonal() <= 0.0):
         raise SolverError("matrix has a non-positive diagonal entry")
 

@@ -1,12 +1,21 @@
 """Shared oracles and builders for the test suite."""
 
+import dataclasses
+
 import numpy as np
 import scipy.sparse as sp
 
+from minfem import energies
 from minfem.autodiff import Recorder, dot
 from minfem.coloring import color_pattern
-from minfem.energies import EnergyProblem
-from minfem.fem import DofMap, SparsityPattern
+from minfem.energies import EnergyProblem, problem_from_mesh
+from minfem.fem import DofMap, SparsityPattern, element_dofs
+
+DENSITIES = {
+    "plaplace": energies._plaplace_density,
+    "ginzburg_landau": energies._ginzburg_landau_density,
+    "neohooke": energies._neohooke_density,
+}
 
 
 def make_quadratic_problem(a: np.ndarray, b: np.ndarray) -> EnergyProblem:
@@ -28,6 +37,58 @@ def make_quadratic_problem(a: np.ndarray, b: np.ndarray) -> EnergyProblem:
         coloring=color_pattern(pattern),
         initial_guess=np.zeros(n),
     )
+
+
+def jittered(problem: EnergyProblem, seed: int) -> EnergyProblem:
+    """The problem rebuilt on its mesh with every node moved by up to 1e-3.
+
+    Structured meshes give element gradients with zero entries, which hide
+    the order of a row sum; moved nodes make every entry count.
+    """
+    mesh = problem.mesh
+    rng = np.random.default_rng(seed)
+    nodes = mesh.nodes + 1e-3 * rng.uniform(-1.0, 1.0, mesh.nodes.shape)
+    return problem_from_mesh(problem.kind, dataclasses.replace(mesh, nodes=nodes))
+
+
+def element_local_program(problem: EnergyProblem):
+    """The problem's density recorded a second time, over the element-local dofs.
+
+    Element e's local index a = c * i + comp (node i, component comp) is
+    input entry ``e * npe * c + a``; the linear load term is left out.
+    """
+    c = problem.dofmap.components
+    n_elems, npe = problem.mesh.elems.shape
+    local = np.arange(n_elems * npe * c).reshape(n_elems, npe, c)
+    rec = Recorder(local.size)
+    v = rec.input_var
+    comps = [v[local[:, :, k]] for k in range(c)]
+    return rec.build(DENSITIES[problem.kind](comps, problem.elemdata, problem.params).sum())
+
+
+def element_local_hessian(problem: EnergyProblem, u: np.ndarray) -> sp.csr_matrix:
+    """Hessian from HVPs of the element-local tape: the reference for ``problem.hessian``.
+
+    Probes flat one-hot local directions in blocks of 6, sums the products
+    into ``problem.element_slots`` with ``np.bincount`` and symmetrizes.
+    """
+    c = problem.dofmap.components
+    program = element_local_program(problem)
+    x = problem.full_field(u)[element_dofs(problem.elemdata.elems, c)].ravel()
+    slots, nnz = problem.element_slots, problem.pattern.nnz
+    n_elems, n_local = slots.shape[:2]
+    data = np.zeros(nnz + 1)
+    for start in range(0, n_local, 6):
+        stop = min(start + 6, n_local)
+        seeds = np.zeros((n_elems, n_local, stop - start))
+        seeds[:, start:stop, :] = np.eye(stop - start)
+        block = program.hessian_vector_product(x, seeds.reshape(n_elems * n_local, -1))
+        data += np.bincount(
+            slots[:, :, start:stop].ravel(), weights=block.ravel(), minlength=nnz + 1
+        )
+    n = problem.pattern.n
+    h = sp.csr_matrix((data[:nnz], problem.pattern.indices, problem.pattern.indptr), shape=(n, n))
+    return ((h + h.T) * 0.5).tocsr()
 
 
 def central_difference_gradient(problem, u: np.ndarray) -> np.ndarray:

@@ -1,16 +1,17 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from helpers import (
     central_difference_gradient,
     dense_hessian_by_probes,
+    element_local_program,
+    jittered,
+    make_quadratic_problem,
     random_benchmark_state,
 )
 from minfem import autodiff
 from minfem.autodiff import Recorder, dot
-from minfem.energies import build_problem, problem_from_mesh
+from minfem.energies import build_problem
 from minfem.fem import element_dofs
 
 
@@ -173,6 +174,17 @@ def test_zeroth_power_has_zero_derivatives_at_zero():
     assert_same_bits(prog.hessian_vector_product(u, np.eye(3)), np.zeros((3, 3)))
 
 
+def test_first_power_derivatives_are_finite_at_zero():
+    rec = Recorder(3)
+    y = rec.input_var**1.0
+    prog = rec.build((y**2).sum() + y.sum())
+    u = np.array([0.0, 1.0, -2.0])
+    s = np.array([1.0, -2.0, 0.5])
+    assert_same_bits(prog.gradient(u), 2.0 * u + 1.0)
+    assert_same_bits(prog.hessian_vector_product(u, s), 2.0 * s)
+    assert_same_bits(prog.hessian_vector_product(u, np.eye(3)), 2.0 * np.eye(3))
+
+
 def test_program_signature_is_stable():
     p1 = build_problem("plaplace", 1)
     p2 = build_problem("plaplace", 1)
@@ -258,15 +270,6 @@ def replays(program, u, s):
     return program.evaluate(u), value, grad, program.hessian_vector_product(u, s)
 
 
-def jittered(problem, seed):
-    # structured meshes give element gradients with zero entries, which hide
-    # the order of a row sum; moved nodes make every entry count
-    mesh = problem.mesh
-    rng = np.random.default_rng(seed)
-    nodes = mesh.nodes + 1e-3 * rng.uniform(-1.0, 1.0, mesh.nodes.shape)
-    return problem_from_mesh(problem.kind, dataclasses.replace(mesh, nodes=nodes))
-
-
 @pytest.fixture(scope="module")
 def level3_benchmarks(tiny_bar_problem):
     gl = build_problem("ginzburg_landau", 3)
@@ -287,7 +290,7 @@ def test_tape_replays_match_oracle_kernels(level3_benchmarks, monkeypatch):
         v = problem.full_field(u)
         x = v[element_dofs(problem.elemdata.elems, problem.dofmap.components)].ravel()
         cases.append((problem.program, v, rng.standard_normal((v.size, 6))))
-        cases.append((problem.element_program, x, rng.standard_normal((x.size, 6))))
+        cases.append((element_local_program(problem), x, rng.standard_normal((x.size, 6))))
     fast = [replays(*case) for case in cases]
     monkeypatch.setattr(autodiff, "_sum_rows", oracle_sum_rows)
     monkeypatch.setattr(autodiff, "_scatter_add", oracle_scatter_add)
@@ -317,3 +320,49 @@ def test_gather_needs_a_vector_operand():
     block = rec.input_var[np.array([[0, 1], [2, 3]])]
     with pytest.raises(TypeError):
         block[np.array([0])]
+
+
+def input_gathers(program):
+    return [ins.aux for ins in program.instrs if ins.op == "take" and ins.args == (0,)]
+
+
+def test_gather_hvp_scatters_to_hessian_vector_product(level3_benchmarks):
+    rng = np.random.default_rng(37)
+    for problem in level3_benchmarks:
+        program = problem.program
+        v = problem.full_field(random_benchmark_state(problem, rng))
+        s = rng.standard_normal((v.size, 6))
+        gathers = input_gathers(program)
+        assert len(gathers) == problem.dofmap.components
+        blocks = program.gather_hessian_vector_product(v, [s[idx] for idx in gathers])
+        scattered = np.zeros_like(s)
+        for idx, block in zip(gathers, blocks):
+            assert block.shape == idx.shape + (6,)
+            for j in range(6):
+                weights = block[..., j].ravel()
+                scattered[:, j] += np.bincount(idx.ravel(), weights=weights, minlength=v.size)
+        assert_same_bits(scattered, program.hessian_vector_product(v, s))
+
+
+def test_gather_hvp_rejects_other_reads_of_the_input():
+    rng = np.random.default_rng(41)
+    m = rng.standard_normal((4, 4))
+    problem = make_quadratic_problem(m.T @ m, rng.standard_normal(4))
+    with pytest.raises(ValueError, match="'matmul'"):
+        problem.program.gather_hessian_vector_product(np.zeros(4), [])
+    rec = Recorder(3)
+    v = rec.input_var
+    prog = rec.build((v[np.array([[0, 1], [1, 2]])] ** 2).sum() + dot(v, v))
+    with pytest.raises(ValueError, match="'dot'"):
+        prog.gather_hessian_vector_product(np.zeros(3), [np.zeros((2, 2, 1))])
+
+
+def test_gather_hvp_of_linear_terms_is_zero():
+    rec = Recorder(3)
+    v = rec.input_var
+    idx = np.array([[0, 1], [1, 2]])
+    prog = rec.build((3.0 * v[idx]).sum() - dot(np.array([1.0, 2.0, 3.0]), v))
+    (block,) = prog.gather_hessian_vector_product(np.ones(3), [np.ones((2, 2, 4))])
+    assert_same_bits(block, np.zeros((2, 2, 4)))
+    with pytest.raises(ValueError, match="expected 1 seeds"):
+        prog.gather_hessian_vector_product(np.ones(3), [])

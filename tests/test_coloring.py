@@ -10,6 +10,7 @@ from minfem.coloring import (
     color_pattern,
     recover_hessian,
 )
+from helpers import element_local_program
 from minfem.energies import build_problem
 from minfem.fem import SparsityPattern, build_dofmap, element_dofs, sparsity_pattern
 from minfem.minimize import benchmark_initial_guess
@@ -138,12 +139,14 @@ def test_nonfinite_probe_names_color():
         recover_hessian(bad_hvp, coloring, pattern)
 
 
-def test_probe_blocks_do_not_change_result():
+def test_probe_blocks_do_not_change_result(monkeypatch):
     problem = build_problem("plaplace", 1)
     u = np.linspace(-1.0, 1.0, problem.n_dofs)
     op = problem.hvp_operator(u)
-    full = recover_hessian(op, problem.coloring, problem.pattern, probe_block=64)
-    small = recover_hessian(op, problem.coloring, problem.pattern, probe_block=3)
+    monkeypatch.setattr("minfem.coloring._PROBE_BLOCK", 64)
+    full = recover_hessian(op, problem.coloring, problem.pattern)
+    monkeypatch.setattr("minfem.coloring._PROBE_BLOCK", 3)
+    small = recover_hessian(op, problem.coloring, problem.pattern)
     assert np.array_equal(full.toarray(), small.toarray())
 
 
@@ -178,11 +181,12 @@ def test_element_assembly_nonfinite_entry_names_row():
     u = benchmark_initial_guess(problem)
     x = problem.full_field(u)[element_dofs(problem.elemdata.elems, 1)].ravel()
     target = problem.dofmap.freedofs[5]  # a free node; its rows go non-finite
+    program = element_local_program(problem)
 
     def bad_hvp(s):
-        out = problem.element_program.hessian_vector_product(x, s)
+        out = program.hessian_vector_product(x, s.reshape(x.size, -1))
         out[np.nonzero(problem.elemdata.elems.ravel() == target)[0]] = np.inf
-        return out
+        return out.reshape(s.shape)
 
     with pytest.raises(ColoringError, match="row 5$"):
         assemble_element_hessian(bad_hvp, problem.element_slots, problem.pattern)

@@ -1,8 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import dense_hessian_by_probes, make_quadratic_problem, random_benchmark_state
+from helpers import (
+    dense_hessian_by_probes,
+    element_local_hessian,
+    jittered,
+    make_quadratic_problem,
+    random_benchmark_state,
+)
+from minfem import autodiff
 from minfem.autodiff import Recorder
 from minfem.coloring import color_pattern, recover_hessian
 from minfem.energies import (
@@ -245,7 +254,7 @@ def assert_matches_colored_recovery(problem, u):
 @pytest.mark.parametrize("kind", ["plaplace", "ginzburg_landau", "neohooke"])
 def test_element_hessian_matches_colored_recovery(kind, tiny_bar_problem):
     problem = tiny_bar_problem if kind == "neohooke" else build_problem(kind, 2)
-    assert problem.element_program is not None
+    assert problem.element_slots is not None
     rng = np.random.default_rng(7)
     for _ in range(3):
         assert_matches_colored_recovery(problem, random_benchmark_state(problem, rng))
@@ -255,21 +264,71 @@ def test_element_hessian_matches_colored_recovery_on_rebound_bar():
     problem = build_problem("neohooke", 1)
     angle = 2.0 * np.pi / 3.0
     twisted = problem.with_dirichlet(bar_dirichlet_values(problem.mesh, angle))
-    assert twisted.element_program is problem.element_program
+    assert twisted.program is problem.program
     assert twisted.element_slots is problem.element_slots
     rng = np.random.default_rng(8)
     assert_matches_colored_recovery(twisted, twisted_bar_state(problem, angle, rng))
 
 
-def test_problem_without_element_program_uses_colored_recovery():
+def test_problem_without_element_slots_uses_colored_recovery():
     rng = np.random.default_rng(9)
     m = rng.standard_normal((6, 6))
     a = m.T @ m + np.eye(6)
     problem = make_quadratic_problem(a, rng.standard_normal(6))
-    assert problem.element_program is None
+    assert problem.element_slots is None
     u = rng.standard_normal(6)
     expected = recover_hessian(problem.hvp_operator(u), problem.coloring, problem.pattern)
     assert np.array_equal(problem.hessian(u).toarray(), expected.toarray())
+
+
+@pytest.fixture(scope="module")
+def hessian_cases(tiny_bar_problem):
+    """(problem, u): p-Laplace and GL L3 plain and jittered, the tiny bar plain and twisted."""
+    rng = np.random.default_rng(47)
+    pl, gl = build_problem("plaplace", 3), build_problem("ginzburg_landau", 3)
+    cases = []
+    for problem in (pl, jittered(pl, 3), gl, jittered(gl, 4), tiny_bar_problem):
+        cases.append((problem, random_benchmark_state(problem, rng)))
+    twist = bar_dirichlet_values(tiny_bar_problem.mesh, np.pi / 3)
+    twisted = tiny_bar_problem.with_dirichlet(twist)
+    cases.append((twisted, twisted_bar_state(tiny_bar_problem, np.pi / 3, rng)))
+    return cases
+
+
+def test_hessian_equals_element_local_tape_reference(hessian_cases):
+    for problem, u in hessian_cases:
+        got, want = problem.hessian(u), element_local_hessian(problem, u)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
+def test_replaced_program_gives_its_own_hessian():
+    problem = build_problem("plaplace", 2)
+    params = PLaplaceParams(p=2.0, f_vec=problem.params.f_vec)
+    program = record_plaplace(problem.dofmap, problem.elemdata, params)
+    quad = dataclasses.replace(problem, params=params, program=program)
+    rng = np.random.default_rng(53)
+    for u in (np.zeros(quad.n_dofs), random_benchmark_state(quad, rng)):
+        colored = recover_hessian(quad.hvp_operator(u), quad.coloring, quad.pattern)
+        scale = abs(colored).max()
+        assert scale > 0.0
+        assert abs(quad.hessian(u) - colored).max() <= 1e-13 * scale
+
+
+def test_problem_from_mesh_records_one_tape(monkeypatch):
+    builds = []
+    build = autodiff.Recorder.build
+
+    def counting_build(rec, output):
+        builds.append(rec.n_inputs)
+        return build(rec, output)
+
+    monkeypatch.setattr(autodiff.Recorder, "build", counting_build)
+    for kind in ("plaplace", "ginzburg_landau", "neohooke"):
+        builds.clear()
+        problem = build_problem(kind, 1)
+        assert builds == [problem.dofmap.n_total]
 
 
 def free_dof_problem_cases(tiny_bar_problem):

@@ -94,6 +94,14 @@ def test_amg_rejects_nonpositive_diagonal():
         build_amg(a, np.ones(3))
 
 
+def test_amg_near_nullspace_is_one_array_with_a_row_per_dof():
+    a = laplacian_1d(500)
+    assert_same_hierarchy(build_amg(a, np.ones(500)), build_amg(a, np.ones((500, 1))))
+    for bad in (np.ones(499), np.ones((501, 2)), [np.ones(500), np.zeros(500)]):
+        with pytest.raises(ValueError, match="near-nullspace has"):
+            build_amg(a, bad)
+
+
 def test_vcycle_preconditioner_is_spd():
     a = stiffness_on_square(3)
     hier = build_amg(a, np.ones(a.shape[0]))
