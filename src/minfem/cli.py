@@ -95,7 +95,7 @@ def _run_level(kind: str, level: int, config: NewtonConfig):
     rows: list[ReportRow] = []
     results: list[tuple[MinimizeResult, EnergyProblem]] = []
     if kind == "neohooke":
-        steps = continuation_hyperelastic(level, config=config, problem=problem)
+        steps = continuation_hyperelastic(problem, config)
         for res in steps[2::3]:  # the reported load steps t = 3, 6, ..., 24
             rows.append(ReportRow(problem.n_dofs, setup_s, res.solve_s, res.iterations, res.energy))
             results.append((res, problem))

@@ -1,13 +1,15 @@
 """Newton minimization with golden-section line search.
 
-Each iteration takes the exact sparse Hessian from
-``EnergyProblem.hessian`` (element blocks from the energy tape's gathers
-for the benchmark energies, the colored recovery for other problems),
-solves for the Newton direction (direct or AMG-CG depending on size;
-successive AMG builds in one call share the aggregation wherever the
-sparsity structure and near-nullspace repeat exactly), regularizes with
-an escalating Tikhonov shift when the solve fails or the direction is
-not a descent direction, and line-searches with golden section,
+Each iterate costs one energy-and-gradient sweep of the tape: its value
+feeds the stopping tests and is the line search's phi(0), and its
+gradient the Newton step.  Each iteration takes the exact sparse Hessian
+from ``EnergyProblem.hessian`` (element blocks from the energy tape's
+gathers for the benchmark energies, the colored recovery for other
+problems), solves for the Newton direction (direct or AMG-CG depending on
+size; successive AMG builds in one call share the aggregation wherever
+the sparsity structure and near-nullspace repeat exactly), regularizes
+with an escalating Tikhonov shift when the solve fails or the direction
+is not a descent direction, and line-searches with golden section,
 rejecting steps where the energy is non-finite. A load-stepping loop
 handles the twisted-bar continuation.
 """
@@ -24,14 +26,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import solvers
-from .coloring import ColoringError, recover_hessian
-from .energies import (
-    EnergyProblem,
-    PLaplaceParams,
-    bar_dirichlet_values,
-    build_problem,
-    record_plaplace,
-)
+from .coloring import ColoringError
+from .coloring import recover_hessian  # noqa: F401  perfbench/layers.py wraps it here by name
+from .energies import EnergyProblem, PLaplaceParams, bar_dirichlet_values, record_plaplace
 
 __all__ = [
     "NewtonConfig",
@@ -90,10 +87,11 @@ class IterationRecord:
 class MinimizeResult:
     """Final iterate of one Newton minimization and why it stopped.
 
-    ``stop_reason`` is ``"grad"`` (gradient norm under the threshold),
-    ``"stagnation"`` (relative energy decrease under ``energy_tol``,
-    whatever the gradient norm) or ``"max_iters"`` (the best iterate
-    carried by the ``NewtonError`` raised after ``max_iters`` steps).
+    ``stop_reason`` is ``"grad"`` (gradient norm at the final iterate
+    under the threshold), ``"stagnation"`` (gradient norm above it, but
+    the last step decreased the energy by less than ``energy_tol``
+    relative) or ``"max_iters"`` (neither, after ``max_iters`` steps: the
+    iterate carried by the ``NewtonError`` raised then).
     ``solve_s`` is the wall time of the ``newton_minimize`` call that
     produced it.
     """
@@ -119,17 +117,22 @@ class NewtonError(RuntimeError):
 
 def golden_section(
     phi: Callable[[float], float],
+    phi0: float,
     alpha_max: float,
     interval_tol: float = INTERVAL_TOL,
     max_evals: int = MAX_EVALS,
 ) -> float:
     """Golden-section minimization of phi on [0, alpha_max].
 
-    Non-finite values compare as +inf.  Returns the midpoint of the final
-    bracket when it improves on phi(0); otherwise falls back to the best
-    sampled point, then to a bisected shrink toward 0.  The result alpha
-    always satisfies phi(alpha) <= phi(0) (alpha = 0 in the worst case).
+    ``phi0`` is phi(0), which the caller already holds; phi itself is only
+    sampled at alpha > 0.  Non-finite values compare as +inf.  Returns the
+    midpoint of the final bracket when it improves on phi0; otherwise
+    falls back to the best sampled point, then to a bisected shrink toward
+    0.  The result alpha always satisfies phi(alpha) <= phi0 (alpha = 0 in
+    the worst case).
     """
+    if not np.isfinite(phi0):
+        raise ValueError("phi0 must be finite")
     evals = 0
     best_alpha, best_val = 0.0, math.inf
 
@@ -138,13 +141,10 @@ def golden_section(
         evals += 1
         value = phi(alpha)
         value = value if np.isfinite(value) else math.inf
-        if alpha > 0.0 and value < best_val:
+        if value < best_val:
             best_alpha, best_val = alpha, value
         return value
 
-    f0 = phi(0.0)
-    if not np.isfinite(f0):
-        raise ValueError("phi(0) must be finite")
     lo, hi = 0.0, float(alpha_max)
     m1 = hi - _INV_GOLDEN * (hi - lo)
     m2 = lo + _INV_GOLDEN * (hi - lo)
@@ -159,15 +159,15 @@ def golden_section(
             m2 = lo + _INV_GOLDEN * (hi - lo)
             f2 = f(m2)
     alpha = 0.5 * (lo + hi)
-    if f(alpha) <= f0:
+    if f(alpha) <= phi0:
         return alpha
-    if best_val <= f0:
+    if best_val <= phi0:
         return best_alpha
     # everything sampled was worse: shrink toward zero
     alpha = float(alpha_max)
     while evals < max_evals:
         alpha *= 0.5
-        if f(alpha) < f0:
+        if f(alpha) < phi0:
             return alpha
     return 0.0
 
@@ -251,10 +251,14 @@ def newton_minimize(
 ) -> MinimizeResult:
     """Minimize the problem's energy over the free dofs from ``u_init``.
 
-    Stops when the gradient infinity norm falls below
-    ``grad_tol * (1 + |J(u_init)|)`` or when the relative energy decrease
-    stagnates below ``energy_tol``.  Energy is monotone across accepted
-    steps by line-search construction.
+    Every iterate, ``u_init`` included, gets one ``value_and_gradient``
+    call and is then tested in this order: gradient infinity norm at most
+    ``grad_tol * (1 + |J(u_init)|)`` stops with ``"grad"``; a step into
+    it that decreased J by at most ``energy_tol * (1 + |J|)`` stops with
+    ``"stagnation"``; after ``max_iters`` steps, ``NewtonError`` carries
+    it as ``best``.  Otherwise a Newton step is taken, line-searched from
+    the held J.  Energy is monotone across accepted steps by line-search
+    construction.
 
     On the AMG path, each build reuses the aggregates, tentative
     prolongators and coarse near-nullspaces of the previous build in this
@@ -268,7 +272,7 @@ def newton_minimize(
     u = np.array(u_init, dtype=float)
     if u.shape != (problem.n_dofs,):
         raise ValueError(f"u_init must have shape ({problem.n_dofs},), got {u.shape}")
-    energy = problem.evaluate(u)
+    energy, grad = problem.value_and_gradient(u)
     if not np.isfinite(energy):
         raise NewtonError(f"energy at the initial guess is non-finite ({energy})")
     gtol = cfg.grad_tol * (1.0 + abs(energy))
@@ -277,42 +281,38 @@ def newton_minimize(
 
     log: list[IterationRecord] = []
 
-    def result(u_vec, j_val, gnorm, stop_reason):
+    def result(stop_reason: str) -> MinimizeResult:
         return MinimizeResult(
-            u_star=u_vec,
-            u_full=problem.full_field(u_vec),
-            energy=j_val,
+            u_star=u,
+            u_full=problem.full_field(u),
+            energy=energy,
             iterations=len(log),
-            grad_norm=gnorm,
+            grad_norm=grad_norm,
             iteration_log=tuple(log),
             converged=stop_reason != "max_iters",
             stop_reason=stop_reason,
             solve_s=time.perf_counter() - started,
         )
 
-    for _ in range(cfg.max_iters):
-        energy, grad = problem.value_and_gradient(u)
+    stagnated = False
+    while True:
         grad_norm = float(np.abs(grad).max()) if grad.size else 0.0
         if grad_norm <= gtol:
-            return result(u, energy, grad_norm, "grad")
+            return result("grad")
+        if stagnated:
+            return result("stagnation")
+        if len(log) >= cfg.max_iters:
+            best = result("max_iters")
+            raise NewtonError(f"Newton did not converge in {cfg.max_iters} iterations", best=best)
 
         try:
             hessian = problem.hessian(u)
         except ColoringError:
             hessian = None  # singular flat states; fall back to the shifted path
         d, path, inner, shift = _newton_direction(hessian, grad, cfg, near_nullspace, amg)
-
-        trials: dict[float, float] = {}
-
-        def phi(a: float) -> float:
-            # golden_section has always evaluated the alpha it returns
-            if a not in trials:
-                trials[a] = problem.evaluate(u + a * d)
-            return trials[a]
-
-        alpha = golden_section(phi, ALPHA_MAX, INTERVAL_TOL, MAX_EVALS)
-        u_next = u + alpha * d
-        energy_next = phi(alpha)
+        alpha = golden_section(
+            lambda a: problem.evaluate(u + a * d), energy, ALPHA_MAX, INTERVAL_TOL, MAX_EVALS
+        )
         log.append(
             IterationRecord(
                 iteration=len(log) + 1,
@@ -324,15 +324,10 @@ def newton_minimize(
                 shift=shift,
             )
         )
-        stagnated = (energy - energy_next) <= cfg.energy_tol * (1.0 + abs(energy))
-        u, energy = u_next, energy_next
-        if stagnated:
-            grad = problem.gradient(u)
-            return result(u, energy, float(np.abs(grad).max()), "stagnation")
-
-    grad = problem.gradient(u)
-    best = result(u, energy, float(np.abs(grad).max()), "max_iters")
-    raise NewtonError(f"Newton did not converge in {cfg.max_iters} iterations", best=best)
+        previous = energy
+        u = u + alpha * d
+        energy, grad = problem.value_and_gradient(u)
+        stagnated = (previous - energy) <= cfg.energy_tol * (1.0 + abs(previous))
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +341,9 @@ def benchmark_initial_guess(problem: EnergyProblem) -> np.ndarray:
     deformation (both stored on the problem).  The p-Laplace energy has an
     identically zero Hessian at u = 0 (second derivative of |F|^p at
     F = 0 for p = 3), so its Newton run starts from the minimizer of the
-    p = 2 quadratic energy instead: one linear solve through the same
-    dofmap, coloring, and solver dispatch as a Newton step.
+    p = 2 quadratic energy instead: one linear solve with the same Hessian
+    entry point (``EnergyProblem.hessian``) and solver dispatch as a Newton
+    step.
     """
     if problem.kind != "plaplace":
         return problem.initial_guess.copy()
@@ -356,8 +352,7 @@ def benchmark_initial_guess(problem: EnergyProblem) -> np.ndarray:
     quad = dataclasses.replace(problem, params=quad_params, program=quad_program)
     zero = np.zeros(problem.n_dofs)
     grad = quad.gradient(zero)
-    hess = recover_hessian(quad.hvp_operator(zero), problem.coloring, problem.pattern)
-    return _solve_newton_system(hess, -grad, "auto", problem.near_nullspace())[0]
+    return _solve_newton_system(quad.hessian(zero), -grad, "auto", problem.near_nullspace())[0]
 
 
 class ContinuationError(NewtonError):
@@ -369,20 +364,16 @@ class ContinuationError(NewtonError):
 
 
 def continuation_hyperelastic(
-    level: int,
-    params=None,
-    config: NewtonConfig | None = None,
-    problem: EnergyProblem | None = None,
+    problem: EnergyProblem, config: NewtonConfig | None = None
 ) -> list[MinimizeResult]:
     """Twisted-bar load stepping: 24 uniform increments up to 4 full turns.
 
-    Step t prescribes a right-face rotation of t * pi / 3 about the bar
-    axis, reuses the tape and coloring, and warm-starts from the previous
-    minimizer (step 1 starts from the identity deformation).  Returns all
-    24 results; a failing step aborts with its index.
+    Step t prescribes a right-face rotation of t * pi / 3 about the axis
+    of the bar ``problem``, reuses its tape and coloring, and warm-starts
+    from the previous minimizer (step 1 starts from the identity
+    deformation).  Returns all 24 results; a failing step aborts with its
+    index.
     """
-    if problem is None:
-        problem = build_problem("neohooke", level, params)
     u = problem.initial_guess.copy()
     results: list[MinimizeResult] = []
     for step in range(1, 25):

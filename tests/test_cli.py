@@ -270,7 +270,7 @@ def test_bar_rows_report_measured_load_step_times(monkeypatch, tiny_bar_problem)
         SimpleNamespace(iterations=4, energy=float(t), solve_s=0.01 * t * t) for t in range(1, 25)
     ]
     monkeypatch.setattr(cli, "build_problem", lambda kind, level: tiny_bar_problem)
-    monkeypatch.setattr(cli, "continuation_hyperelastic", lambda level, config, problem: steps)
+    monkeypatch.setattr(cli, "continuation_hyperelastic", lambda problem, config: steps)
     report = run_benchmark("hyper", [1])
     assert [row.solve_s for row in report.rows] == [0.01 * t * t for t in range(3, 25, 3)]
     assert [row.J for row in report.rows] == [float(t) for t in range(3, 25, 3)]

@@ -16,12 +16,18 @@ from minfem.minimize import (
 
 
 def test_golden_parabola():
-    alpha = golden_section(lambda a: (a - 1.0) ** 2, 2.0)
+    def phi(a):
+        return (a - 1.0) ** 2
+
+    alpha = golden_section(phi, phi(0.0), 2.0)
     assert abs(alpha - 1.0) < 1e-9
 
 
 def test_golden_monotone_increasing_goes_to_zero():
-    alpha = golden_section(lambda a: a, 2.0)
+    def phi(a):
+        return a
+
+    alpha = golden_section(phi, phi(0.0), 2.0)
     assert 0.0 <= alpha < 1e-9
 
 
@@ -32,20 +38,34 @@ def test_golden_handles_infinite_region():
     # dense-sampling oracle: the minimum over the finite region sits at 0.3
     grid = np.linspace(0.0, 0.5, 5001)
     assert abs(grid[np.argmin((grid - 0.3) ** 2)] - 0.3) < 1e-3
-    alpha = golden_section(phi, 2.0)
+    alpha = golden_section(phi, phi(0.0), 2.0)
     assert abs(alpha - 0.3) < 1e-8
 
 
 def test_golden_never_worsens_phi0():
     # worst case: every positive sample is worse than the start
-    calls = []
-
     def phi(a):
-        calls.append(a)
         return 1.0 + a**2
 
-    alpha = golden_section(phi, 2.0, max_evals=40)
+    alpha = golden_section(phi, phi(0.0), 2.0, max_evals=40)
     assert phi(alpha) <= phi(0.0)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [lambda a: (a - 1.0) ** 2, lambda a: a, lambda a: 1.0 + a**2, lambda a: -a],
+    ids=["parabola", "increasing", "worse-everywhere", "decreasing"],
+)
+def test_golden_never_samples_zero(phi):
+    samples = []
+    golden_section(lambda a: samples.append(a) or phi(a), phi(0.0), 2.0)
+    assert samples and min(samples) > 0.0
+
+
+@pytest.mark.parametrize("phi0", [np.nan, np.inf, -np.inf])
+def test_golden_rejects_nonfinite_phi0(phi0):
+    with pytest.raises(ValueError, match="phi0"):
+        golden_section(lambda a: a, phi0, 2.0)
 
 
 def test_newton_quadratic_single_step():
@@ -158,21 +178,28 @@ def test_nonfinite_element_hessian_takes_shifted_path():
 def test_line_search_energy_is_reused(monkeypatch):
     problem = build_problem("ginzburg_landau", 1)
     program = type(problem.program)
-    calls = []
-    original = program.evaluate
-    monkeypatch.setattr(program, "evaluate", lambda self, u: calls.append(1) or original(self, u))
-    distinct_trials = []
+    evaluate_calls, gradient_calls = [], []
+    evaluate, value_and_gradient = program.evaluate, program.value_and_gradient
+    monkeypatch.setattr(
+        program, "evaluate", lambda self, u: evaluate_calls.append(1) or evaluate(self, u)
+    )
+    monkeypatch.setattr(
+        program,
+        "value_and_gradient",
+        lambda self, u: gradient_calls.append(1) or value_and_gradient(self, u),
+    )
+    samples = []
 
     def counting_golden(phi, *args):
-        seen = set()
-        alpha = golden_section(lambda a: seen.add(a) or phi(a), *args)
-        distinct_trials.append(len(seen))
-        return alpha
+        return golden_section(lambda a: samples.append(a) or phi(a), *args)
 
     monkeypatch.setattr("minfem.minimize.golden_section", counting_golden)
     result = newton_minimize(problem, benchmark_initial_guess(problem))
-    # one evaluation at the start, then only the line search's own samples
-    assert len(calls) == 1 + sum(distinct_trials)
+    # every energy replay is a line-search sample, none of them at alpha = 0
+    # (J(u) comes with the gradient), and one gradient sweep per iterate
+    assert len(evaluate_calls) == len(samples) > 0
+    assert min(samples) > 0.0
+    assert len(gradient_calls) == result.iterations + 1
     assert result.converged
 
 
@@ -180,8 +207,12 @@ def test_stop_reason_grad():
     rng = np.random.default_rng(12)
     m = rng.standard_normal((5, 5))
     problem = make_quadratic_problem(m.T @ m + 5.0 * np.eye(5), rng.standard_normal(5))
-    result = newton_minimize(problem, np.zeros(5))
-    assert result.stop_reason == "grad" and result.converged
+    # one Newton step solves the quadratic; with max_iters=1 its iterate
+    # still passes the gradient test, which comes before the step limit
+    for config in (None, NewtonConfig(max_iters=1)):
+        result = newton_minimize(problem, np.zeros(5), config)
+        assert result.stop_reason == "grad" and result.converged
+        assert result.iterations == 1
 
 
 def test_stop_reason_stagnation():
@@ -202,6 +233,15 @@ def test_stop_reason_max_iters():
         newton_minimize(problem, benchmark_initial_guess(problem), config)
     best = info.value.best
     assert best.stop_reason == "max_iters" and not best.converged
+
+
+def test_gradient_test_comes_before_stagnation():
+    # p-Laplace L4's last step decreases J by less than energy_tol while its
+    # gradient norm (3.7e-8) is already under the threshold (4.6e-6)
+    problem = build_problem("plaplace", 4)
+    result = newton_minimize(problem, benchmark_initial_guess(problem))
+    assert result.stop_reason == "grad" and result.converged
+    assert (result.energy.hex(), result.iterations) == ("-0x1.fc5999789c5b1p+2", 5)
 
 
 def _pinned(result):
