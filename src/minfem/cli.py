@@ -1,7 +1,7 @@
 """Benchmark harness: run the three benchmarks, print tables, export fields.
 
 Exit codes: 0 on full convergence, 2 on partial results, 1 on usage
-errors.
+errors and unwritable export paths.
 """
 
 from __future__ import annotations
@@ -214,14 +214,9 @@ def export_solution(result: MinimizeResult, mesh: MeshData, path: str, fmt: str 
     if fmt == "csv":
         coord_names = ["x", "y", "z"][: mesh.dim]
         value_names = ["u"] if n_comp == 1 else [f"v{ax}" for ax in ("x", "y", "z")[:n_comp]]
-        rows = [",".join(coord_names + value_names)]
+        lines = [",".join(coord_names + value_names)]
         for node in range(mesh.n_nodes):
-            entries = [f"{c:.17g}" for c in mesh.nodes[node]] + [
-                f"{v:.17g}" for v in values[node]
-            ]
-            rows.append(",".join(entries))
-        with open(path, "w", newline="\n") as handle:
-            handle.write("\n".join(rows) + "\n")
+            lines.append(",".join(f"{x:.17g}" for x in (*mesh.nodes[node], *values[node])))
     elif fmt == "vtk-legacy":
         npe = mesh.elems.shape[1]
         cell_type = 5 if npe == 3 else 10
@@ -250,10 +245,10 @@ def export_solution(result: MinimizeResult, mesh: MeshData, path: str, fmt: str 
             lines.append("VECTORS v double")
             for node in range(mesh.n_nodes):
                 lines.append(" ".join(f"{v:.17g}" for v in values[node]))
-        with open(path, "w", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
     else:
         raise ValueError(f"unknown export format {fmt!r}")
+    with open(path, "w", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -279,6 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message: str) -> int:
+    print(f"minfem: error: {message}", file=sys.stderr)
+    return 1
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -287,25 +287,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
 
     if args.levels and args.level is not None:
-        print("minfem: error: give either --level or --levels, not both", file=sys.stderr)
-        return 1
+        return _error("give either --level or --levels, not both")
     if args.levels:
         try:
             levels = _parse_levels(args.levels)
         except ValueError as exc:
-            print(f"minfem: error: {exc}", file=sys.stderr)
-            return 1
+            return _error(str(exc))
     elif args.level is not None:
         levels = [args.level]
     else:
         levels = [1]
     if any(level < 1 for level in levels):
-        print("minfem: error: levels must be positive", file=sys.stderr)
-        return 1
+        return _error("levels must be positive")
     for flag, value in (("--tol-grad", args.tol_grad), ("--tol-energy", args.tol_energy)):
         if value is not None and not (math.isfinite(value) and value > 0.0):
-            print(f"minfem: error: {flag} must be finite and positive, got {value}", file=sys.stderr)
-            return 1
+            return _error(f"{flag} must be finite and positive, got {value}")
+    if args.export and not os.path.isdir(os.path.dirname(os.path.abspath(args.export))):
+        return _error(f"--export directory of {args.export!r} does not exist")
 
     overrides = {
         "tol_grad": args.tol_grad,
@@ -318,7 +316,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.export and report.results:
         result, problem = report.results[-1]
-        export_solution(result, problem.mesh, args.export, args.export_format)
+        try:
+            export_solution(result, problem.mesh, args.export, args.export_format)
+        except OSError as exc:
+            return _error(f"cannot write --export {args.export!r}: {exc}")
     return 0 if report.complete else 2
 
 

@@ -6,6 +6,7 @@ Two constructions share the pattern and the symmetrization:
   columns so that no two same-colored columns share a structurally nonzero
   row; one Hessian-vector product per color then determines every stored
   entry exactly (63 products for the bar, 9 for the 2D benchmarks).
+  ``EnergyProblem`` colors its pattern only when this path first asks.
 - ``assemble_element_hessian`` needs an energy that is a sum of element
   densities and an ``hvp`` that applies every element's Hessian block to
   its own element-local direction (``EnergyProblem.hessian`` seeds the
@@ -49,7 +50,10 @@ class Coloring:
     """Column-color assignment for a symmetric sparsity pattern."""
 
     color_of: np.ndarray
-    n_colors: int
+
+    @property
+    def n_colors(self) -> int:
+        return int(self.color_of.max(initial=-1)) + 1
 
 
 def color_pattern(pattern: SparsityPattern) -> Coloring:
@@ -76,8 +80,7 @@ def color_pattern(pattern: SparsityPattern) -> Coloring:
         while c in used:
             c += 1
         color[j] = c
-    color_of = np.array(color, dtype=np.int64)
-    return Coloring(color_of=color_of, n_colors=int(color_of.max()) + 1 if n else 0)
+    return Coloring(color_of=np.array(color, dtype=np.int64))
 
 
 def recover_hessian(

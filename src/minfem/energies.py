@@ -10,16 +10,16 @@ data: ``EnergyProblem`` lifts a free-dof vector into the field through
 ``DofMap.u_0``, the one home of the boundary values, and restricts
 gradients and Hessian-vector products back to the free dofs.
 ``build_problem`` bundles mesh, element tables, Dirichlet scaffolding,
-that tape, the sparsity pattern, its coloring and the element slot map
-into a reusable problem object.  ``EnergyProblem.hessian`` seeds the
-tape's per-component gathers with the npe * components element-local
-one-hot directions and sums the blocks into the pattern; a problem
-without a slot map gets the colored recovery instead.
+that tape, the sparsity pattern and the element slot map into a reusable
+problem object.  ``EnergyProblem.hessian`` seeds the tape's gathers with
+the element-local one-hot directions and sums the blocks into the
+pattern; a problem without a slot map colors the pattern on first use.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -225,7 +225,7 @@ class EnergyProblem:
     ``hessian`` takes the blocks from ``program`` itself, as second-order
     adjoints at its per-component gathers.  A problem without a slot map,
     such as an energy that is not a sum of element densities, gets its
-    Hessian through ``coloring`` instead.
+    Hessian through ``coloring``, colored on first use, instead.
     """
 
     kind: str
@@ -235,13 +235,17 @@ class EnergyProblem:
     params: object
     program: Program
     pattern: SparsityPattern
-    coloring: Coloring
     initial_guess: np.ndarray
     element_slots: np.ndarray | None = None
 
     @property
     def n_dofs(self) -> int:
         return self.dofmap.n_free
+
+    @functools.cached_property
+    def coloring(self) -> Coloring:
+        """Distance-2 coloring of ``pattern``, computed on first use."""
+        return color_pattern(self.pattern)
 
     def near_nullspace(self) -> np.ndarray:
         """Constant (per component) modes over the free dofs, as columns."""
@@ -352,8 +356,8 @@ def problem_from_mesh(kind: str, mesh: MeshData, params=None) -> EnergyProblem:
 
     Applies the benchmark's Dirichlet data (zero for the scalar problems,
     untwisted end faces for the bar) and default parameters, records the
-    tape over the full nodal field, and builds the sparsity pattern, its
-    coloring and the element slot map.
+    tape over the full nodal field, and builds the sparsity pattern and
+    the element slot map.
     """
     elemdata = precompute_gradients(mesh)
     if kind == "plaplace":
@@ -386,14 +390,13 @@ def problem_from_mesh(kind: str, mesh: MeshData, params=None) -> EnergyProblem:
         params=params,
         program=program,
         pattern=pattern,
-        coloring=color_pattern(pattern),
         initial_guess=start,
         element_slots=element_slots(mesh.elems, dofmap, pattern),
     )
 
 
 def build_problem(kind: str, mesh_level: int, params=None) -> EnergyProblem:
-    """Build mesh, element tables, dofmap, tape, pattern, and coloring.
+    """Build mesh, element tables, dofmap, tape, pattern, and slot map.
 
     ``kind`` is one of ``plaplace`` (L-shape, p = 3, f = -10, zero
     Dirichlet), ``ginzburg_landau`` (square, eps = 0.01, zero Dirichlet,

@@ -44,10 +44,6 @@ class ElementData:
     vol: np.ndarray
     dvz: np.ndarray | None = None
 
-    @property
-    def n_elems(self) -> int:
-        return self.vol.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class DofMap:

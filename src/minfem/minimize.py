@@ -369,7 +369,7 @@ def continuation_hyperelastic(
     """Twisted-bar load stepping: 24 uniform increments up to 4 full turns.
 
     Step t prescribes a right-face rotation of t * pi / 3 about the axis
-    of the bar ``problem``, reuses its tape and coloring, and warm-starts
+    of the bar ``problem``, reuses its tape and pattern, and warm-starts
     from the previous minimizer (step 1 starts from the identity
     deformation).  Returns all 24 results; a failing step aborts with its
     index.

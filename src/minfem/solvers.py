@@ -130,10 +130,6 @@ class AmgHierarchy:
     structure: tuple[LevelStructure, ...] = ()
 
     @property
-    def n(self) -> int:
-        return self.levels[0].a.shape[0]
-
-    @property
     def n_levels(self) -> int:
         return len(self.levels)
 

@@ -7,7 +7,6 @@ import scipy.sparse as sp
 
 from minfem import energies
 from minfem.autodiff import Recorder, dot
-from minfem.coloring import color_pattern
 from minfem.energies import EnergyProblem, problem_from_mesh
 from minfem.fem import DofMap, SparsityPattern, element_dofs
 
@@ -34,7 +33,6 @@ def make_quadratic_problem(a: np.ndarray, b: np.ndarray) -> EnergyProblem:
         params=None,
         program=program,
         pattern=pattern,
-        coloring=color_pattern(pattern),
         initial_guess=np.zeros(n),
     )
 

@@ -13,6 +13,7 @@ from minfem.cli import (
     run_benchmark,
 )
 from minfem.coloring import ColoringError
+from minfem.minimize import NewtonError
 from minfem.solvers import SolverError
 
 
@@ -133,6 +134,29 @@ def test_main_csv_and_export(tmp_path, capsys):
     assert out_file.read_text().splitlines()[0] == "x,y,u"
 
 
+def test_export_to_missing_directory_is_rejected_before_any_level(tmp_path, capsys, monkeypatch):
+    import minfem.cli as cli
+
+    def no_level(*args):
+        raise AssertionError("a level ran before the export path was checked")
+
+    monkeypatch.setattr(cli, "run_benchmark", no_level)
+    missing = tmp_path / "no" / "such" / "dir" / "u.csv"
+    assert main(["run", "plaplace", "--level", "1", "--export", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert "minfem: error:" in captured.err and str(missing) in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_export_write_failure_is_a_named_error(tmp_path, capsys):
+    # the directory exists, but the path names a directory, not a file
+    assert main(["run", "plaplace", "--level", "1", "--export", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "-7.3411" in captured.out  # the table still printed
+    assert "minfem: error:" in captured.err and "--export" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_runs_are_deterministic():
     a = run_benchmark("gl", [1, 2])
     b = run_benchmark("gl", [1, 2])
@@ -155,7 +179,6 @@ def test_solver_override_flag():
 
 def test_nonconvergence_yields_partial_report(monkeypatch, capsys):
     import minfem.cli as cli
-    from minfem.minimize import NewtonError
 
     real = cli.newton_minimize
     calls = {"n": 0}
@@ -275,3 +298,24 @@ def test_bar_rows_report_measured_load_step_times(monkeypatch, tiny_bar_problem)
     assert [row.solve_s for row in report.rows] == [0.01 * t * t for t in range(3, 25, 3)]
     assert [row.J for row in report.rows] == [float(t) for t in range(3, 25, 3)]
     assert all(row.iters == 4 and row.dofs == tiny_bar_problem.n_dofs for row in report.rows)
+
+
+def test_failing_load_step_yields_partial_report(monkeypatch, tiny_bar_problem):
+    import minfem.cli as cli
+    import minfem.minimize as minimize
+
+    real = minimize.newton_minimize
+    steps = []
+
+    def fail_at_step_2(problem, u_init, config=None):
+        steps.append(len(steps) + 1)
+        if len(steps) == 2:
+            raise NewtonError("forced failure")
+        return real(problem, u_init, config)
+
+    monkeypatch.setattr(cli, "build_problem", lambda kind, level: tiny_bar_problem)
+    monkeypatch.setattr(minimize, "newton_minimize", fail_at_step_2)
+    report = run_benchmark("hyper", [1])
+    assert not report.complete
+    assert "load step 2" in report.error and "forced failure" in report.error
+    assert report.rows == []

@@ -46,6 +46,11 @@ def test_diagonal_pattern_needs_one_color():
     assert coloring.n_colors == 1
 
 
+def test_empty_pattern_needs_no_color():
+    coloring = color_pattern(pattern_from_dense(np.zeros((0, 0))))
+    assert coloring.color_of.shape == (0,) and coloring.n_colors == 0
+
+
 def test_tridiagonal_needs_exactly_three_colors():
     pattern = tridiagonal_pattern(5)
     coloring = color_pattern(pattern)

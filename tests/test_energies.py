@@ -189,10 +189,29 @@ def test_with_dirichlet_reuses_tape(tiny_bar_problem):
     problem = tiny_bar_problem
     twisted = problem.with_dirichlet(bar_dirichlet_values(problem.mesh, np.pi / 6))
     assert twisted.program is problem.program
-    assert twisted.coloring is problem.coloring
+    assert twisted.pattern is problem.pattern
     assert not np.array_equal(twisted.dofmap.u_0, problem.dofmap.u_0)
     # identity free part under twisted faces stores finite energy
     assert np.isfinite(twisted.evaluate(problem.initial_guess))
+
+
+def test_coloring_is_derived_once_on_first_use(monkeypatch):
+    calls = []
+
+    def counting(pattern):
+        calls.append(pattern)
+        return color_pattern(pattern)
+
+    monkeypatch.setattr("minfem.energies.color_pattern", counting)
+    a = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    problem = make_quadratic_problem(a, np.ones(3))
+    assert "coloring" not in {f.name for f in dataclasses.fields(EnergyProblem)}
+    assert calls == []
+    for _ in range(2):
+        assert np.array_equal(problem.hessian(np.zeros(3)).toarray(), a)
+    assert calls == [problem.pattern]
+    assert problem.coloring is problem.coloring
+    assert len(calls) == 1
 
 
 def test_bar_dirichlet_rotation_values():
@@ -380,7 +399,6 @@ def test_problem_gradient_routes_only_free_dofs():
         params=None,
         program=program,
         pattern=pattern,
-        coloring=color_pattern(pattern),
         initial_guess=np.zeros(2),
     )
     u = np.array([1.0, -2.0])

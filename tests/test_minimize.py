@@ -1,15 +1,19 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from helpers import make_quadratic_problem
 from minfem.coloring import ColoringError, recover_hessian
-from minfem.energies import bar_dirichlet_values, build_problem
+from minfem.energies import bar_dirichlet_values, build_problem, problem_from_mesh
+from minfem.mesh import bar_mesh_from_cells
 from minfem.minimize import (
+    ContinuationError,
     NewtonConfig,
     NewtonError,
     benchmark_initial_guess,
+    continuation_hyperelastic,
     golden_section,
     newton_minimize,
 )
@@ -310,3 +314,43 @@ def test_tiny_bar_first_load_steps_bits_are_pinned(tiny_bar_problem):
         result = newton_minimize(stepped, u)
         assert _pinned(result) == pinned, f"load step {step}"
         u = result.u_star
+
+
+def _refuse_coloring(pattern):
+    raise AssertionError("a benchmark path colored its sparsity pattern")
+
+
+@pytest.mark.parametrize(
+    "kind, energy",
+    [("plaplace", "-0x1.f1b546efd11aep+2"), ("ginzburg_landau", "0x1.6b4358a0b6620p-2")],
+)
+def test_benchmark_setup_and_solve_never_color(kind, energy, monkeypatch):
+    monkeypatch.setattr("minfem.energies.color_pattern", _refuse_coloring)
+    problem = build_problem(kind, 2)
+    result = newton_minimize(problem, benchmark_initial_guess(problem))
+    assert result.energy.hex() == energy
+
+
+def test_bar_load_step_never_colors(monkeypatch):
+    monkeypatch.setattr("minfem.energies.color_pattern", _refuse_coloring)
+    problem = problem_from_mesh("neohooke", bar_mesh_from_cells(4, 2, 2, 0.005))
+    stepped = problem.with_dirichlet(bar_dirichlet_values(problem.mesh, np.pi / 3.0))
+    assert _pinned(newton_minimize(stepped, problem.initial_guess)) == TINY_BAR_PINNED[0]
+
+
+def test_continuation_error_names_the_failing_step(monkeypatch, tiny_bar_problem):
+    best = SimpleNamespace(u_star=tiny_bar_problem.initial_guess)
+    steps = []
+
+    def fail_at_step_2(problem, u_init, config=None):
+        steps.append(len(steps) + 1)
+        if len(steps) == 2:
+            raise NewtonError("forced failure", best=best)
+        return SimpleNamespace(u_star=u_init)
+
+    monkeypatch.setattr("minfem.minimize.newton_minimize", fail_at_step_2)
+    with pytest.raises(ContinuationError) as info:
+        continuation_hyperelastic(tiny_bar_problem)
+    assert info.value.step == 2 and info.value.best is best
+    assert "load step 2" in str(info.value)
+    assert steps == [1, 2]
