@@ -16,13 +16,30 @@ recorded as a constant of ones, so its derivatives are 0 at x = 0 too, and
 the adjoint of ``x**1`` is passed back unchanged.  Non-finite values
 propagate through replays without raising; the caller decides.
 
-Element Hessians come from the same tape: ``gather_hessian_vector_product``
-seeds the outputs of the gathers from the input with element-local
-directions instead of seeding the input, and stops the reverse sweep at
-those gathers, so the adjoint tangents are read per element and never
-scattered into the field.  This is second-order adjoint preaccumulation
-at intermediate variables (Griewank and Walther, Evaluating Derivatives,
-2nd ed., SIAM 2008).
+An operation whose operands are all constants is folded into a constant
+when recorded, so every instruction depends on the input.  The
+instructions that are affine in it (gathers, sums, negation, sums and
+differences of affine slots, products with a constant, division by a
+constant) form the tape's prefix; the slots where the prefix ends, read
+by the rest, are its linear frontier (``Program.frontier``).  If one
+frontier slot depends on another, the frontier is the input itself.
+``Program.along(u, d)`` runs the prefix once on a dual of (u, d), which
+gives every frontier slot as z0 + alpha * z1, and returns a small
+program over [alpha] that replays only the rest: line-search samples
+skip the linear part of the tape.
+
+Element Hessians come from the same tape (``Program.element_hessians``),
+by second-order adjoint preaccumulation at intermediate variables
+(Griewank and Walther, Evaluating Derivatives, 2nd ed., SIAM 2008).
+Where the frontier is per-element kinematics narrower than the element's
+local dofs, it is seeded with one-hot tangents and the reverse sweep
+stops there, giving the density's second derivatives W''; each block is
+K^T W'' K, with K the frontier's constant Jacobian with respect to the
+local dofs (``Program.element_cut``, computed once per program).
+Otherwise ``gather_hessian_vector_product`` seeds the outputs of the
+gathers from the input with element-local directions and stops the
+reverse sweep at those gathers, so the adjoint tangents are read per
+element and never scattered into the field.
 
 The replay kernels are written for speed but keep numpy's bits.  A row
 sum over fewer than 8 columns adds the columns one by one, which is what
@@ -38,6 +55,7 @@ the input.
 
 from __future__ import annotations
 
+import functools
 import pickle
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -45,12 +63,18 @@ from typing import Any, Callable
 import numpy as np
 
 __all__ = [
+    "ElementCut",
+    "Frontier",
     "Program",
     "Recorder",
     "Var",
     "log",
     "dot",
 ]
+
+# local directions per element-Hessian product: the tape's working memory
+# grows with the number of directions pushed at once
+_ELEMENT_PROBE_BLOCK = 6
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +398,15 @@ class Recorder:
 
     def _emit(self, op: str, args: tuple[Var, ...], aux=None) -> Var:
         slots = tuple(a.slot for a in args)
-        out = len(self._values)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             value = _FORWARD[op]([self._values[s] for s in slots], aux)
+        if not any(s in self._diff for s in slots):
+            # nothing here depends on the input: fold it into a constant
+            return self.constant(value)
+        out = len(self._values)
         self._values.append(value)
         self._instrs.append(Instr(op, out, slots, aux))
-        if any(s in self._diff for s in slots):
-            self._diff.add(out)
+        self._diff.add(out)
         return Var(self, out, np.shape(value))
 
     # -- primitives ---------------------------------------------------------
@@ -507,6 +533,185 @@ def _vjp(instr: Instr, ws: list, g, diff: frozenset[int]) -> list[tuple[int, Any
 
 
 # ---------------------------------------------------------------------------
+# the linear frontier
+
+
+def _is_affine(ins: Instr, affine: set[int], diff: frozenset[int]) -> bool:
+    """Whether ``ins`` is affine in the input, given its affine operand slots."""
+    op, args = ins.op, ins.args
+    live = [s for s in args if s in diff]
+    if op in ("take", "neg", "sum", "sum_rows"):
+        return args[0] in affine
+    if op in ("add", "sub"):
+        return all(s in affine for s in live)
+    if op in ("mul", "dot", "matmul"):
+        return len(live) == 1 and live[0] in affine
+    if op == "div":
+        return args[0] in affine and args[1] not in diff
+    return False
+
+
+@dataclass(frozen=True, eq=False)
+class Frontier:
+    """Where a tape's part that is affine in the input ends.
+
+    ``prefix`` holds the instructions whose outputs are affine in the
+    input, ``suffix`` the others, each in tape order.  ``slots`` are the
+    affine slots that the suffix reads (the output slot too, if affine):
+    the suffix sees the input only through them.
+    """
+
+    slots: tuple[int, ...]
+    prefix: tuple[Instr, ...]
+    suffix: tuple[Instr, ...]
+
+
+def _frontier(program: "Program") -> Frontier:
+    # no frontier slot may depend on another: then the cut falls back to the
+    # input slot itself, with an empty prefix
+    affine = {program.input_slot}
+    deps: dict[int, set[int]] = {program.input_slot: set()}
+    prefix, suffix = [], []
+    for ins in program.instrs:
+        if _is_affine(ins, affine, program.diff):
+            affine.add(ins.out)
+            deps[ins.out] = set().union(*(deps[s] | {s} for s in ins.args if s in affine))
+            prefix.append(ins)
+        else:
+            suffix.append(ins)
+    read = {s for ins in suffix for s in ins.args if s in affine}
+    if program.output_slot in affine:
+        read.add(program.output_slot)
+    if any(deps[s] & read for s in read):
+        return Frontier((program.input_slot,), (), program.instrs)
+    return Frontier(tuple(sorted(read)), tuple(prefix), tuple(suffix))
+
+
+@dataclass(frozen=True, eq=False)
+class ElementCut:
+    """Frontier slots with one row per element, and their Jacobian.
+
+    ``shapes[i]`` is the shape of one element's row of ``slots[i]`` (()
+    for an (E,) slot, (q,) for an (E, q) one); ``jacobian`` (E, F, L)
+    holds the derivatives of element e's F frontier entries, in slot
+    order, with respect to its L local dofs.  It is constant because the
+    prefix is linear.
+    """
+
+    slots: tuple[int, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    jacobian: np.ndarray
+
+
+def _input_gathers(program: "Program") -> list[Instr]:
+    """The gathers from the input; ``ValueError`` if anything else but a
+    dot product with a constant reads it (that term is linear)."""
+    gathers = []
+    for ins in program.instrs:
+        if program.input_slot not in ins.args:
+            continue
+        if ins.op == "take":
+            gathers.append(ins)
+        elif not (ins.op == "dot" and sum(s in program.diff for s in ins.args) == 1):
+            raise ValueError(f"the input is read by {ins.op!r}, not only by gathers")
+    return gathers
+
+
+def _local_one_hots(n_elems: int, npe: int, n_gathers: int, start: int, stop: int) -> list:
+    """Seeds of local directions start..stop-1 for each gather, in tape order.
+
+    Local index a = n_gathers * i + k is column i of gather k.
+    """
+    seeds = np.zeros((n_elems, npe * n_gathers, stop - start))
+    seeds[:, start:stop, :] = np.eye(stop - start)
+    return [seeds[:, k::n_gathers] for k in range(n_gathers)]
+
+
+def _additive_to_output(program: "Program", slot: int) -> bool:
+    """Whether ``slot`` reaches the output through ``add``/``sub`` alone."""
+    reached = {slot}
+    for ins in program.instrs:
+        if reached.intersection(ins.args):
+            if ins.op not in ("add", "sub"):
+                return False
+            reached.add(ins.out)
+    return True
+
+
+def _element_slots(program: "Program", gathers: list[Instr], ws: list, n_elems: int):
+    """The frontier slots with one row per element and their row shapes, or
+    None if another frontier slot is not a scalar that reaches the output
+    through ``add``/``sub`` alone.  ``ws`` holds a replay of the prefix."""
+    # row-wise: each row of the slot depends on the same row of the gathers
+    rows = {ins.out for ins in gathers}
+    for ins in program.frontier.prefix:
+        live = [s for s in ins.args if s in program.diff]
+        if not all(s in rows for s in live):
+            continue
+        ndim = np.ndim(_val(ws[ins.out]))
+        if ins.op in ("add", "sub", "mul", "div", "neg"):
+            if all(np.ndim(_val(ws[s])) == ndim for s in live):
+                rows.add(ins.out)
+        elif ins.op == "sum_rows" or (ins.op == "matmul" and np.ndim(_val(ws[live[0]])) == 2):
+            rows.add(ins.out)
+    slots, shapes = [], []
+    for slot in program.frontier.slots:
+        shape = np.shape(_val(ws[slot]))
+        if slot in rows and len(shape) in (1, 2) and shape[0] == n_elems:
+            slots.append(slot)
+            shapes.append(shape[1:])
+        elif shape != () or not _additive_to_output(program, slot):
+            return None
+    return tuple(slots), tuple(shapes)
+
+
+def _element_cut(program: "Program") -> ElementCut | None:
+    """The frontier as per-element kinematics, or None where it is not.
+
+    The frontier qualifies when the input is read only by gathers with one
+    (E, npe) index matrix and by dot products with constants; each
+    frontier slot either has one row per element, computed row by row
+    from the gathers, or is a scalar that reaches the output through
+    ``add``/``sub`` alone (a linear load term, which adds nothing to the
+    Hessian); and the per-element frontier is narrower than the L local
+    dofs.  The Jacobian comes from the local one-hot directions pushed
+    through the prefix at u = 0, a few at a time.
+    """
+    try:
+        gathers = _input_gathers(program)
+    except ValueError:
+        return None
+    shapes = {ins.aux.shape for ins in gathers}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 2:
+        return None
+    ((n_elems, npe),) = shapes
+    n_local = npe * len(gathers)
+    jacobian = None
+    for start in range(0, n_local, _ELEMENT_PROBE_BLOCK):
+        stop = min(start + _ELEMENT_PROBE_BLOCK, n_local)
+        seeds = _local_one_hots(n_elems, npe, len(gathers), start, stop)
+        ws = program._forward(
+            np.zeros(program.n_inputs),
+            {ins.out: seed for ins, seed in zip(gathers, seeds)},
+            program.frontier.prefix,
+        )
+        if jacobian is None:
+            found = _element_slots(program, gathers, ws, n_elems)
+            if found is None:
+                return None
+            slots, row_shapes = found
+            width = sum(int(np.prod(shape)) for shape in row_shapes)
+            if not 0 < width < n_local:
+                return None
+            jacobian = np.empty((n_elems, width, n_local))
+        jacobian[:, :, start:stop] = np.concatenate(
+            [ws[slot].dot.reshape(n_elems, -1, stop - start) for slot in slots], axis=1
+        )
+        del ws  # one block's working set at a time
+    return ElementCut(slots, row_shapes, jacobian)
+
+
+# ---------------------------------------------------------------------------
 # program
 
 
@@ -542,15 +747,16 @@ class Program:
             raise ValueError(f"input must have shape ({self.n_inputs},), got {u.shape}")
         return u
 
-    def _forward(self, u_value, seeds: dict | None = None) -> list:
-        # seeds[slot] turns the value written to slot into a dual with that tangent
+    def _forward(self, u_value, seeds: dict | None = None, instrs=None) -> list:
+        # seeds[slot] turns the value written to slot into a dual with that
+        # tangent; instrs replays a part of the tape (default: all of it)
         seeds = seeds or {}
         ws: list = [None] * self.n_slots
         for slot, value in self.consts.items():
             ws[slot] = value
         ws[self.input_slot] = u_value
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for ins in self.instrs:
+            for ins in self.instrs if instrs is None else instrs:
                 value = _FORWARD[ins.op]([ws[s] for s in ins.args], ins.aux)
                 ws[ins.out] = value if ins.out not in seeds else _Dual(value, seeds[ins.out])
         return ws
@@ -625,14 +831,7 @@ class Program:
         latter is linear, so it adds nothing to the Hessian).
         """
         u = self._check_input(u)
-        gathers = []
-        for ins in self.instrs:
-            if self.input_slot not in ins.args:
-                continue
-            if ins.op == "take":
-                gathers.append(ins.out)
-            elif not (ins.op == "dot" and sum(s in self.diff for s in ins.args) == 1):
-                raise ValueError(f"the input is read by {ins.op!r}, not only by gathers")
+        gathers = [ins.out for ins in _input_gathers(self)]
         seeds = [np.asarray(seed, dtype=float) for seed in seeds]
         if len(seeds) != len(gathers):
             raise ValueError(f"expected {len(gathers)} seeds, one per gather, got {len(seeds)}")
@@ -642,3 +841,113 @@ class Program:
             np.array(adj.dot, dtype=float) if isinstance(adj, _Dual) else np.zeros_like(seed)
             for adj, seed in zip(adjoints, seeds)
         ]
+
+    # -- the linear frontier ------------------------------------------------
+
+    @functools.cached_property
+    def frontier(self) -> Frontier:
+        """The cut between the part of the tape that is affine in the input and the rest."""
+        return _frontier(self)
+
+    @functools.cached_property
+    def element_cut(self) -> ElementCut | None:
+        """The frontier as per-element kinematics with their constant
+        Jacobian, computed on first use; None where element Hessians take
+        the gathers instead (see ``element_hessians``)."""
+        return _element_cut(self)
+
+    def along(self, u, direction) -> "Program":
+        """J(u + alpha * direction) as a program over the one input [alpha].
+
+        The prefix runs once, on a dual of (u, direction), which gives
+        every frontier slot as z0 + alpha * z1.  The returned program
+        computes those sums from its input and replays only the suffix, so
+        each ``evaluate([alpha])`` skips the linear part of the tape.  Its
+        values match ``evaluate(u + alpha * direction)`` to rounding; it is
+        meant for ``evaluate`` only.
+        """
+        # copies: the returned program may hold them as constants
+        u = self._check_input(u).copy()
+        direction = np.array(direction, dtype=float)
+        if direction.shape != u.shape:
+            raise ValueError(f"direction must have shape {u.shape}, got {direction.shape}")
+        frontier = self.frontier
+        ws = self._forward(_Dual(u, direction[:, None]), instrs=frontier.prefix)
+        alpha_input, alpha = self.n_slots, self.n_slots + 1
+        consts = dict(self.consts)
+        instrs = [Instr("take", alpha, (alpha_input,), np.asarray(0))]
+        diff = {alpha_input, alpha}
+        slot = self.n_slots + 2
+        for out in frontier.slots:
+            z0, z1, scaled = slot, slot + 1, slot + 2
+            consts[z0] = ws[out].val
+            tangent = ws[out].dot[..., 0]
+            consts[z1] = tangent if tangent.ndim else float(tangent)
+            instrs += [Instr("mul", scaled, (alpha, z1)), Instr("add", out, (z0, scaled))]
+            diff |= {scaled, out}
+            slot += 3
+        diff |= {ins.out for ins in frontier.suffix}
+        return Program(
+            instrs=tuple(instrs) + frontier.suffix,
+            n_slots=slot,
+            n_inputs=1,
+            input_slot=alpha_input,
+            output_slot=self.output_slot,
+            consts=consts,
+            diff=frozenset(diff),
+        )
+
+    def element_hessians(self, u) -> np.ndarray:
+        """Every element's (L, L) Hessian block at u, for a sum of element densities.
+
+        Local index a = c * i + k is column i of the k-th gather from the
+        input (tape order, c gathers in all), so for a field with c
+        interleaved components gathered one per component it is node i,
+        component k; L = c * npe.  Where ``element_cut`` exists, the
+        frontier slots are seeded with one-hot tangents and the reverse
+        sweep stops at them, giving W'' (E, F, F) with respect to the F
+        per-element frontier entries; the blocks are K^T W'' K with K the
+        cut's Jacobian.  Otherwise the gathers are seeded with the local
+        one-hot directions, a few at a time (``gather_hessian_vector_product``).
+        Raises ``ValueError`` when anything other than a gather or a dot
+        product with a constant reads the input.
+        """
+        u = self._check_input(u)
+        cut = self.element_cut
+        if cut is None:
+            return self._gather_element_hessians(u)
+        k = cut.jacobian
+        n_elems, width = k.shape[:2]
+        # one-hot tangents: each slot's entries are its columns among the F
+        eye = np.eye(width)
+        seeds, columns, start = {}, [], 0
+        for slot, shape in zip(cut.slots, cut.shapes):
+            cols = slice(start, start + int(np.prod(shape)))
+            seed = eye[cols].reshape(shape + (width,))
+            seeds[slot] = np.broadcast_to(seed, (n_elems,) + seed.shape)
+            columns.append(cols)
+            start = cols.stop
+        ws = self._forward(u, seeds)
+        # the scalar frontier slots stop the sweep too, so nothing passes below
+        adjoints = dict(zip(self.frontier.slots, self._reverse(ws, 1.0, self.frontier.slots)))
+        del ws  # drop the sweep's values before the products: a lower peak memory
+        w = np.zeros((n_elems, width, width))
+        for slot, cols in zip(cut.slots, columns):
+            if isinstance(adjoints[slot], _Dual):
+                w[:, cols] = adjoints[slot].dot.reshape(n_elems, -1, width)
+        return np.matmul(k.transpose(0, 2, 1), np.matmul(w, k))
+
+    def _gather_element_hessians(self, u: np.ndarray) -> np.ndarray:
+        gathers = _input_gathers(self)
+        if not gathers:
+            raise ValueError("the input is not read by any gather")
+        n_elems, npe = gathers[0].aux.shape
+        n_local = npe * len(gathers)
+        blocks = np.empty((n_elems, n_local, n_local))
+        for start in range(0, n_local, _ELEMENT_PROBE_BLOCK):
+            stop = min(start + _ELEMENT_PROBE_BLOCK, n_local)
+            seeds = _local_one_hots(n_elems, npe, len(gathers), start, stop)
+            products = self.gather_hessian_vector_product(u, seeds)
+            for k, product in enumerate(products):
+                blocks[:, k :: len(gathers), start:stop] = product
+        return blocks

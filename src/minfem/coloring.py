@@ -8,12 +8,11 @@ Two constructions share the pattern and the symmetrization:
   entry exactly (63 products for the bar, 9 for the 2D benchmarks).
   ``EnergyProblem`` colors its pattern only when this path first asks.
 - ``assemble_element_hessian`` needs an energy that is a sum of element
-  densities and an ``hvp`` that applies every element's Hessian block to
-  its own element-local direction (``EnergyProblem.hessian`` seeds the
-  energy tape's per-component gathers).  The npe * components local
-  one-hot directions (12 for tetrahedra, 3 for triangles) then give every
-  element block at once; the blocks are summed into the pattern through a
-  precomputed slot map.
+  densities and every element's (L, L) Hessian block, L = npe *
+  components (12 for tetrahedra, 3 for triangles), which
+  ``EnergyProblem.hessian`` takes from the energy tape
+  (``Program.element_hessians``).  The blocks are summed into the
+  pattern through a precomputed slot map.
 """
 
 from __future__ import annotations
@@ -35,10 +34,8 @@ __all__ = [
 ]
 
 
-# directions per product: the tape's working memory grows with the block;
-# on the bar, 6 element-local directions peak near 8 global color probes
+# directions per product: the tape's working memory grows with the block
 _PROBE_BLOCK = 8
-_ELEMENT_PROBE_BLOCK = 6
 
 
 class ColoringError(RuntimeError):
@@ -116,30 +113,21 @@ def recover_hessian(
 
 
 def assemble_element_hessian(
-    hvp: Callable[[np.ndarray], np.ndarray],
+    blocks: np.ndarray,
     slots: np.ndarray,
     pattern: SparsityPattern,
 ) -> sp.csr_matrix:
     """Assemble the sparse Hessian of a sum of element densities.
 
-    ``hvp`` must map stacked element-local directions of shape (E, L, k)
-    to their products with every element's (L, L) Hessian block.  Local
-    direction a is one at index a of every element, so its product holds
-    column a of every block.  ``slots`` (E, L, L) names the pattern slot
-    of each block entry, the spare slot ``pattern.nnz`` for entries on
-    fixed dofs; the entries are summed there and symmetrized as in
-    ``recover_hessian``.  A non-finite sum raises, naming its row.
+    ``blocks`` (E, L, L) holds every element's Hessian block and ``slots``
+    (E, L, L) the pattern slot of each block entry, the spare slot
+    ``pattern.nnz`` for entries on fixed dofs; the entries are summed there
+    and symmetrized as in ``recover_hessian``.  A non-finite sum raises,
+    naming its row.
     """
-    n_elems, n_local = slots.shape[:2]
-    data = np.zeros(pattern.nnz + 1)
-    for start in range(0, n_local, _ELEMENT_PROBE_BLOCK):
-        stop = min(start + _ELEMENT_PROBE_BLOCK, n_local)
-        seeds = np.zeros((n_elems, n_local, stop - start))
-        seeds[:, start:stop, :] = np.eye(stop - start)
-        block = np.asarray(hvp(seeds))
-        data += np.bincount(
-            slots[:, :, start:stop].ravel(), weights=block.ravel(), minlength=pattern.nnz + 1
-        )
+    if blocks.shape != slots.shape:
+        raise ValueError(f"element blocks have shape {blocks.shape}, slots {slots.shape}")
+    data = np.bincount(slots.ravel(), weights=blocks.ravel(), minlength=pattern.nnz + 1)
     data = data[: pattern.nnz]
     finite = np.isfinite(data)
     if not finite.all():

@@ -11,9 +11,12 @@ data: ``EnergyProblem`` lifts a free-dof vector into the field through
 gradients and Hessian-vector products back to the free dofs.
 ``build_problem`` bundles mesh, element tables, Dirichlet scaffolding,
 that tape, the sparsity pattern and the element slot map into a reusable
-problem object.  ``EnergyProblem.hessian`` seeds the tape's gathers with
-the element-local one-hot directions and sums the blocks into the
-pattern; a problem without a slot map colors the pattern on first use.
+problem object.  ``EnergyProblem.hessian`` takes the element blocks from
+the tape (``Program.element_hessians``: at the linear frontier for the
+bar and p-Laplace, at the gathers for Ginzburg-Landau) and sums them into
+the pattern; a problem without a slot map colors the pattern on first
+use.  ``EnergyProblem.along`` gives the energy on a line through a
+free-dof iterate as a program over the step length.
 """
 
 from __future__ import annotations
@@ -223,9 +226,10 @@ class EnergyProblem:
     ``element_slots`` maps each element's (L, L) Hessian block, with
     L = npe * components, into ``pattern`` (see ``fem.element_slots``);
     ``hessian`` takes the blocks from ``program`` itself, as second-order
-    adjoints at its per-component gathers.  A problem without a slot map,
-    such as an energy that is not a sum of element densities, gets its
-    Hessian through ``coloring``, colored on first use, instead.
+    adjoints at its linear frontier or at its per-component gathers.  A
+    problem without a slot map, such as an energy that is not a sum of
+    element densities, gets its Hessian through ``coloring``, colored on
+    first use, instead.
     """
 
     kind: str
@@ -286,25 +290,28 @@ class EnergyProblem:
     def hessian(self, u: np.ndarray) -> sp.csr_matrix:
         """Exact sparse Hessian at u over the free dofs.
 
-        With a slot map, the element blocks come from ``program``'s gather
-        adjoints under local one-hot seeds (element e's local index
+        With a slot map, the element blocks come from ``program`` itself
+        (``Program.element_hessians``: element e's local index
         a = c * i + comp is its node i, component comp); without one, the
         Hessian is recovered through the coloring.  A non-finite Hessian
         raises ``ColoringError`` either way.
         """
         if self.element_slots is None:
             return recover_hessian(self.hvp_operator(u), self.coloring, self.pattern)
-        v = self.full_field(u)
-        c = self.dofmap.components
+        blocks = self.program.element_hessians(self.full_field(u))
+        return assemble_element_hessian(blocks, self.element_slots, self.pattern)
 
-        def element_hvp(s: np.ndarray) -> np.ndarray:
-            out = np.empty_like(s)
-            seeds = [s[:, k::c] for k in range(c)]
-            for k, block in enumerate(self.program.gather_hessian_vector_product(v, seeds)):
-                out[:, k::c] = block
-            return out
+    def along(self, u: np.ndarray, d: np.ndarray) -> Program:
+        """J(u + alpha * d) as a program over [alpha] (``Program.along``).
 
-        return assemble_element_hessian(element_hvp, self.element_slots, self.pattern)
+        ``d`` is lifted into the field with zeros at the fixed dofs.
+        """
+        d = np.asarray(d, dtype=float)
+        if d.shape != (self.n_dofs,):
+            raise ValueError(f"direction must have shape ({self.n_dofs},), got {d.shape}")
+        lifted = np.zeros(self.dofmap.n_total)
+        lifted[self.dofmap.freedofs] = d
+        return self.program.along(self.full_field(u), lifted)
 
     def full_field(self, u: np.ndarray) -> np.ndarray:
         """Free-dof vector lifted into the field: ``u_0`` at the fixed dofs."""

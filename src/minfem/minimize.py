@@ -3,15 +3,19 @@
 Each iterate costs one energy-and-gradient sweep of the tape: its value
 feeds the stopping tests and is the line search's phi(0), and its
 gradient the Newton step.  Each iteration takes the exact sparse Hessian
-from ``EnergyProblem.hessian`` (element blocks from the energy tape's
-gathers for the benchmark energies, the colored recovery for other
-problems), solves for the Newton direction (direct or AMG-CG depending on
-size; successive AMG builds in one call share the aggregation wherever
-the sparsity structure and near-nullspace repeat exactly), regularizes
+from ``EnergyProblem.hessian`` (element blocks from the energy tape for
+the benchmark energies, the colored recovery for other problems), solves
+for the Newton direction (direct or AMG-CG depending on size; successive
+AMG builds in one call share the aggregation wherever the sparsity
+structure and near-nullspace repeat exactly), regularizes
 with an escalating Tikhonov shift when the solve fails or the direction
 is not a descent direction, and line-searches with golden section,
-rejecting steps where the energy is non-finite. A load-stepping loop
-handles the twisted-bar continuation.
+rejecting steps where the energy is non-finite.  The line search samples
+``EnergyProblem.along``: the energy on the step's line as a program over
+the step length, which replays only the part of the tape past its linear
+frontier.  Each ``IterationRecord`` keeps the wall time of the step's
+Hessian and line search and the line search's energy evaluations.  A
+load-stepping loop handles the twisted-bar continuation.
 """
 
 from __future__ import annotations
@@ -74,6 +78,14 @@ class NewtonConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One Newton step: the iterate it left and what the step cost.
+
+    ``hessian_s`` is the wall time of ``EnergyProblem.hessian`` (a failed
+    one included), ``linesearch_s`` that of building the line program
+    and the golden-section search over it, which evaluated the energy
+    ``linesearch_evals`` times.
+    """
+
     iteration: int
     energy: float
     grad_norm: float
@@ -81,6 +93,9 @@ class IterationRecord:
     solver: str
     inner_iterations: int
     shift: float  # Tikhonov lambda actually used (0 when plain Newton)
+    hessian_s: float
+    linesearch_s: float
+    linesearch_evals: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,6 +259,22 @@ def _newton_direction(
     )
 
 
+def _line_search(
+    problem: EnergyProblem, u: np.ndarray, d: np.ndarray, phi0: float
+) -> tuple[float, int]:
+    """Golden section along u + alpha d; returns alpha and the energy evaluations.
+
+    Every sample is one ``evaluate`` of the line program, which is dropped
+    on return, before the next Hessian.
+    """
+    line = problem.along(u, d)
+    samples: list[float] = []
+    alpha = golden_section(
+        lambda a: samples.append(a) or line.evaluate([a]), phi0, ALPHA_MAX, INTERVAL_TOL, MAX_EVALS
+    )
+    return alpha, len(samples)
+
+
 def newton_minimize(
     problem: EnergyProblem,
     u_init: np.ndarray,
@@ -305,14 +336,17 @@ def newton_minimize(
             best = result("max_iters")
             raise NewtonError(f"Newton did not converge in {cfg.max_iters} iterations", best=best)
 
+        hessian_started = time.perf_counter()
         try:
             hessian = problem.hessian(u)
         except ColoringError:
             hessian = None  # singular flat states; fall back to the shifted path
+        hessian_s = time.perf_counter() - hessian_started
         d, path, inner, shift = _newton_direction(hessian, grad, cfg, near_nullspace, amg)
-        alpha = golden_section(
-            lambda a: problem.evaluate(u + a * d), energy, ALPHA_MAX, INTERVAL_TOL, MAX_EVALS
-        )
+        del hessian  # freed before the line search and the next Hessian: a lower peak memory
+        linesearch_started = time.perf_counter()
+        alpha, linesearch_evals = _line_search(problem, u, d, energy)
+        linesearch_s = time.perf_counter() - linesearch_started
         log.append(
             IterationRecord(
                 iteration=len(log) + 1,
@@ -322,6 +356,9 @@ def newton_minimize(
                 solver=path,
                 inner_iterations=inner,
                 shift=shift,
+                hessian_s=hessian_s,
+                linesearch_s=linesearch_s,
+                linesearch_evals=linesearch_evals,
             )
         )
         previous = energy

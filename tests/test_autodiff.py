@@ -366,3 +366,114 @@ def test_gather_hvp_of_linear_terms_is_zero():
     assert_same_bits(block, np.zeros((2, 2, 4)))
     with pytest.raises(ValueError, match="expected 1 seeds"):
         prog.gather_hessian_vector_product(np.ones(3), [])
+
+
+def ops_of(program, slots):
+    writers = {ins.out: ins.op for ins in program.instrs}
+    return [writers[slot] for slot in slots]
+
+
+def test_frontier_of_benchmark_tapes(small_benchmarks):
+    pl, gl, bar = (problem.program for problem in small_benchmarks)
+    # the bar: the nine entries of F, one row sum each, after 3 gathers,
+    # 9 products and 9 row sums
+    assert ops_of(bar, bar.frontier.slots) == ["sum_rows"] * 9
+    assert len(bar.frontier.prefix) == 21
+    assert len(bar.frontier.prefix) + len(bar.frontier.suffix) == len(bar.instrs)
+    # Ginzburg-Landau: f_x, f_y and v_elems @ ip
+    assert ops_of(gl, gl.frontier.slots) == ["sum_rows", "sum_rows", "matmul"]
+    # p-Laplace: f_x, f_y and the load term's dot product
+    assert ops_of(pl, pl.frontier.slots) == ["sum_rows", "sum_rows", "dot"]
+
+
+def test_along_matches_evaluate_on_benchmarks(small_benchmarks):
+    rng = np.random.default_rng(59)
+    for problem in small_benchmarks:
+        u = random_benchmark_state(problem, rng)
+        d = random_benchmark_state(problem, rng) - u
+        line = problem.along(u, d)
+        assert line.n_inputs == 1
+        for alpha in (0.25, 1.0, 1.9):
+            want = problem.evaluate(u + alpha * d)
+            assert abs(line.evaluate([alpha]) - want) <= 1e-13 * abs(want), problem.kind
+
+
+def test_along_inverting_direction_is_nonfinite(tiny_bar_problem):
+    # d = -u collapses every element away from the end faces to a point at
+    # alpha = 1: det F = 0 there, and log(det F) = -inf
+    problem = tiny_bar_problem
+    u = problem.initial_guess
+    line = problem.along(u, -u)
+    assert not np.isfinite(problem.evaluate(u - u))
+    assert not np.isfinite(line.evaluate([1.0]))
+    assert np.isfinite(line.evaluate([0.5]))
+
+
+def test_along_on_a_tape_that_is_nonlinear_in_the_input():
+    rec = Recorder(3)
+    program = rec.build((rec.input_var**2).sum())
+    assert program.frontier.slots == (program.input_slot,)
+    assert program.frontier.prefix == ()
+    u, d = np.array([0.3, -1.2, 2.5]), np.array([1.1, 0.4, -0.7])
+    line = program.along(u, d)
+    for alpha in (0.25, 1.0, 1.9):
+        # z0 + alpha * z1 is u + alpha * d, so no bit moves
+        assert line.evaluate([alpha]) == program.evaluate(u + alpha * d)
+
+
+def test_dependent_frontier_slots_fall_back_to_the_input():
+    # w and 2 w are both read by the product: the cut falls back to the input
+    rec = Recorder(3)
+    w = rec.input_var[np.array([[0, 1], [1, 2]])]
+    program = rec.build((w * (2.0 * w)).sum())
+    assert program.frontier.slots == (program.input_slot,)
+    assert program.element_cut is None
+    u, d = np.array([0.3, -1.2, 2.5]), np.array([1.1, 0.4, -0.7])
+    assert program.along(u, d).evaluate([0.5]) == program.evaluate(u + 0.5 * d)
+
+
+def test_operations_on_constants_are_folded():
+    rec = Recorder(2)
+    c = rec.constant(np.array([1.0, 2.0]))
+    program = rec.build(dot(c * 3.0 + 1.0, rec.input_var))
+    assert [ins.op for ins in program.instrs] == ["dot"]
+    assert program.evaluate(np.array([1.0, 1.0])) == 4.0 + 7.0
+
+
+def test_element_hessians_of_linear_terms_are_zero():
+    rec = Recorder(3)
+    v = rec.input_var
+    idx = np.array([[0, 1], [1, 2]])
+    program = rec.build((3.0 * v[idx]).sum() - dot(np.array([1.0, 2.0, 3.0]), v))
+    assert program.frontier.slots == (program.output_slot,)
+    assert program.element_cut is None
+    assert_same_bits(program.element_hessians(np.ones(3)), np.zeros((2, 2, 2)))
+    u, d = np.array([0.3, -1.2, 2.5]), np.array([1.1, 0.4, -0.7])
+    want = program.evaluate(u + 0.5 * d)
+    assert abs(program.along(u, d).evaluate([0.5]) - want) <= 1e-15 * abs(want)
+
+
+def test_element_hessians_at_an_array_frontier_match_the_gathers():
+    # a per-element (E, 1) frontier slot, v_e @ m, and a load term
+    rng = np.random.default_rng(67)
+    idx = np.array([[0, 1, 2], [2, 3, 4], [4, 5, 0]])
+    m = rng.standard_normal((3, 1))
+    rec = Recorder(6)
+    v = rec.input_var
+    z = v[idx] @ m
+    program = rec.build(((z**4) @ np.ones(1)).sum() - dot(rng.standard_normal(6), v))
+    cut = program.element_cut
+    assert cut.shapes == ((1,),) and cut.jacobian.shape == (3, 1, 3)
+    u = rng.standard_normal(6)
+    got, want = program.element_hessians(u), program._gather_element_hessians(u)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_rows_mixed_in_the_prefix_keep_the_gathers():
+    # z[perm] pairs element e with another element's kinematics
+    idx = np.array([[0, 1], [1, 2], [2, 3]])
+    rec = Recorder(4)
+    z = (rec.input_var[idx] * np.array([1.0, -1.0])).sum(axis=1)
+    program = rec.build((z[np.array([1, 2, 0])] ** 4).sum())
+    assert len(program.frontier.slots) == 1
+    assert program.element_cut is None

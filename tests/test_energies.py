@@ -13,7 +13,7 @@ from helpers import (
 )
 from minfem import autodiff
 from minfem.autodiff import Recorder
-from minfem.coloring import color_pattern, recover_hessian
+from minfem.coloring import ColoringError, color_pattern, recover_hessian
 from minfem.energies import (
     EnergyProblem,
     GinzburgLandauParams,
@@ -315,11 +315,16 @@ def hessian_cases(tiny_bar_problem):
 
 
 def test_hessian_equals_element_local_tape_reference(hessian_cases):
+    # Ginzburg-Landau takes the gather cut, with the reference's bits; the
+    # p-Laplace and bar blocks are K^T W'' K at the frontier, equal to rounding
     for problem, u in hessian_cases:
         got, want = problem.hessian(u), element_local_hessian(problem, u)
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+        if problem.kind == "ginzburg_landau":
+            assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+        else:
+            assert np.abs(got.data - want.data).max() <= 1e-13 * np.abs(want.data).max()
 
 
 def test_replaced_program_gives_its_own_hessian():
@@ -414,3 +419,52 @@ def test_element_slots_reject_couplings_outside_pattern():
     diagonal = SparsityPattern.from_csr(sp.identity(problem.n_dofs, format="csr"))
     with pytest.raises(ValueError, match="outside the sparsity pattern"):
         element_slots(problem.mesh.elems, problem.dofmap, diagonal)
+
+
+def test_element_cut_choice_is_pinned(tiny_bar_problem):
+    # frontier width F against L local dofs: bar 9 < 12, p-Laplace 2 < 3
+    # (its load term is linear); Ginzburg-Landau 2 + 3 = 5 > 3 keeps the gathers
+    pl, gl = build_problem("plaplace", 1), build_problem("ginzburg_landau", 1)
+    for problem, width in ((tiny_bar_problem, 9), (pl, 2)):
+        n_elems, npe = problem.mesh.elems.shape
+        local = npe * problem.dofmap.components
+        assert problem.program.element_cut.jacobian.shape == (n_elems, width, local)
+    assert gl.program.element_cut is None
+
+
+def test_frontier_hessian_matches_colored_recovery(tiny_bar_problem):
+    bar = build_problem("neohooke", 1)
+    angle = 2.0 * np.pi / 3.0
+    twisted = bar.with_dirichlet(bar_dirichlet_values(bar.mesh, angle))
+    rng = np.random.default_rng(61)
+    pl = jittered(build_problem("plaplace", 3), 5)
+    cases = [
+        (twisted, twisted_bar_state(bar, angle, rng)),
+        (tiny_bar_problem, random_benchmark_state(tiny_bar_problem, rng)),
+        (pl, random_benchmark_state(pl, rng)),
+    ]
+    for problem, u in cases:
+        assert problem.program.element_cut is not None
+        assert_matches_colored_recovery(problem, u)
+
+
+def test_nonfinite_frontier_hessian_names_a_row():
+    # |grad u|^3 has no finite second derivative at grad u = 0
+    problem = build_problem("plaplace", 1)
+    assert problem.program.element_cut is not None
+    with pytest.raises(ColoringError, match=r"non-finite element Hessian entry in row \d+$"):
+        problem.hessian(np.zeros(problem.n_dofs))
+
+
+def test_element_jacobian_is_computed_once_per_program(monkeypatch):
+    calls = []
+    element_cut = autodiff._element_cut
+    monkeypatch.setattr(autodiff, "_element_cut", lambda p: calls.append(p) or element_cut(p))
+    problem = problem_from_mesh("neohooke", bar_mesh_from_cells(4, 2, 2, 0.005))
+    # set-up leaves it to the first Hessian
+    assert calls == [] and "element_cut" not in vars(problem.program)
+    twisted = problem.with_dirichlet(bar_dirichlet_values(problem.mesh, np.pi / 3))
+    for p in (problem, twisted, problem):
+        p.hessian(p.initial_guess)
+    assert calls == [problem.program]
+    assert twisted.program.element_cut is problem.program.element_cut
