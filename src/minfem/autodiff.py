@@ -30,16 +30,16 @@ skip the linear part of the tape.
 
 Element Hessians come from the same tape (``Program.element_hessians``),
 by second-order adjoint preaccumulation at intermediate variables
-(Griewank and Walther, Evaluating Derivatives, 2nd ed., SIAM 2008).
-Where the frontier is per-element kinematics narrower than the element's
-local dofs, it is seeded with one-hot tangents and the reverse sweep
-stops there, giving the density's second derivatives W''; each block is
-K^T W'' K, with K the frontier's constant Jacobian with respect to the
-local dofs (``Program.element_cut``, computed once per program).
-Otherwise ``gather_hessian_vector_product`` seeds the outputs of the
-gathers from the input with element-local directions and stops the
-reverse sweep at those gathers, so the adjoint tangents are read per
-element and never scattered into the field.
+(Griewank and Walther, Evaluating Derivatives, 2nd ed., SIAM 2008), at
+one cut (``Program.element_cut``, computed once per program).  The cut is
+the frontier where it is per-element kinematics, of any width, and
+otherwise the gathers from the input.  Its per-element entries are
+seeded with one-hot tangents and the reverse sweep stops at the cut,
+giving the density's second derivatives W'' with respect to them; each
+block is K^T W'' K, with K the cut's constant Jacobian with respect to
+the element's local dofs (at the gathers, the local one-hot selection).
+The adjoint tangents are read per element and never scattered into the
+field.
 
 The replay kernels are written for speed but keep numpy's bits.  A row
 sum over fewer than 8 columns adds the columns one by one, which is what
@@ -589,18 +589,20 @@ def _frontier(program: "Program") -> Frontier:
 
 @dataclass(frozen=True, eq=False)
 class ElementCut:
-    """Frontier slots with one row per element, and their Jacobian.
+    """Where element Hessians are cut: per-element slots and their Jacobian.
 
     ``shapes[i]`` is the shape of one element's row of ``slots[i]`` (()
     for an (E,) slot, (q,) for an (E, q) one); ``jacobian`` (E, F, L)
-    holds the derivatives of element e's F frontier entries, in slot
-    order, with respect to its L local dofs.  It is constant because the
-    prefix is linear.
+    holds the derivatives of element e's F cut entries, in slot order,
+    with respect to its L local dofs.  It is constant because the prefix
+    is linear.  ``stop`` are the slots where the reverse sweep stops: the
+    whole frontier for a frontier cut, the gathers for a gather cut.
     """
 
     slots: tuple[int, ...]
     shapes: tuple[tuple[int, ...], ...]
     jacobian: np.ndarray
+    stop: tuple[int, ...]
 
 
 def _input_gathers(program: "Program") -> list[Instr]:
@@ -665,50 +667,52 @@ def _element_slots(program: "Program", gathers: list[Instr], ws: list, n_elems: 
     return tuple(slots), tuple(shapes)
 
 
-def _element_cut(program: "Program") -> ElementCut | None:
-    """The frontier as per-element kinematics, or None where it is not.
+def _element_cut(program: "Program") -> ElementCut:
+    """The cut for element Hessians: the frontier where it is per-element
+    kinematics, of any width, else the gathers from the input.
 
-    The frontier qualifies when the input is read only by gathers with one
-    (E, npe) index matrix and by dot products with constants; each
-    frontier slot either has one row per element, computed row by row
-    from the gathers, or is a scalar that reaches the output through
-    ``add``/``sub`` alone (a linear load term, which adds nothing to the
-    Hessian); and the per-element frontier is narrower than the L local
-    dofs.  The Jacobian comes from the local one-hot directions pushed
-    through the prefix at u = 0, a few at a time.
+    The input must be read only by gathers with one (E, npe) index matrix
+    and by dot products with constants (``ValueError`` otherwise).  The
+    frontier is the cut when each of its slots either has one row per
+    element, computed row by row from the gathers, or is a scalar that
+    reaches the output through ``add``/``sub`` alone (a linear load term,
+    which adds nothing to the Hessian); the reverse sweep then stops at
+    every frontier slot.  Otherwise (frontier slots that depend on each
+    other, rows mixed in the prefix) the gathers are the cut, and the
+    sweep stops only there.  The Jacobian comes from the local one-hot
+    directions pushed through the prefix at u = 0, a few at a time; at
+    the gathers it is the one-hot selection itself.
     """
-    try:
-        gathers = _input_gathers(program)
-    except ValueError:
-        return None
+    gathers = _input_gathers(program)
     shapes = {ins.aux.shape for ins in gathers}
     if len(shapes) != 1 or len(next(iter(shapes))) != 2:
-        return None
+        raise ValueError("element Hessians need gathers from the input by one (E, npe) matrix")
     ((n_elems, npe),) = shapes
     n_local = npe * len(gathers)
     jacobian = None
     for start in range(0, n_local, _ELEMENT_PROBE_BLOCK):
         stop = min(start + _ELEMENT_PROBE_BLOCK, n_local)
-        seeds = _local_one_hots(n_elems, npe, len(gathers), start, stop)
-        ws = program._forward(
-            np.zeros(program.n_inputs),
-            {ins.out: seed for ins, seed in zip(gathers, seeds)},
-            program.frontier.prefix,
-        )
+        one_hots = _local_one_hots(n_elems, npe, len(gathers), start, stop)
+        seeds = {ins.out: seed for ins, seed in zip(gathers, one_hots)}
+        ws = program._forward(np.zeros(program.n_inputs), seeds, program.frontier.prefix)
         if jacobian is None:
             found = _element_slots(program, gathers, ws, n_elems)
             if found is None:
-                return None
-            slots, row_shapes = found
+                slots = sweep_stop = tuple(ins.out for ins in gathers)
+                row_shapes = ((npe,),) * len(gathers)
+            else:
+                (slots, row_shapes), sweep_stop = found, program.frontier.slots
             width = sum(int(np.prod(shape)) for shape in row_shapes)
-            if not 0 < width < n_local:
-                return None
             jacobian = np.empty((n_elems, width, n_local))
-        jacobian[:, :, start:stop] = np.concatenate(
-            [ws[slot].dot.reshape(n_elems, -1, stop - start) for slot in slots], axis=1
-        )
+        row = 0
+        for slot, shape in zip(slots, row_shapes):
+            # a gather's tangent is its seed, also where there is no prefix
+            tangent = seeds[slot] if slot in seeds else ws[slot].dot
+            entries = int(np.prod(shape))
+            jacobian[:, row : row + entries, start:stop] = tangent.reshape(n_elems, entries, -1)
+            row += entries
         del ws  # one block's working set at a time
-    return ElementCut(slots, row_shapes, jacobian)
+    return ElementCut(slots, row_shapes, jacobian, sweep_stop)
 
 
 # ---------------------------------------------------------------------------
@@ -763,21 +767,23 @@ class Program:
 
     def _reverse(self, ws, seed, stop: tuple[int, ...] | None = None) -> list:
         # adjoints of the stop slots (default: the input); an instruction
-        # writing a stop slot keeps its adjoint instead of passing it back
+        # writing a stop slot keeps its adjoint instead of passing it back.
+        # Each value in ws is dropped once its readers are swept (a lower
+        # peak memory), so the caller reads what it needs from ws before
         stop = (self.input_slot,) if stop is None else stop
         adj: list = [None] * self.n_slots
         adj[self.output_slot] = seed
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for ins in reversed(self.instrs):
-                if ins.out in stop:
-                    continue
-                # each slot is written by one instruction: its adjoint is final here
-                g, adj[ins.out] = adj[ins.out], None
-                if g is None:
-                    continue
-                for slot, contrib in _vjp(ins, ws, g, self.diff):
-                    cur = adj[slot]
-                    adj[slot] = contrib if cur is None else _add(cur, contrib)
+                if ins.out not in stop:
+                    # each slot is written by one instruction: its adjoint is final here
+                    g, adj[ins.out] = adj[ins.out], None
+                    if g is not None:
+                        for slot, contrib in _vjp(ins, ws, g, self.diff):
+                            cur = adj[slot]
+                            adj[slot] = contrib if cur is None else _add(cur, contrib)
+                # every reader of this slot comes later in the tape and is swept
+                ws[ins.out] = None
         return [adj[slot] for slot in stop]
 
     def evaluate(self, u) -> float:
@@ -789,10 +795,11 @@ class Program:
         """J(u) and its exact gradient in one forward/reverse sweep."""
         u = self._check_input(u)
         ws = self._forward(u)
+        value = float(_val(ws[self.output_slot]))
         (grad,) = self._reverse(ws, 1.0)
         if grad is None:
             grad = np.zeros(self.n_inputs)
-        return float(_val(ws[self.output_slot])), np.array(grad, dtype=float)
+        return value, np.array(grad, dtype=float)
 
     def gradient(self, u) -> np.ndarray:
         """Exact gradient of J at u."""
@@ -817,31 +824,6 @@ class Program:
             out = np.array(grad.dot, dtype=float)
         return out[:, 0] if single else out
 
-    def gather_hessian_vector_product(self, u, seeds) -> list[np.ndarray]:
-        """Second-order adjoints at the gathers from the input, for seeded gathers.
-
-        ``seeds`` holds one tangent array of shape ``idx.shape + (k,)`` per
-        ``take`` from the input, in tape order.  The forward sweep runs on
-        the plain input and turns each gather's output into a dual with
-        its seed; the reverse sweep stops at the gathers and returns their
-        adjoint tangents, in the same order and shapes.  For a sum of
-        element densities, local one-hot seeds give every element Hessian
-        block at once.  Raises ``ValueError`` when anything other than a
-        gather or a dot product with a constant reads the input (the
-        latter is linear, so it adds nothing to the Hessian).
-        """
-        u = self._check_input(u)
-        gathers = [ins.out for ins in _input_gathers(self)]
-        seeds = [np.asarray(seed, dtype=float) for seed in seeds]
-        if len(seeds) != len(gathers):
-            raise ValueError(f"expected {len(gathers)} seeds, one per gather, got {len(seeds)}")
-        ws = self._forward(u, dict(zip(gathers, seeds)))
-        adjoints = self._reverse(ws, 1.0, tuple(gathers))
-        return [
-            np.array(adj.dot, dtype=float) if isinstance(adj, _Dual) else np.zeros_like(seed)
-            for adj, seed in zip(adjoints, seeds)
-        ]
-
     # -- the linear frontier ------------------------------------------------
 
     @functools.cached_property
@@ -850,10 +832,9 @@ class Program:
         return _frontier(self)
 
     @functools.cached_property
-    def element_cut(self) -> ElementCut | None:
-        """The frontier as per-element kinematics with their constant
-        Jacobian, computed on first use; None where element Hessians take
-        the gathers instead (see ``element_hessians``)."""
+    def element_cut(self) -> ElementCut:
+        """The cut for element Hessians with its constant Jacobian, computed
+        on first use (see ``element_hessians``)."""
         return _element_cut(self)
 
     def along(self, u, direction) -> "Program":
@@ -903,19 +884,17 @@ class Program:
         Local index a = c * i + k is column i of the k-th gather from the
         input (tape order, c gathers in all), so for a field with c
         interleaved components gathered one per component it is node i,
-        component k; L = c * npe.  Where ``element_cut`` exists, the
-        frontier slots are seeded with one-hot tangents and the reverse
-        sweep stops at them, giving W'' (E, F, F) with respect to the F
-        per-element frontier entries; the blocks are K^T W'' K with K the
-        cut's Jacobian.  Otherwise the gathers are seeded with the local
-        one-hot directions, a few at a time (``gather_hessian_vector_product``).
-        Raises ``ValueError`` when anything other than a gather or a dot
-        product with a constant reads the input.
+        component k; L = c * npe.  The F per-element entries of
+        ``element_cut`` are seeded with one-hot tangents and the reverse
+        sweep stops at the cut's stop slots, giving W'' (E, F, F), the
+        second derivatives with respect to those entries; the blocks are
+        K^T W'' K with K the cut's Jacobian.  F = 0 (a linear tape) gives
+        zero blocks.  Raises ``ValueError`` when anything other than a
+        gather by one index matrix or a dot product with a constant reads
+        the input.
         """
         u = self._check_input(u)
         cut = self.element_cut
-        if cut is None:
-            return self._gather_element_hessians(u)
         k = cut.jacobian
         n_elems, width = k.shape[:2]
         # one-hot tangents: each slot's entries are its columns among the F
@@ -927,27 +906,9 @@ class Program:
             seeds[slot] = np.broadcast_to(seed, (n_elems,) + seed.shape)
             columns.append(cols)
             start = cols.stop
-        ws = self._forward(u, seeds)
-        # the scalar frontier slots stop the sweep too, so nothing passes below
-        adjoints = dict(zip(self.frontier.slots, self._reverse(ws, 1.0, self.frontier.slots)))
-        del ws  # drop the sweep's values before the products: a lower peak memory
+        adjoints = dict(zip(cut.stop, self._reverse(self._forward(u, seeds), 1.0, cut.stop)))
         w = np.zeros((n_elems, width, width))
         for slot, cols in zip(cut.slots, columns):
             if isinstance(adjoints[slot], _Dual):
                 w[:, cols] = adjoints[slot].dot.reshape(n_elems, -1, width)
         return np.matmul(k.transpose(0, 2, 1), np.matmul(w, k))
-
-    def _gather_element_hessians(self, u: np.ndarray) -> np.ndarray:
-        gathers = _input_gathers(self)
-        if not gathers:
-            raise ValueError("the input is not read by any gather")
-        n_elems, npe = gathers[0].aux.shape
-        n_local = npe * len(gathers)
-        blocks = np.empty((n_elems, n_local, n_local))
-        for start in range(0, n_local, _ELEMENT_PROBE_BLOCK):
-            stop = min(start + _ELEMENT_PROBE_BLOCK, n_local)
-            seeds = _local_one_hots(n_elems, npe, len(gathers), start, stop)
-            products = self.gather_hessian_vector_product(u, seeds)
-            for k, product in enumerate(products):
-                blocks[:, k :: len(gathers), start:stop] = product
-        return blocks

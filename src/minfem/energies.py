@@ -12,11 +12,11 @@ gradients and Hessian-vector products back to the free dofs.
 ``build_problem`` bundles mesh, element tables, Dirichlet scaffolding,
 that tape, the sparsity pattern and the element slot map into a reusable
 problem object.  ``EnergyProblem.hessian`` takes the element blocks from
-the tape (``Program.element_hessians``: at the linear frontier for the
-bar and p-Laplace, at the gathers for Ginzburg-Landau) and sums them into
-the pattern; a problem without a slot map colors the pattern on first
-use.  ``EnergyProblem.along`` gives the energy on a line through a
-free-dof iterate as a program over the step length.
+the tape (``Program.element_hessians``, cut at the linear frontier for
+all three benchmarks) and sums them into the pattern; a problem without
+a slot map colors the pattern on first use.  ``EnergyProblem.along``
+gives the energy on a line through a free-dof iterate as a program over
+the step length.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ class EnergyProblem:
     ``element_slots`` maps each element's (L, L) Hessian block, with
     L = npe * components, into ``pattern`` (see ``fem.element_slots``);
     ``hessian`` takes the blocks from ``program`` itself, as second-order
-    adjoints at its linear frontier or at its per-component gathers.  A
+    adjoints at its element cut (``Program.element_cut``).  A
     problem without a slot map, such as an energy that is not a sum of
     element densities, gets its Hessian through ``coloring``, colored on
     first use, instead.

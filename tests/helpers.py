@@ -64,25 +64,40 @@ def element_local_program(problem: EnergyProblem):
     return rec.build(DENSITIES[problem.kind](comps, problem.elemdata, problem.params).sum())
 
 
-def element_local_hessian(problem: EnergyProblem, u: np.ndarray) -> sp.csr_matrix:
-    """Hessian from HVPs of the element-local tape: the reference for ``problem.hessian``.
+def element_blocks_by_hvp(problem: EnergyProblem, u: np.ndarray) -> np.ndarray:
+    """Every element's (L, L) Hessian block from HVPs of the element-local tape.
 
-    Probes flat one-hot local directions in blocks of 6, sums the products
-    into ``problem.element_slots`` with ``np.bincount`` and symmetrizes.
+    That tape's Hessian is block diagonal, so probing every flat one-hot
+    local direction (in blocks of 6) reads each element's block apart:
+    the oracle for ``Program.element_hessians``.
     """
     c = problem.dofmap.components
     program = element_local_program(problem)
     x = problem.full_field(u)[element_dofs(problem.elemdata.elems, c)].ravel()
-    slots, nnz = problem.element_slots, problem.pattern.nnz
-    n_elems, n_local = slots.shape[:2]
-    data = np.zeros(nnz + 1)
+    n_elems, n_local = problem.mesh.elems.shape[0], problem.mesh.elems.shape[1] * c
+    blocks = np.empty((n_elems, n_local, n_local))
     for start in range(0, n_local, 6):
         stop = min(start + 6, n_local)
         seeds = np.zeros((n_elems, n_local, stop - start))
         seeds[:, start:stop, :] = np.eye(stop - start)
         block = program.hessian_vector_product(x, seeds.reshape(n_elems * n_local, -1))
+        blocks[:, :, start:stop] = block.reshape(n_elems, n_local, -1)
+    return blocks
+
+
+def element_local_hessian(problem: EnergyProblem, u: np.ndarray) -> sp.csr_matrix:
+    """Hessian from HVPs of the element-local tape: the reference for ``problem.hessian``.
+
+    Sums the ``element_blocks_by_hvp`` blocks into ``problem.element_slots``
+    with ``np.bincount``, 6 local columns at a time, and symmetrizes.
+    """
+    slots, nnz = problem.element_slots, problem.pattern.nnz
+    blocks = element_blocks_by_hvp(problem, u)
+    data = np.zeros(nnz + 1)
+    for start in range(0, slots.shape[2], 6):
+        cols = slice(start, start + 6)
         data += np.bincount(
-            slots[:, :, start:stop].ravel(), weights=block.ravel(), minlength=nnz + 1
+            slots[:, :, cols].ravel(), weights=blocks[:, :, cols].ravel(), minlength=nnz + 1
         )
     n = problem.pattern.n
     h = sp.csr_matrix((data[:nnz], problem.pattern.indices, problem.pattern.indptr), shape=(n, n))

@@ -4,6 +4,7 @@ import pytest
 from helpers import (
     central_difference_gradient,
     dense_hessian_by_probes,
+    element_blocks_by_hvp,
     element_local_program,
     jittered,
     make_quadratic_problem,
@@ -323,49 +324,72 @@ def test_gather_needs_a_vector_operand():
 
 
 def input_gathers(program):
-    return [ins.aux for ins in program.instrs if ins.op == "take" and ins.args == (0,)]
+    return [ins for ins in program.instrs if ins.op == "take" and ins.args == (0,)]
 
 
-def test_gather_hvp_scatters_to_hessian_vector_product(level3_benchmarks):
+def scattered_hessian(program, u):
+    """``element_hessians`` summed through the gathers' index matrices, dense."""
+    gathers = input_gathers(program)
+    dofs = np.stack([ins.aux for ins in gathers], axis=2).reshape(gathers[0].aux.shape[0], -1)
+    h = np.zeros((u.size, u.size))
+    for e, block in enumerate(program.element_hessians(u)):
+        h[np.ix_(dofs[e], dofs[e])] += block
+    return h
+
+
+def assert_scatters_to_hessian(program, u):
+    want = program.hessian_vector_product(u, np.eye(u.size))
+    got = scattered_hessian(program, u)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    return want
+
+
+def assert_gather_cut(program):
+    gathers = input_gathers(program)
+    cut = program.element_cut
+    assert cut.slots == cut.stop == tuple(ins.out for ins in gathers)
+    # K is the local one-hot selection: entry k * npe + i is local c * i + k
+    npe = gathers[0].aux.shape[1]
+    local = np.arange(npe * len(gathers)).reshape(npe, len(gathers)).T.ravel()
+    assert_same_bits(cut.jacobian, np.broadcast_to(np.eye(local.size)[local], cut.jacobian.shape))
+
+
+def assert_close_with_nans(got, want):
+    # p-Laplace has no finite second derivative where grad u = 0: elements
+    # with all nodes on the boundary give NaN on both sides
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.abs(got[~nan] - want[~nan]).max() <= 1e-13 * np.abs(want[~nan]).max()
+
+
+def test_element_hessians_scatter_to_hessian_vector_product(level3_benchmarks):
     rng = np.random.default_rng(37)
     for problem in level3_benchmarks:
         program = problem.program
-        v = problem.full_field(random_benchmark_state(problem, rng))
+        u = random_benchmark_state(problem, rng)
+        v = problem.full_field(u)
+        blocks = program.element_hessians(v)
+        assert_close_with_nans(blocks, element_blocks_by_hvp(problem, u))
         s = rng.standard_normal((v.size, 6))
-        gathers = input_gathers(program)
-        assert len(gathers) == problem.dofmap.components
-        blocks = program.gather_hessian_vector_product(v, [s[idx] for idx in gathers])
-        scattered = np.zeros_like(s)
-        for idx, block in zip(gathers, blocks):
-            assert block.shape == idx.shape + (6,)
-            for j in range(6):
-                weights = block[..., j].ravel()
-                scattered[:, j] += np.bincount(idx.ravel(), weights=weights, minlength=v.size)
-        assert_same_bits(scattered, program.hessian_vector_product(v, s))
+        dofs = element_dofs(problem.elemdata.elems, problem.dofmap.components)
+        products = np.einsum("eab,ebk->eak", blocks, s[dofs])
+        scattered = np.stack(
+            [np.bincount(dofs.ravel(), products[..., j].ravel(), v.size) for j in range(6)], axis=1
+        )
+        assert_close_with_nans(scattered, program.hessian_vector_product(v, s))
 
 
-def test_gather_hvp_rejects_other_reads_of_the_input():
+def test_element_hessians_reject_other_reads_of_the_input():
     rng = np.random.default_rng(41)
     m = rng.standard_normal((4, 4))
     problem = make_quadratic_problem(m.T @ m, rng.standard_normal(4))
     with pytest.raises(ValueError, match="'matmul'"):
-        problem.program.gather_hessian_vector_product(np.zeros(4), [])
+        problem.program.element_hessians(np.zeros(4))
     rec = Recorder(3)
     v = rec.input_var
     prog = rec.build((v[np.array([[0, 1], [1, 2]])] ** 2).sum() + dot(v, v))
     with pytest.raises(ValueError, match="'dot'"):
-        prog.gather_hessian_vector_product(np.zeros(3), [np.zeros((2, 2, 1))])
-
-
-def test_gather_hvp_of_linear_terms_is_zero():
-    rec = Recorder(3)
-    v = rec.input_var
-    idx = np.array([[0, 1], [1, 2]])
-    prog = rec.build((3.0 * v[idx]).sum() - dot(np.array([1.0, 2.0, 3.0]), v))
-    (block,) = prog.gather_hessian_vector_product(np.ones(3), [np.ones((2, 2, 4))])
-    assert_same_bits(block, np.zeros((2, 2, 4)))
-    with pytest.raises(ValueError, match="expected 1 seeds"):
-        prog.gather_hessian_vector_product(np.ones(3), [])
+        prog.element_hessians(np.zeros(3))
 
 
 def ops_of(program, slots):
@@ -427,9 +451,10 @@ def test_dependent_frontier_slots_fall_back_to_the_input():
     w = rec.input_var[np.array([[0, 1], [1, 2]])]
     program = rec.build((w * (2.0 * w)).sum())
     assert program.frontier.slots == (program.input_slot,)
-    assert program.element_cut is None
+    assert_gather_cut(program)
     u, d = np.array([0.3, -1.2, 2.5]), np.array([1.1, 0.4, -0.7])
     assert program.along(u, d).evaluate([0.5]) == program.evaluate(u + 0.5 * d)
+    assert_scatters_to_hessian(program, u)
 
 
 def test_operations_on_constants_are_folded():
@@ -446,14 +471,19 @@ def test_element_hessians_of_linear_terms_are_zero():
     idx = np.array([[0, 1], [1, 2]])
     program = rec.build((3.0 * v[idx]).sum() - dot(np.array([1.0, 2.0, 3.0]), v))
     assert program.frontier.slots == (program.output_slot,)
-    assert program.element_cut is None
+    # a frontier of width 0: K is (E, 0, L) and the blocks are zero
+    cut = program.element_cut
+    assert cut.slots == () and cut.stop == (program.output_slot,)
+    assert cut.jacobian.shape == (2, 0, 2)
     assert_same_bits(program.element_hessians(np.ones(3)), np.zeros((2, 2, 2)))
+    assert_same_bits(scattered_hessian(program, np.ones(3)), np.zeros((3, 3)))
+    assert_same_bits(program.hessian_vector_product(np.ones(3), np.eye(3)), np.zeros((3, 3)))
     u, d = np.array([0.3, -1.2, 2.5]), np.array([1.1, 0.4, -0.7])
     want = program.evaluate(u + 0.5 * d)
     assert abs(program.along(u, d).evaluate([0.5]) - want) <= 1e-15 * abs(want)
 
 
-def test_element_hessians_at_an_array_frontier_match_the_gathers():
+def test_element_hessians_at_an_array_frontier_match_the_hvp():
     # a per-element (E, 1) frontier slot, v_e @ m, and a load term
     rng = np.random.default_rng(67)
     idx = np.array([[0, 1, 2], [2, 3, 4], [4, 5, 0]])
@@ -464,16 +494,18 @@ def test_element_hessians_at_an_array_frontier_match_the_gathers():
     program = rec.build(((z**4) @ np.ones(1)).sum() - dot(rng.standard_normal(6), v))
     cut = program.element_cut
     assert cut.shapes == ((1,),) and cut.jacobian.shape == (3, 1, 3)
-    u = rng.standard_normal(6)
-    got, want = program.element_hessians(u), program._gather_element_hessians(u)
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert cut.stop == program.frontier.slots
+    assert_scatters_to_hessian(program, rng.standard_normal(6))
 
 
 def test_rows_mixed_in_the_prefix_keep_the_gathers():
-    # z[perm] pairs element e with another element's kinematics
+    # z[perm] pairs element e with another element's kinematics: the sweep
+    # must run through z to the gathers
     idx = np.array([[0, 1], [1, 2], [2, 3]])
     rec = Recorder(4)
     z = (rec.input_var[idx] * np.array([1.0, -1.0])).sum(axis=1)
     program = rec.build((z[np.array([1, 2, 0])] ** 4).sum())
     assert len(program.frontier.slots) == 1
-    assert program.element_cut is None
+    assert_gather_cut(program)
+    want = assert_scatters_to_hessian(program, np.array([0.3, -1.2, 2.5, 0.8]))
+    assert np.abs(want).max() > 1.0

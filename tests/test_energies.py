@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -315,16 +316,12 @@ def hessian_cases(tiny_bar_problem):
 
 
 def test_hessian_equals_element_local_tape_reference(hessian_cases):
-    # Ginzburg-Landau takes the gather cut, with the reference's bits; the
-    # p-Laplace and bar blocks are K^T W'' K at the frontier, equal to rounding
+    # every block is K^T W'' K at the frontier, equal to the reference to rounding
     for problem, u in hessian_cases:
         got, want = problem.hessian(u), element_local_hessian(problem, u)
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
-        if problem.kind == "ginzburg_landau":
-            assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
-        else:
-            assert np.abs(got.data - want.data).max() <= 1e-13 * np.abs(want.data).max()
+        assert np.abs(got.data - want.data).max() <= 1e-13 * np.abs(want.data).max()
 
 
 def test_replaced_program_gives_its_own_hessian():
@@ -422,14 +419,16 @@ def test_element_slots_reject_couplings_outside_pattern():
 
 
 def test_element_cut_choice_is_pinned(tiny_bar_problem):
-    # frontier width F against L local dofs: bar 9 < 12, p-Laplace 2 < 3
-    # (its load term is linear); Ginzburg-Landau 2 + 3 = 5 > 3 keeps the gathers
+    # every benchmark is cut at its frontier, whatever its width F against
+    # the L local dofs: bar 9 < 12, p-Laplace 2 < 3 (its load term is
+    # linear), Ginzburg-Landau 2 + 3 = 5 > 3
     pl, gl = build_problem("plaplace", 1), build_problem("ginzburg_landau", 1)
-    for problem, width in ((tiny_bar_problem, 9), (pl, 2)):
+    for problem, width in ((tiny_bar_problem, 9), (pl, 2), (gl, 5)):
         n_elems, npe = problem.mesh.elems.shape
         local = npe * problem.dofmap.components
-        assert problem.program.element_cut.jacobian.shape == (n_elems, width, local)
-    assert gl.program.element_cut is None
+        cut = problem.program.element_cut
+        assert cut.jacobian.shape == (n_elems, width, local)
+        assert cut.stop == problem.program.frontier.slots
 
 
 def test_frontier_hessian_matches_colored_recovery(tiny_bar_problem):
@@ -446,6 +445,22 @@ def test_frontier_hessian_matches_colored_recovery(tiny_bar_problem):
     for problem, u in cases:
         assert problem.program.element_cut is not None
         assert_matches_colored_recovery(problem, u)
+
+
+# SHA-256 of ``problem.hessian(u).data`` from before Ginzburg-Landau joined
+# the frontier cut: the p-Laplace and bar blocks must keep their bits
+HESSIAN_PINNED = {
+    "plaplace": (71, "91024ac05e1ddbebfa1da7694b8559b08750697dcb19a4ae2fdd5131f1d2aee1"),
+    "neohooke": (73, "cc1c78e36efe4b6f14b37c5b7fad9b5fd402b2b6958d79525763495e62918362"),
+}
+
+
+def test_frontier_hessian_bits_are_pinned(tiny_bar_problem):
+    for problem in (build_problem("plaplace", 3), tiny_bar_problem):
+        seed, digest = HESSIAN_PINNED[problem.kind]
+        u = random_benchmark_state(problem, np.random.default_rng(seed))
+        data = problem.hessian(u).data
+        assert hashlib.sha256(data.tobytes()).hexdigest() == digest, problem.kind
 
 
 def test_nonfinite_frontier_hessian_names_a_row():

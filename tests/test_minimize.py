@@ -279,11 +279,11 @@ def _pinned(result):
 # line-search alphas of two reference runs.  A change to the replay kernels
 # that moves one bit of any energy, gradient or Hessian shows up here.
 GL4_AMG_PINNED = (
-    "0x1.628a7f1813eecp-2",
+    "0x1.628a7f1813eddp-2",
     3,
     (7, 8, 8),
     0,
-    ("0x1.235382062f23ap+0", "0x1.160eb525e042ap+0", "0x1.023ac42db2c6ep+0"),
+    ("0x1.2353821efb944p+0", "0x1.160eb57b39bf0p+0", "0x1.023abf4cd3040p+0"),
 )
 TINY_BAR_PINNED = (
     (
