@@ -476,11 +476,20 @@ def test_element_hessians_of_linear_terms_are_zero():
     assert cut.slots == () and cut.stop == (program.output_slot,)
     assert cut.jacobian.shape == (2, 0, 2)
     assert_same_bits(program.element_hessians(np.ones(3)), np.zeros((2, 2, 2)))
-    assert_same_bits(scattered_hessian(program, np.ones(3)), np.zeros((3, 3)))
-    assert_same_bits(program.hessian_vector_product(np.ones(3), np.eye(3)), np.zeros((3, 3)))
     u, d = np.array([0.3, -1.2, 2.5]), np.array([1.1, 0.4, -0.7])
     want = program.evaluate(u + 0.5 * d)
     assert abs(program.along(u, d).evaluate([0.5]) - want) <= 1e-15 * abs(want)
+
+
+def test_gather_hvp_of_linear_terms_is_zero():
+    # gathers and dot products with constants only: every HVP is zero,
+    # and so is the Hessian the element blocks scatter to
+    rec = Recorder(3)
+    v = rec.input_var
+    idx = np.array([[0, 1], [1, 2]])
+    program = rec.build((3.0 * v[idx]).sum() - dot(np.array([1.0, 2.0, 3.0]), v))
+    assert_same_bits(scattered_hessian(program, np.ones(3)), np.zeros((3, 3)))
+    assert_same_bits(program.hessian_vector_product(np.ones(3), np.eye(3)), np.zeros((3, 3)))
 
 
 def test_element_hessians_at_an_array_frontier_match_the_hvp():
