@@ -14,8 +14,8 @@ rejecting steps where the energy is non-finite.  The line search samples
 ``EnergyProblem.along``: the energy on the step's line as a program over
 the step length, which replays only the part of the tape past its linear
 frontier.  Each ``IterationRecord`` keeps the wall time of the step's
-Hessian and line search and the line search's energy evaluations.  A
-load-stepping loop handles the twisted-bar continuation.
+Hessian, linear solve and line search and the line search's energy
+evaluations.  A load-stepping loop handles the twisted-bar continuation.
 """
 
 from __future__ import annotations
@@ -81,9 +81,10 @@ class IterationRecord:
     """One Newton step: the iterate it left and what the step cost.
 
     ``hessian_s`` is the wall time of ``EnergyProblem.hessian`` (a failed
-    one included), ``linesearch_s`` that of building the line program
-    and the golden-section search over it, which evaluated the energy
-    ``linesearch_evals`` times.
+    one included), ``solve_s`` that of finding the Newton direction (AMG
+    builds and shifted retries included), ``linesearch_s`` that of
+    building the line program and the golden-section search over it,
+    which evaluated the energy ``linesearch_evals`` times.
     """
 
     iteration: int
@@ -94,6 +95,7 @@ class IterationRecord:
     inner_iterations: int
     shift: float  # Tikhonov lambda actually used (0 when plain Newton)
     hessian_s: float
+    solve_s: float
     linesearch_s: float
     linesearch_evals: int
 
@@ -342,7 +344,9 @@ def newton_minimize(
         except ColoringError:
             hessian = None  # singular flat states; fall back to the shifted path
         hessian_s = time.perf_counter() - hessian_started
+        solve_started = time.perf_counter()
         d, path, inner, shift = _newton_direction(hessian, grad, cfg, near_nullspace, amg)
+        solve_s = time.perf_counter() - solve_started
         del hessian  # freed before the line search and the next Hessian: a lower peak memory
         linesearch_started = time.perf_counter()
         alpha, linesearch_evals = _line_search(problem, u, d, energy)
@@ -357,6 +361,7 @@ def newton_minimize(
                 inner_iterations=inner,
                 shift=shift,
                 hessian_s=hessian_s,
+                solve_s=solve_s,
                 linesearch_s=linesearch_s,
                 linesearch_evals=linesearch_evals,
             )

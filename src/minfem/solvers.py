@@ -2,9 +2,12 @@
 
 Small systems go through a direct sparse factorization; large ones use
 conjugate gradients preconditioned by one V(1,1) cycle of a
-smoothed-aggregation multigrid hierarchy with symmetric Gauss-Seidel
-smoothing.  The switch happens at ``DIRECT_DOF_LIMIT`` unknowns; the
-Newton step in ``minfem.minimize`` makes it.
+smoothed-aggregation multigrid hierarchy.  Each level smooths with a
+degree-``CHEB_DEGREE`` Chebyshev polynomial in D^-1 A (Adams, Brezina, Hu
+and Tuminaro, J. Comput. Phys. 188, 2003), which needs matrix-vector
+products only; the coarsest level alone is factored.  The switch happens
+at ``DIRECT_DOF_LIMIT`` unknowns; the Newton step in ``minfem.minimize``
+makes it.
 
 With strength threshold theta = 0, a level's aggregates, tentative
 prolongator and coarse near-nullspace depend only on its sparsity
@@ -13,8 +16,8 @@ hierarchy's ``structure`` and takes a previous one back: a level whose
 CSR ``indptr``, CSR ``indices`` and near-nullspace block all equal the
 stored ones exactly reuses its structure, and only the numeric part
 (Jacobi smoothing of the prolongator, the Galerkin products, the
-smoother and coarse factorizations) is redone.  The first level that
-differs is rebuilt afresh, and so is every coarser one.
+smoother bounds and the coarse factorization) is redone.  The first level
+that differs is rebuilt afresh, and so is every coarser one.
 """
 
 from __future__ import annotations
@@ -39,6 +42,12 @@ __all__ = [
 ]
 
 DIRECT_DOF_LIMIT = 15_000  # systems up to this size are solved directly
+# Chebyshev smoother: a degree-CHEB_DEGREE polynomial in D^-1 A, tuned to the
+# interval [CHEB_LOWER * rho, CHEB_UPPER * rho] around the power estimate rho
+# of the spectral radius of D^-1 A
+CHEB_DEGREE = 2
+CHEB_LOWER = 1.0 / 30.0
+CHEB_UPPER = 1.1
 
 
 class SolverError(RuntimeError):
@@ -84,11 +93,40 @@ def solve_direct(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class _AmgLevel:
+    """One level: its operator, transfers and Chebyshev smoother data.
+
+    ``bounds`` is the interval [lo, hi] the smoother assumes for the
+    eigenvalues of ``d_inv * a``.  The coarsest level keeps ``a`` only.
+    """
+
     a: sp.csr_matrix
     p: sp.csr_matrix | None = None
     r: sp.csr_matrix | None = None
-    lower_solve: Callable[[np.ndarray], np.ndarray] | None = None
-    upper_solve: Callable[[np.ndarray], np.ndarray] | None = None
+    d_inv: np.ndarray | None = None
+    bounds: tuple[float, float] | None = None
+
+    def smooth(self, b: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
+        """``CHEB_DEGREE`` Chebyshev steps for a x = b from x (None: zero).
+
+        The three-term recurrence (Saad, Iterative Methods, Alg. 12.1)
+        with preconditioner D: the error goes to p(D^-1 A) times itself,
+        for one fixed polynomial p with p(0) = 1 and |p| < 1 on
+        (0, lo + hi), whatever x is.
+        """
+        lo, hi = self.bounds
+        theta, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        sigma = theta / delta
+        rho = 1.0 / sigma
+        r = b if x is None else b - self.a @ x
+        d = (self.d_inv * r) / theta
+        x = d if x is None else x + d
+        for _ in range(1, CHEB_DEGREE):
+            r = r - self.a @ d
+            rho_next = 1.0 / (2.0 * sigma - rho)
+            d = (rho_next * rho) * d + (2.0 * rho_next / delta) * (self.d_inv * r)
+            rho = rho_next
+            x = x + d
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,14 +136,15 @@ class LevelStructure:
     ``indptr``, ``indices`` and ``near_nullspace`` are copies of the
     level's key; ``t`` (the tentative prolongator, which encodes the
     aggregates) and ``b_coarse`` (the coarse near-nullspace) follow from
-    it alone.
+    it alone.  Both are None where aggregation stalled, which makes the
+    level the coarsest.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     near_nullspace: np.ndarray
-    t: sp.csr_matrix
-    b_coarse: np.ndarray
+    t: sp.csr_matrix | None
+    b_coarse: np.ndarray | None
 
     def matches(self, a: sp.csr_matrix, b: np.ndarray) -> bool:
         return (
@@ -119,10 +158,11 @@ class LevelStructure:
 class AmgHierarchy:
     """Multigrid levels plus a factorization of the coarsest operator.
 
-    ``apply`` runs one V(1,1) cycle with symmetric Gauss-Seidel pre/post
-    smoothing, which is a symmetric positive definite preconditioner.
-    ``structure`` holds one ``LevelStructure`` per coarsened level, for
-    the next ``build_amg`` to reuse.
+    ``apply`` runs one V(1,1) cycle that smooths with the same Chebyshev
+    polynomial before and after the coarse correction, which makes it a
+    symmetric positive definite preconditioner.  ``structure`` holds one
+    ``LevelStructure`` per coarsened level, and one more for a coarsest
+    level where aggregation stalled, for the next ``build_amg`` to reuse.
     """
 
     levels: list[_AmgLevel]
@@ -143,26 +183,9 @@ class AmgHierarchy:
         lvl = self.levels[k]
         if k == len(self.levels) - 1:
             return self.coarse_solve(b)
-        a = lvl.a
-        # pre-smooth: one symmetric Gauss-Seidel sweep from zero
-        x = lvl.lower_solve(b)
-        x = x + lvl.upper_solve(b - a @ x)
-        x = x + lvl.p @ self._cycle(k + 1, lvl.r @ (b - a @ x))
-        # post-smooth: one more symmetric sweep
-        x = x + lvl.lower_solve(b - a @ x)
-        x = x + lvl.upper_solve(b - a @ x)
-        return x
-
-
-def _triangular_solver(mat: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
-    # LU of a triangular matrix is itself; natural ordering keeps it that way
-    lu = spla.splu(
-        sp.csc_matrix(mat),
-        permc_spec="NATURAL",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": False},
-    )
-    return lu.solve
+        x = lvl.smooth(b)
+        x = x + lvl.p @ self._cycle(k + 1, lvl.r @ (b - lvl.a @ x))
+        return lvl.smooth(b, x)
 
 
 def _aggregate(a: sp.csr_matrix) -> tuple[np.ndarray, int]:
@@ -282,9 +305,11 @@ def build_amg(
 
     Strength of connection keeps every symmetric nonzero (theta = 0); the
     tentative prolongator carries the near-nullspace; one damped-Jacobi
-    step (omega = 4/3 over a 10-step power-iteration estimate of
-    rho(D^-1 A)) smooths it.  Coarse operators are Galerkin products;
-    coarsening stops at 64 dofs or when aggregation stalls.
+    step (omega = 4/3 over rho, a 10-step power-iteration estimate of the
+    spectral radius of D^-1 A) smooths it.  The same D^-1 and rho set each
+    level's Chebyshev smoother, on [CHEB_LOWER * rho, CHEB_UPPER * rho].
+    Coarse operators are Galerkin products; coarsening stops at 64 dofs or
+    when aggregation stalls.
     ``near_nullspace`` is an (n,) or (n, m) array with one row per matrix
     row; any other row count raises ``ValueError``.
 
@@ -292,7 +317,8 @@ def build_amg(
     reuses its entry when the level's CSR ``indptr``, CSR ``indices`` and
     near-nullspace block equal the stored copies exactly; from the first
     level that differs on, aggregates and tentative prolongators are
-    computed afresh.  The result is bit-identical either way.
+    computed afresh.  A stalled aggregation is stored and reused the same
+    way.  The result is bit-identical either way.
     """
     a = sp.csr_matrix(a)
     b = np.asarray(near_nullspace, dtype=float)
@@ -313,11 +339,14 @@ def build_amg(
         else:
             structure = ()  # this level and every coarser one start afresh
             agg, n_agg = _aggregate(a)
-            if n_agg >= a.shape[0]:
-                break
-            t, b_coarse = _tentative_prolongator(agg, n_agg, b)
+            if n_agg >= a.shape[0]:  # stalled: this level is the coarsest
+                t = b_coarse = None
+            else:
+                t, b_coarse = _tentative_prolongator(agg, n_agg, b)
             level = LevelStructure(a.indptr.copy(), a.indices.copy(), b.copy(), t, b_coarse)
         built.append(level)
+        if level.t is None:
+            break
         d_inv = 1.0 / a.diagonal()
         rho = _spectral_radius_estimate(a, d_inv)
         omega = (4.0 / 3.0) / rho
@@ -332,13 +361,7 @@ def build_amg(
             if np.linalg.norm(lhs - rhs) > 1e-10 * max(np.linalg.norm(rhs), 1e-300):
                 raise SolverError("Galerkin coarse-operator identity violated")
         levels.append(
-            _AmgLevel(
-                a=a,
-                p=p,
-                r=r,
-                lower_solve=_triangular_solver(sp.tril(a, 0)),
-                upper_solve=_triangular_solver(sp.triu(a, 0)),
-            )
+            _AmgLevel(a=a, p=p, r=r, d_inv=d_inv, bounds=(CHEB_LOWER * rho, CHEB_UPPER * rho))
         )
         a, b = a_coarse, level.b_coarse
     levels.append(_AmgLevel(a=a))

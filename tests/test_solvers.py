@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
+from minfem import solvers
 from minfem.coloring import recover_hessian
 from minfem.energies import PLaplaceParams, build_problem, record_plaplace
 from minfem.minimize import _solve_newton_system, benchmark_initial_guess
@@ -115,6 +117,67 @@ def test_vcycle_preconditioner_is_spd():
         assert float(r1 @ hier.apply(r1)) > 0.0
 
 
+def benchmark_hierarchy(kind: str, level: int) -> tuple[sp.csr_matrix, AmgHierarchy]:
+    """The Hessian at the benchmark start and its hierarchy over the problem's near-nullspace."""
+    problem = build_problem(kind, level)
+    h = problem.hessian(benchmark_initial_guess(problem))
+    return h, build_amg(h, problem.near_nullspace())
+
+
+@pytest.mark.parametrize("kind, level", [("ginzburg_landau", 3), ("plaplace", 3), ("neohooke", 1)])
+def test_chebyshev_bounds_cover_every_smoothed_level(kind, level):
+    _, hier = benchmark_hierarchy(kind, level)
+    assert hier.n_levels >= 2
+    rng = np.random.default_rng(9)
+    for lvl in hier.levels[:-1]:
+        lo, hi = lvl.bounds
+        a = lvl.a.toarray()
+        # the degree-2 polynomial damps every eigenvalue of D^-1 A in (0, lo + hi)
+        lam = scipy.linalg.eigh(a, np.diag(np.diag(a)), eigvals_only=True)
+        assert 0.0 < lam[0] and lam[-1] < lo + hi
+        e = rng.standard_normal(a.shape[0])
+        smoothed = lvl.smooth(np.zeros_like(e), e)
+        assert float(smoothed @ (a @ smoothed)) < float(e @ (a @ e))
+
+
+@pytest.mark.parametrize("kind, level", [("ginzburg_landau", 3), ("neohooke", 1)])
+def test_vcycle_is_spd_on_benchmark_hessians(kind, level):
+    h, hier = benchmark_hierarchy(kind, level)
+    assert hier.n_levels >= 2
+    m = np.column_stack([hier.apply(col) for col in np.eye(h.shape[0])])
+    assert np.abs(m - m.T).max() <= 1e-10 * np.abs(m).max()
+    np.linalg.cholesky(0.5 * (m + m.T))  # raises unless positive definite
+
+
+def test_amg_cycle_and_build_factor_only_the_coarsest_level(monkeypatch):
+    a = stiffness_on_square(4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SuperLU called")
+
+    monkeypatch.setattr(solvers.spla, "splu", refuse)
+    hier = build_amg(a, np.ones(a.shape[0]))
+    assert hier.n_levels >= 3
+    b = np.random.default_rng(0).standard_normal(a.shape[0])
+    x, _ = pcg_solve(a, b, hier, rtol=1e-8, maxiter=400)
+    assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
+
+
+def test_amg_stall_is_stored_and_reused(monkeypatch):
+    n = 100
+    a = sp.diags(np.linspace(1.0, 2.0, n), format="csr")  # every row its own aggregate
+    calls = []
+    monkeypatch.setattr(solvers, "_aggregate", lambda mat: calls.append(1) or _aggregate(mat))
+    first = build_amg(a, np.ones(n))
+    second = build_amg(a, np.ones(n), first.structure)
+    assert len(calls) == 1
+    assert len(second.structure) == 1 and second.structure[0] is first.structure[0]
+    assert first.structure[0].t is None and first.structure[0].b_coarse is None
+    assert_same_hierarchy(second, first)
+    r = np.random.default_rng(1).standard_normal(n)
+    assert second.apply(r).tobytes() == first.apply(r).tobytes()
+
+
 def test_pcg_identity_converges_immediately():
     eye = sp.identity(30, format="csr")
     b = np.random.default_rng(1).standard_normal(30)
@@ -202,6 +265,9 @@ def assert_same_hierarchy(got: AmgHierarchy, want: AmgHierarchy):
     assert len(got.structure) == len(want.structure)
     for g, w in zip(got.structure, want.structure):
         assert np.array_equal(g.b_coarse, w.b_coarse)
+        if w.t is None:  # a stalled level
+            assert g.t is None
+            continue
         for field in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(g.t, field), getattr(w.t, field))
 
