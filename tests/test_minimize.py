@@ -9,6 +9,7 @@ from minfem.coloring import ColoringError, recover_hessian
 from minfem.energies import bar_dirichlet_values, build_problem, problem_from_mesh
 from minfem.mesh import bar_mesh_from_cells
 from minfem.minimize import (
+    INTERVAL_TOL,
     ContinuationError,
     NewtonConfig,
     NewtonError,
@@ -72,6 +73,39 @@ def test_golden_never_samples_zero(phi):
 def test_golden_rejects_nonfinite_phi0(phi0):
     with pytest.raises(ValueError, match="phi0"):
         golden_section(lambda a: a, phi0, 2.0)
+
+
+def test_golden_default_tolerance_solves_a_parabola_in_19_samples():
+    samples = []
+    alpha = golden_section(lambda a: samples.append(a) or (a - 1.0) ** 2, 1.0, 2.0)
+    assert len(samples) <= 19
+    assert abs(alpha - 1.0) < 1e-12
+
+
+def test_golden_lands_within_the_tolerance_off_a_quadratic():
+    def phi(a):
+        return (a - 0.7) ** 2 + 0.3 * (a - 0.7) ** 4
+
+    alpha = golden_section(phi, phi(0.0), 2.0)
+    assert abs(alpha - 0.7) <= INTERVAL_TOL
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        lambda a: -((a - 1.3) ** 2),  # the parabola's vertex, 1.3, is its maximum
+        lambda a: (a + 0.5) ** 2,  # the vertex, -0.5, lies outside the bracket
+        lambda a: (a - 0.5) ** 2 if a < 1.0 else np.inf,
+        lambda a: -a,  # phi(alpha_max) is never sampled
+    ],
+    ids=["concave", "vertex-outside", "non-finite", "unknown-end"],
+)
+def test_golden_falls_back_to_the_bracket_midpoint(phi):
+    # a tolerance above alpha_max leaves the first bracket [0, 2]: two
+    # golden samples, then the candidate, which is the midpoint 1.0
+    samples = []
+    golden_section(lambda a: samples.append(a) or phi(a), phi(0.0), 2.0, interval_tol=3.0)
+    assert samples[2] == 1.0
 
 
 def test_newton_quadratic_single_step():
@@ -225,6 +259,22 @@ def test_iteration_records_time_each_phase(monkeypatch):
     assert sum(rec.hessian_s + rec.linesearch_s for rec in log) < result.solve_s
 
 
+def test_iteration_records_time_the_gradient_sweep():
+    problem = build_problem("ginzburg_landau", 2)
+    result = newton_minimize(problem, benchmark_initial_guess(problem))
+    log = result.iteration_log
+    assert log and all(rec.grad_s > 0.0 for rec in log)
+    phases = sum(rec.grad_s + rec.hessian_s + rec.solve_s + rec.linesearch_s for rec in log)
+    assert phases < result.solve_s
+
+
+def test_gl_level2_line_searches_take_at_most_19_evaluations():
+    problem = build_problem("ginzburg_landau", 2)
+    result = newton_minimize(problem, benchmark_initial_guess(problem))
+    assert result.iteration_log
+    assert all(0 < rec.linesearch_evals <= 19 for rec in result.iteration_log)
+
+
 @pytest.mark.parametrize("solver", ["direct", "amg"])
 def test_iteration_records_time_the_linear_solve(solver):
     problem = build_problem("ginzburg_landau", 2)
@@ -287,7 +337,7 @@ def test_gradient_test_comes_before_stagnation():
     problem = build_problem("plaplace", 4)
     result = newton_minimize(problem, benchmark_initial_guess(problem))
     assert result.stop_reason == "grad" and result.converged
-    assert (result.energy.hex(), result.iterations) == ("-0x1.fc5999789c5b3p+2", 5)
+    assert (result.energy.hex(), result.iterations) == ("-0x1.fc5999789c5b2p+2", 5)
 
 
 def _pinned(result):
@@ -305,37 +355,37 @@ def _pinned(result):
 # line-search alphas of two reference runs.  A change to the replay kernels
 # that moves one bit of any energy, gradient or Hessian shows up here.
 GL4_AMG_PINNED = (
-    "0x1.628a7f1813f12p-2",
+    "0x1.628a7f1813eecp-2",
     3,
     (14, 14, 14),
     0,
-    ("0x1.2353820465ba0p+0", "0x1.160eb49c152f4p+0", "0x1.023ac28d9254ep+0"),
+    ("0x1.2353822ff23d1p+0", "0x1.160eb576caff6p+0", "0x1.023ac98389911p+0"),
 )
 TINY_BAR_PINNED = (
     (
-        "0x1.bfa2c7cbb4365p+2",
+        "0x1.bfa2c7cbb435fp+2",
         5,
         (0, 0, 0, 0, 0),
         0,
         (
-            "0x1.ae796a3a20996p-1",
-            "0x1.6e62ccff5ad84p+0",
-            "0x1.ddf241e22d2dep-1",
-            "0x1.00496b0326c2bp+0",
-            "0x1.0008040dbef88p+0",
+            "0x1.ae7969a87e96ep-1",
+            "0x1.6e62cde554ff8p+0",
+            "0x1.ddf24586bcdf0p-1",
+            "0x1.00496cf266085p+0",
+            "0x1.0038eee1c7ec8p+0",
         ),
     ),
     (
-        "0x1.c5c5beb326378p+4",
+        "0x1.c5c5beb32637ap+4",
         5,
         (0, 0, 0, 0, 0),
         0,
         (
-            "0x1.30aa293327002p+0",
-            "0x1.3fb5bd71c4a0ap+0",
-            "0x1.075350114cbfap+0",
-            "0x1.0096a576d624cp+0",
-            "0x1.000b49986a1a9p+0",
+            "0x1.30aa2930af33ap+0",
+            "0x1.3fb5bdbcff7a6p+0",
+            "0x1.0753506452116p+0",
+            "0x1.00969b138b677p+0",
+            "0x1.0007028beb7cap+0",
         ),
     ),
 )
@@ -364,7 +414,7 @@ def _refuse_coloring(pattern):
 
 @pytest.mark.parametrize(
     "kind, energy",
-    [("plaplace", "-0x1.f1b546efd11aep+2"), ("ginzburg_landau", "0x1.6b4358a0b6620p-2")],
+    [("plaplace", "-0x1.f1b546efd11acp+2"), ("ginzburg_landau", "0x1.6b4358a0b661fp-2")],
 )
 def test_benchmark_setup_and_solve_never_color(kind, energy, monkeypatch):
     monkeypatch.setattr("minfem.energies.color_pattern", _refuse_coloring)
