@@ -21,8 +21,7 @@ when recorded, so every instruction depends on the input.  The
 instructions that are affine in it (gathers, sums, negation, sums and
 differences of affine slots, products with a constant, division by a
 constant) form the tape's prefix; the slots where the prefix ends, read
-by the rest, are its linear frontier (``Program.frontier``).  If one
-frontier slot depends on another, the frontier is the input itself.
+by the rest, are its linear frontier (``Program.frontier``).
 ``Program.along(u, d)`` runs the prefix once on a dual of (u, d), which
 gives every frontier slot as z0 + alpha * z1, and returns a small
 program over [alpha] that replays only the rest: line-search samples
@@ -31,15 +30,16 @@ skip the linear part of the tape.
 Element Hessians come from the same tape (``Program.element_hessians``),
 by second-order adjoint preaccumulation at intermediate variables
 (Griewank and Walther, Evaluating Derivatives, 2nd ed., SIAM 2008), at
-one cut (``Program.element_cut``, computed once per program).  The cut is
-the frontier where it is per-element kinematics, of any width, and
-otherwise the gathers from the input.  Its per-element entries are
-seeded with one-hot tangents and the reverse sweep stops at the cut,
-giving the density's second derivatives W'' with respect to them; each
-block is K^T W'' K, with K the cut's constant Jacobian with respect to
-the element's local dofs (at the gathers, the local one-hot selection).
-The adjoint tangents are read per element and never scattered into the
-field.
+one cut (``Program.element_cut``, computed once per program): the
+frontier slots with one row per element.  That needs a tape that is a
+sum of element densities, which one pass checks: every slot is either
+per-element (built row by row from the gathers) or enters the energy
+only linearly, and any other slot raises ``ValueError``.  The cut's
+entries are seeded with one-hot tangents and the reverse sweep stops at
+the frontier, giving the density's second derivatives W'' with respect
+to them; each block is K^T W'' K, with K the cut's constant Jacobian
+with respect to the element's local dofs.  The adjoint tangents are read
+per element and never scattered into the field.
 
 The replay kernels are written for speed but keep numpy's bits.  A row
 sum over fewer than 8 columns adds the columns one by one, which is what
@@ -567,42 +567,34 @@ class Frontier:
 
 
 def _frontier(program: "Program") -> Frontier:
-    # no frontier slot may depend on another: then the cut falls back to the
-    # input slot itself, with an empty prefix
     affine = {program.input_slot}
-    deps: dict[int, set[int]] = {program.input_slot: set()}
     prefix, suffix = [], []
     for ins in program.instrs:
         if _is_affine(ins, affine, program.diff):
             affine.add(ins.out)
-            deps[ins.out] = set().union(*(deps[s] | {s} for s in ins.args if s in affine))
             prefix.append(ins)
         else:
             suffix.append(ins)
     read = {s for ins in suffix for s in ins.args if s in affine}
     if program.output_slot in affine:
         read.add(program.output_slot)
-    if any(deps[s] & read for s in read):
-        return Frontier((program.input_slot,), (), program.instrs)
     return Frontier(tuple(sorted(read)), tuple(prefix), tuple(suffix))
 
 
 @dataclass(frozen=True, eq=False)
 class ElementCut:
-    """Where element Hessians are cut: per-element slots and their Jacobian.
+    """Where element Hessians are cut: the per-element frontier slots.
 
     ``shapes[i]`` is the shape of one element's row of ``slots[i]`` (()
     for an (E,) slot, (q,) for an (E, q) one); ``jacobian`` (E, F, L)
     holds the derivatives of element e's F cut entries, in slot order,
     with respect to its L local dofs.  It is constant because the prefix
-    is linear.  ``stop`` are the slots where the reverse sweep stops: the
-    whole frontier for a frontier cut, the gathers for a gather cut.
+    is linear.
     """
 
     slots: tuple[int, ...]
     shapes: tuple[tuple[int, ...], ...]
     jacobian: np.ndarray
-    stop: tuple[int, ...]
 
 
 def _input_gathers(program: "Program") -> list[Instr]:
@@ -629,65 +621,72 @@ def _local_one_hots(n_elems: int, npe: int, n_gathers: int, start: int, stop: in
     return [seeds[:, k::n_gathers] for k in range(n_gathers)]
 
 
-def _additive_to_output(program: "Program", slot: int) -> bool:
-    """Whether ``slot`` reaches the output through ``add``/``sub`` alone."""
-    reached = {slot}
-    for ins in program.instrs:
-        if reached.intersection(ins.args):
-            if ins.op not in ("add", "sub"):
-                return False
-            reached.add(ins.out)
-    return True
+def _ndim(ins: Instr, ndim: dict[int, int]) -> int:
+    # the number of axes of the slot ins writes, from its operands'
+    if ins.op == "take":
+        return np.ndim(ins.aux)
+    if ins.op in ("sum", "dot"):
+        return 0
+    if ins.op == "sum_rows":
+        return ndim[ins.args[0]] - 1
+    if ins.op == "matmul":
+        return ndim[ins.args[0]] + ndim[ins.args[1]] - 2
+    return max(ndim[s] for s in ins.args)
 
 
-def _element_slots(program: "Program", gathers: list[Instr], ws: list, n_elems: int):
-    """The frontier slots with one row per element and their row shapes, or
-    None if another frontier slot is not a scalar that reaches the output
-    through ``add``/``sub`` alone.  ``ws`` holds a replay of the prefix."""
-    # row-wise: each row of the slot depends on the same row of the gathers
+def _element_slots(program: "Program", gathers: list[Instr]) -> tuple[int, ...]:
+    """The per-element frontier slots, after one pass that checks that the
+    tape is a sum of element densities (``ValueError`` naming the first
+    slot that is not).
+
+    Each slot must be per-element or linear.  A per-element slot is built
+    row by row from the gathers: its op is not ``take``, ``sum`` or
+    ``dot``, its live operands are per-element with one number of axes n,
+    and no constant operand has more than n.  A linear slot enters the
+    energy only linearly: it is affine (``_is_affine``) in per-element and
+    linear slots, as the density sum and a load term are.  Only numbers of
+    axes are read, so nothing is replayed.
+    """
+    diff = program.diff
+    ndim = {slot: np.ndim(value) for slot, value in program.consts.items()}
+    ndim[program.input_slot] = 1
     rows = {ins.out for ins in gathers}
-    for ins in program.frontier.prefix:
-        live = [s for s in ins.args if s in program.diff]
-        if not all(s in rows for s in live):
+    linear = {program.input_slot}
+    for ins in program.instrs:
+        ndim[ins.out] = _ndim(ins, ndim)
+        if ins.out in rows:
             continue
-        ndim = np.ndim(_val(ws[ins.out]))
-        if ins.op in ("add", "sub", "mul", "div", "neg"):
-            if all(np.ndim(_val(ws[s])) == ndim for s in live):
-                rows.add(ins.out)
-        elif ins.op == "sum_rows" or (ins.op == "matmul" and np.ndim(_val(ws[live[0]])) == 2):
+        n = max(ndim[s] for s in ins.args if s in diff)
+        if ins.op not in ("take", "sum", "dot") and all(
+            s in rows and ndim[s] == n if s in diff else ndim[s] <= n for s in ins.args
+        ):
             rows.add(ins.out)
-    slots, shapes = [], []
-    for slot in program.frontier.slots:
-        shape = np.shape(_val(ws[slot]))
-        if slot in rows and len(shape) in (1, 2) and shape[0] == n_elems:
-            slots.append(slot)
-            shapes.append(shape[1:])
-        elif shape != () or not _additive_to_output(program, slot):
-            return None
-    return tuple(slots), tuple(shapes)
+        elif _is_affine(ins, rows | linear, diff):
+            linear.add(ins.out)
+        else:
+            raise ValueError(
+                f"slot {ins.out} ({ins.op!r}) is neither per-element nor linear: "
+                "element Hessians need a sum of element densities"
+            )
+    return tuple(slot for slot in program.frontier.slots if slot in rows)
 
 
 def _element_cut(program: "Program") -> ElementCut:
-    """The cut for element Hessians: the frontier where it is per-element
-    kinematics, of any width, else the gathers from the input.
+    """The cut for element Hessians: the per-element frontier slots.
 
     The input must be read only by gathers with one (E, npe) index matrix
-    and by dot products with constants (``ValueError`` otherwise).  The
-    frontier is the cut when each of its slots either has one row per
-    element, computed row by row from the gathers, or is a scalar that
-    reaches the output through ``add``/``sub`` alone (a linear load term,
-    which adds nothing to the Hessian); the reverse sweep then stops at
-    every frontier slot.  Otherwise (frontier slots that depend on each
-    other, rows mixed in the prefix) the gathers are the cut, and the
-    sweep stops only there.  The Jacobian comes from the local one-hot
-    directions pushed through the prefix at u = 0, a few at a time; at
-    the gathers it is the one-hot selection itself.
+    and by dot products with constants, and the tape must be a sum of
+    element densities (``_element_slots``); ``ValueError`` otherwise.
+    Frontier slots that are not per-element enter the energy linearly and
+    add nothing to the Hessian.  The Jacobian comes from the local one-hot
+    directions pushed through the prefix at u = 0, a few at a time.
     """
     gathers = _input_gathers(program)
     shapes = {ins.aux.shape for ins in gathers}
     if len(shapes) != 1 or len(next(iter(shapes))) != 2:
         raise ValueError("element Hessians need gathers from the input by one (E, npe) matrix")
     ((n_elems, npe),) = shapes
+    slots = _element_slots(program, gathers)
     n_local = npe * len(gathers)
     jacobian = None
     for start in range(0, n_local, _ELEMENT_PROBE_BLOCK):
@@ -696,23 +695,17 @@ def _element_cut(program: "Program") -> ElementCut:
         seeds = {ins.out: seed for ins, seed in zip(gathers, one_hots)}
         ws = program._forward(np.zeros(program.n_inputs), seeds, program.frontier.prefix)
         if jacobian is None:
-            found = _element_slots(program, gathers, ws, n_elems)
-            if found is None:
-                slots = sweep_stop = tuple(ins.out for ins in gathers)
-                row_shapes = ((npe,),) * len(gathers)
-            else:
-                (slots, row_shapes), sweep_stop = found, program.frontier.slots
+            row_shapes = tuple(ws[slot].val.shape[1:] for slot in slots)
             width = sum(int(np.prod(shape)) for shape in row_shapes)
             jacobian = np.empty((n_elems, width, n_local))
         row = 0
         for slot, shape in zip(slots, row_shapes):
-            # a gather's tangent is its seed, also where there is no prefix
-            tangent = seeds[slot] if slot in seeds else ws[slot].dot
             entries = int(np.prod(shape))
-            jacobian[:, row : row + entries, start:stop] = tangent.reshape(n_elems, entries, -1)
+            tangent = ws[slot].dot.reshape(n_elems, entries, -1)
+            jacobian[:, row : row + entries, start:stop] = tangent
             row += entries
         del ws  # one block's working set at a time
-    return ElementCut(slots, row_shapes, jacobian, sweep_stop)
+    return ElementCut(slots, row_shapes, jacobian)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +746,8 @@ class Program:
 
     def _forward(self, u_value, seeds: dict | None = None, instrs=None) -> list:
         # seeds[slot] turns the value written to slot into a dual with that
-        # tangent; instrs replays a part of the tape (default: all of it)
+        # tangent alone, dropping any it was computed with (a seeded slot is
+        # its own variable); instrs replays a part of the tape (default: all)
         seeds = seeds or {}
         ws: list = [None] * self.n_slots
         for slot, value in self.consts.items():
@@ -762,7 +756,7 @@ class Program:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for ins in self.instrs if instrs is None else instrs:
                 value = _FORWARD[ins.op]([ws[s] for s in ins.args], ins.aux)
-                ws[ins.out] = value if ins.out not in seeds else _Dual(value, seeds[ins.out])
+                ws[ins.out] = value if ins.out not in seeds else _Dual(_val(value), seeds[ins.out])
         return ws
 
     def _reverse(self, ws, seed, stop: tuple[int, ...] | None = None) -> list:
@@ -886,12 +880,15 @@ class Program:
         interleaved components gathered one per component it is node i,
         component k; L = c * npe.  The F per-element entries of
         ``element_cut`` are seeded with one-hot tangents and the reverse
-        sweep stops at the cut's stop slots, giving W'' (E, F, F), the
-        second derivatives with respect to those entries; the blocks are
+        sweep stops at the frontier, giving W'' (E, F, F), the second
+        derivatives with respect to those entries; the blocks are
         K^T W'' K with K the cut's Jacobian.  F = 0 (a linear tape) gives
         zero blocks.  Raises ``ValueError`` when anything other than a
         gather by one index matrix or a dot product with a constant reads
-        the input.
+        the input, or when the tape is not a sum of element densities
+        (see ``_element_slots``): a slot that mixes elements and is not
+        used only linearly, such as ``z[perm]`` inside a power, is
+        refused even where the energy still separates.
         """
         u = self._check_input(u)
         cut = self.element_cut
@@ -906,7 +903,8 @@ class Program:
             seeds[slot] = np.broadcast_to(seed, (n_elems,) + seed.shape)
             columns.append(cols)
             start = cols.stop
-        adjoints = dict(zip(cut.stop, self._reverse(self._forward(u, seeds), 1.0, cut.stop)))
+        stop = self.frontier.slots
+        adjoints = dict(zip(stop, self._reverse(self._forward(u, seeds), 1.0, stop)))
         w = np.zeros((n_elems, width, width))
         for slot, cols in zip(cut.slots, columns):
             if isinstance(adjoints[slot], _Dual):

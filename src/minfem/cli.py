@@ -7,7 +7,6 @@ errors and unwritable export paths.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -115,9 +114,7 @@ def run_benchmark(name: str, levels: Iterable[int], overrides: dict | None = Non
     ``name`` is one of plaplace | gl | hyper.  Nonconvergence, or a
     solver or Hessian failure anywhere in a level (the initial guess
     included), stops the run and yields a partial report
-    (``complete = False`` with ``error`` set).  ``--parallel-levels`` runs
-    at most one level per CPU and cancels the queued levels after the
-    first failure.
+    (``complete = False`` with ``error`` set).
     """
     if name not in BENCHMARK_NAMES:
         raise ValueError(f"unknown benchmark {name!r}; expected one of {sorted(BENCHMARK_NAMES)}")
@@ -138,31 +135,13 @@ def run_benchmark(name: str, levels: Iterable[int], overrides: dict | None = Non
         },
     )
 
-    def one(level: int):
-        return _run_level(kind, level, config)
-
-    outcomes = []
-    if overrides.get("parallel_levels") and len(levels) > 1:
-        workers = min(len(levels), os.cpu_count() or 1)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(one, level) for level in levels]
-            for future in futures:  # report rows stay ordered by level
-                try:
-                    outcomes.append(future.result())
-                except LEVEL_ERRORS as exc:
-                    report.complete = False
-                    report.error = str(exc)
-                    pool.shutdown(cancel_futures=True)  # drop the levels still queued
-                    break
-    else:
-        for level in levels:
-            try:
-                outcomes.append(one(level))
-            except LEVEL_ERRORS as exc:
-                report.complete = False
-                report.error = str(exc)
-                break
-    for rows, results in outcomes:
+    for level in levels:
+        try:
+            rows, results = _run_level(kind, level, config)
+        except LEVEL_ERRORS as exc:
+            report.complete = False
+            report.error = str(exc)
+            break
         report.rows.extend(rows)
         report.results.extend(results)
     return report
@@ -270,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=["text", "csv", "json"], default="text")
     run.add_argument("--export", metavar="PATH", help="write the last solution field to PATH")
     run.add_argument("--export-format", choices=["csv", "vtk-legacy"], default="csv")
-    run.add_argument("--parallel-levels", action="store_true")
     return parser
 
 
@@ -309,7 +287,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "tol_grad": args.tol_grad,
         "tol_energy": args.tol_energy,
         "solver": args.solver,
-        "parallel_levels": args.parallel_levels,
     }
     report = run_benchmark(args.benchmark, levels, overrides)
     report_table(report, args.format, stream=sys.stdout)

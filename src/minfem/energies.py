@@ -12,11 +12,10 @@ gradients and Hessian-vector products back to the free dofs.
 ``build_problem`` bundles mesh, element tables, Dirichlet scaffolding,
 that tape, the sparsity pattern and the element slot map into a reusable
 problem object.  ``EnergyProblem.hessian`` takes the element blocks from
-the tape (``Program.element_hessians``, cut at the linear frontier for
-all three benchmarks) and sums them into the pattern; a problem without
-a slot map colors the pattern on first use.  ``EnergyProblem.along``
-gives the energy on a line through a free-dof iterate as a program over
-the step length.
+the tape (``Program.element_hessians``, cut at the linear frontier) and
+sums them into the pattern; a problem without a slot map colors the
+pattern on first use.  ``EnergyProblem.along`` gives the energy on a
+line through a free-dof iterate as a program over the step length.
 """
 
 from __future__ import annotations
@@ -226,10 +225,12 @@ class EnergyProblem:
     ``element_slots`` maps each element's (L, L) Hessian block, with
     L = npe * components, into ``pattern`` (see ``fem.element_slots``);
     ``hessian`` takes the blocks from ``program`` itself, as second-order
-    adjoints at its element cut (``Program.element_cut``).  A
-    problem without a slot map, such as an energy that is not a sum of
-    element densities, gets its Hessian through ``coloring``, colored on
-    first use, instead.
+    adjoints at its element cut (``Program.element_cut``).  That needs a
+    tape that is a sum of element densities; ``Program.element_hessians``
+    refuses any other.  A problem without a slot map gets its Hessian
+    through ``coloring``, colored on first use, instead: build one so for
+    an energy that is refused, such as one that mixes elements with a
+    ``take`` before a nonlinear term.
     """
 
     kind: str
@@ -293,8 +294,10 @@ class EnergyProblem:
         With a slot map, the element blocks come from ``program`` itself
         (``Program.element_hessians``: element e's local index
         a = c * i + comp is its node i, component comp); without one, the
-        Hessian is recovered through the coloring.  A non-finite Hessian
-        raises ``ColoringError`` either way.
+        Hessian is recovered through the coloring.  A tape that is not a
+        sum of element densities raises ``ValueError`` with a slot map and
+        needs a problem without one.  A non-finite Hessian raises
+        ``ColoringError`` either way.
         """
         if self.element_slots is None:
             return recover_hessian(self.hvp_operator(u), self.coloring, self.pattern)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -344,16 +346,6 @@ def assert_scatters_to_hessian(program, u):
     return want
 
 
-def assert_gather_cut(program):
-    gathers = input_gathers(program)
-    cut = program.element_cut
-    assert cut.slots == cut.stop == tuple(ins.out for ins in gathers)
-    # K is the local one-hot selection: entry k * npe + i is local c * i + k
-    npe = gathers[0].aux.shape[1]
-    local = np.arange(npe * len(gathers)).reshape(npe, len(gathers)).T.ravel()
-    assert_same_bits(cut.jacobian, np.broadcast_to(np.eye(local.size)[local], cut.jacobian.shape))
-
-
 def assert_close_with_nans(got, want):
     # p-Laplace has no finite second derivative where grad u = 0: elements
     # with all nodes on the boundary give NaN on both sides
@@ -445,13 +437,14 @@ def test_along_on_a_tape_that_is_nonlinear_in_the_input():
         assert line.evaluate([alpha]) == program.evaluate(u + alpha * d)
 
 
-def test_dependent_frontier_slots_fall_back_to_the_input():
-    # w and 2 w are both read by the product: the cut falls back to the input
+def test_dependent_frontier_slots_are_cut_at_the_frontier():
+    # w and 2 w are both read by the product: each is seeded on its own
     rec = Recorder(3)
     w = rec.input_var[np.array([[0, 1], [1, 2]])]
-    program = rec.build((w * (2.0 * w)).sum())
-    assert program.frontier.slots == (program.input_slot,)
-    assert_gather_cut(program)
+    twice = 2.0 * w
+    program = rec.build((w * twice).sum())
+    assert program.frontier.slots == (w.slot, twice.slot)
+    assert program.element_cut.jacobian.shape == (2, 4, 2)
     u, d = np.array([0.3, -1.2, 2.5]), np.array([1.1, 0.4, -0.7])
     assert program.along(u, d).evaluate([0.5]) == program.evaluate(u + 0.5 * d)
     assert_scatters_to_hessian(program, u)
@@ -473,7 +466,7 @@ def test_element_hessians_of_linear_terms_are_zero():
     assert program.frontier.slots == (program.output_slot,)
     # a frontier of width 0: K is (E, 0, L) and the blocks are zero
     cut = program.element_cut
-    assert cut.slots == () and cut.stop == (program.output_slot,)
+    assert cut.slots == ()
     assert cut.jacobian.shape == (2, 0, 2)
     assert_same_bits(program.element_hessians(np.ones(3)), np.zeros((2, 2, 2)))
     u, d = np.array([0.3, -1.2, 2.5]), np.array([1.1, 0.4, -0.7])
@@ -503,18 +496,90 @@ def test_element_hessians_at_an_array_frontier_match_the_hvp():
     program = rec.build(((z**4) @ np.ones(1)).sum() - dot(rng.standard_normal(6), v))
     cut = program.element_cut
     assert cut.shapes == ((1,),) and cut.jacobian.shape == (3, 1, 3)
-    assert cut.stop == program.frontier.slots
     assert_scatters_to_hessian(program, rng.standard_normal(6))
 
 
-def test_rows_mixed_in_the_prefix_keep_the_gathers():
-    # z[perm] pairs element e with another element's kinematics: the sweep
-    # must run through z to the gathers
-    idx = np.array([[0, 1], [1, 2], [2, 3]])
+ROW_PAIRS = np.array([[0, 1], [1, 2], [2, 3]])
+PERM = np.array([1, 2, 0])
+U4 = np.array([0.3, -1.2, 2.5, 0.8])
+
+
+def row_sum_tape(energy):
+    """A tape of ``energy(v, g, z)`` over 4 dofs and 3 elements: ``g`` is
+    the (3, 2) gather and ``z`` the per-element row sum of g * [1, -1]."""
     rec = Recorder(4)
-    z = (rec.input_var[idx] * np.array([1.0, -1.0])).sum(axis=1)
-    program = rec.build((z[np.array([1, 2, 0])] ** 4).sum())
+    v = rec.input_var
+    g = v[ROW_PAIRS]
+    z = (g * np.array([1.0, -1.0])).sum(axis=1)
+    return rec.build(energy(v, g, z))
+
+
+def separable_by_permutation(v, g, z):
+    # sum_e z[perm[e]]**4 is sum_e z[e]**4, but the take mixes rows
+    return (z[PERM] ** 4).sum()
+
+
+def test_rows_mixed_in_the_prefix_are_refused():
+    # a take across rows cannot be told apart from a coupling of elements
+    program = row_sum_tape(separable_by_permutation)
     assert len(program.frontier.slots) == 1
-    assert_gather_cut(program)
-    want = assert_scatters_to_hessian(program, np.array([0.3, -1.2, 2.5, 0.8]))
+    with pytest.raises(ValueError, match=r"slot \d+ \('pow'\)"):
+        program.element_hessians(U4)
+
+
+@pytest.mark.parametrize(
+    ("energy", "op"),
+    [
+        (lambda v, g, z: ((z**2).sum()) ** 2, "pow"),
+        (lambda v, g, z: (z**2 * (z**2).sum()).sum(), "mul"),
+        (lambda v, g, z: ((z + z[PERM]) ** 4).sum(), "pow"),
+        # an (E, 1) by (E,) product broadcasts across rows
+        (lambda v, g, z: (g @ np.ones((2, 1)) * z).sum(), "mul"),
+        # an (E,) by (E, 3) product contracts across rows
+        (lambda v, g, z: ((z @ np.arange(9.0).reshape(3, 3)) ** 2).sum(), "pow"),
+    ],
+    ids=[
+        "square-of-the-sum",
+        "times-the-sum",
+        "coupled-rows",
+        "broadcast-across-rows",
+        "contraction-across-rows",
+    ],
+)
+def test_element_hessians_refuse_tapes_that_are_not_sums_of_element_densities(energy, op):
+    program = row_sum_tape(energy)
+    with pytest.raises(ValueError, match=f"'{op}'.*sum of element densities"):
+        program.element_hessians(U4)
+
+
+@pytest.mark.parametrize(
+    "energy",
+    [
+        lambda v, g, z: (g * (2.0 * g)).sum(),
+        lambda v, g, z: 0.5 * g.sum(),
+        lambda v, g, z: (z @ np.array([[0.5, -1.0], [2.0, 0.3], [-0.7, 1.1]])).sum() + (z**4).sum(),
+        lambda v, g, z: ((z**3)[PERM] * np.array([1.5, -0.4, 0.9])).sum(),
+        lambda v, g, z: dot(z**3, np.array([1.5, -0.4, 0.9])) - dot(U4[::-1], v),
+    ],
+    ids=[
+        "dependent-frontier-slots",
+        "scaled-linear-terms",
+        "contraction-used-linearly",
+        "take-used-linearly",
+        "dot-products",
+    ],
+)
+def test_element_hessians_of_sums_of_element_densities_match_the_hvp(energy):
+    assert_scatters_to_hessian(row_sum_tape(energy), U4)
+
+
+def test_a_refused_tape_gets_its_hessian_by_colored_recovery():
+    # without a slot map the problem recovers the Hessian through its coloring
+    tridiagonal = np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1)
+    program = row_sum_tape(separable_by_permutation)
+    problem = dataclasses.replace(make_quadratic_problem(tridiagonal, np.zeros(4)), program=program)
+    assert problem.element_slots is None
+    want = program.hessian_vector_product(U4, np.eye(4))
+    got = problem.hessian(U4).toarray()
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert np.abs(want).max() > 1.0

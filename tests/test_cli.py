@@ -164,13 +164,6 @@ def test_runs_are_deterministic():
     assert [r.iters for r in a.rows] == [r.iters for r in b.rows]
 
 
-def test_parallel_levels_preserve_order():
-    seq = run_benchmark("plaplace", [1, 2])
-    par = run_benchmark("plaplace", [1, 2], {"parallel_levels": True})
-    assert [r.dofs for r in par.rows] == [r.dofs for r in seq.rows]
-    assert [r.J for r in par.rows] == [r.J for r in seq.rows]
-
-
 def test_solver_override_flag():
     report = run_benchmark("plaplace", [1], {"solver": "diag-cg"})
     assert report.complete
@@ -209,6 +202,13 @@ def test_malformed_or_empty_levels_are_usage_errors(levels, capsys):
     assert captured.out == ""
 
 
+def test_parallel_levels_is_a_usage_error(capsys):
+    assert main(["run", "plaplace", "--parallel-levels"]) == 1
+    captured = capsys.readouterr()
+    assert "minfem: error:" in captured.err and "--parallel-levels" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("error", [SolverError, ColoringError])
 def test_failure_outside_newton_yields_partial_report(error, monkeypatch, capsys):
     import minfem.cli as cli
@@ -233,55 +233,6 @@ def test_nonfinite_or_nonpositive_tolerances_are_usage_errors(flag, value, capsy
     captured = capsys.readouterr()
     assert "minfem: error:" in captured.err and flag in captured.err
     assert captured.out == ""
-
-
-def test_parallel_levels_capped_at_cpus_and_cancelled_after_failure(monkeypatch):
-    import concurrent.futures
-    import threading
-
-    import minfem.cli as cli
-
-    shutdown_called = threading.Event()
-    workers: list[int] = []
-
-    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-        def shutdown(self, wait=True, *, cancel_futures=False):
-            if cancel_futures:
-                shutdown_called.set()
-            super().shutdown(wait=wait, cancel_futures=cancel_futures)
-
-    started: list[int] = []
-
-    def fake_level(kind, level, config):
-        started.append(level)
-        if level == 1:
-            raise SolverError("forced failure at level 1")
-        # a level the worker picked up before the failure was seen ends
-        # only once the queued levels have been cancelled
-        assert shutdown_called.wait(timeout=30)
-        return [], []
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli, "_run_level", fake_level)
-
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-    report = run_benchmark("plaplace", [1, 2, 3], {"parallel_levels": True})
-    assert workers == [1]
-    assert not report.complete and "forced failure" in report.error
-    assert 3 not in started
-
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    run_benchmark("plaplace", [1, 2], {"parallel_levels": True})
-    assert workers[-1] == 1
-
-    shutdown_called.set()  # later levels finish at once
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    run_benchmark("plaplace", [1, 2, 3], {"parallel_levels": True})
-    assert workers[-1] == 2
 
 
 def test_bar_rows_report_measured_load_step_times(monkeypatch, tiny_bar_problem):

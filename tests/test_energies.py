@@ -428,7 +428,6 @@ def test_element_cut_choice_is_pinned(tiny_bar_problem):
         local = npe * problem.dofmap.components
         cut = problem.program.element_cut
         assert cut.jacobian.shape == (n_elems, width, local)
-        assert cut.stop == problem.program.frontier.slots
 
 
 def test_frontier_hessian_matches_colored_recovery(tiny_bar_problem):
