@@ -5,8 +5,12 @@ tape); replays evaluate it on new inputs.  Gradients use reverse
 accumulation over the tape.  Hessian-vector products push dual numbers
 (value plus a stack of directional tangents) through both the forward and
 the reverse sweep, which differentiates the gradient exactly in the given
-directions; several directions are propagated at once through a trailing
-tangent axis.
+directions; several directions are propagated at once through a leading
+tangent axis, so numpy's trailing-axis broadcasting lines every tangent up
+with its value.  That holds only if no input-dependent operand is
+broadcast: recording an ``add``, ``sub``, ``mul`` or ``div`` whose
+input-dependent operand has another shape than the result raises
+``TypeError``.  Constants may broadcast.
 
 The primitive set is exactly what the benchmark energies need: gather by
 an index matrix, elementwise arithmetic, scalar powers, log, abs, row/full
@@ -43,7 +47,7 @@ per element and never scattered into the field.
 
 The replay kernels are written for speed but keep numpy's bits.  A row
 sum over fewer than 8 columns adds the columns one by one, which is what
-``ndarray.sum(axis=1)`` does below its pairwise-summation threshold of 8
+``ndarray.sum(axis=-1)`` does below its pairwise-summation threshold of 8
 (numpy starts from +0.0, so only an all -0.0 row needs the trailing
 ``+ 0.0``); wider rows still go through ``np.sum``.  The adjoint of a
 gather scatter-adds with ``np.bincount``, which, like ``np.add.at`` on a
@@ -78,22 +82,17 @@ _ELEMENT_PROBE_BLOCK = 6
 
 
 # ---------------------------------------------------------------------------
-# dual numbers with a trailing tangent axis
+# dual numbers with a leading tangent axis
 
 
 class _Dual:
-    """Array value paired with tangents of shape ``val.shape + (k,)``."""
+    """Array value paired with tangents of shape ``(k,) + val.shape``."""
 
     __slots__ = ("val", "dot")
 
     def __init__(self, val, dot):
         self.val = val
         self.dot = dot
-
-
-def _x(p):
-    # align a plain operand with the trailing tangent axis
-    return p[..., None] if isinstance(p, np.ndarray) else p
 
 
 def _val(a):
@@ -129,25 +128,25 @@ def _neg(a):
 def _mul(a, b):
     if isinstance(a, _Dual):
         if isinstance(b, _Dual):
-            dot = a.dot * _x(b.val)
-            dot += b.dot * _x(a.val)
+            dot = a.dot * b.val
+            dot += b.dot * a.val
             return _Dual(a.val * b.val, dot)
-        return _Dual(a.val * b, a.dot * _x(b))
+        return _Dual(a.val * b, a.dot * b)
     if isinstance(b, _Dual):
-        return _Dual(a * b.val, b.dot * _x(a))
+        return _Dual(a * b.val, b.dot * a)
     return a * b
 
 
 def _div(a, b):
     if not isinstance(b, _Dual):
         if isinstance(a, _Dual):
-            return _Dual(a.val / b, a.dot / _x(b))
+            return _Dual(a.val / b, a.dot / b)
         return a / b
     if isinstance(a, _Dual):
         val = a.val / b.val
-        return _Dual(val, (a.dot - b.dot * _x(val)) / _x(b.val))
+        return _Dual(val, (a.dot - b.dot * val) / b.val)
     val = a / b.val
-    return _Dual(val, -(b.dot * _x(val)) / _x(b.val))
+    return _Dual(val, -(b.dot * val) / b.val)
 
 
 def _pow(a, e):
@@ -155,86 +154,72 @@ def _pow(a, e):
         return a**e
     if e == 1.0:
         return _Dual(a.val**e, a.dot)
-    return _Dual(a.val**e, a.dot * _x(e * a.val ** (e - 1.0)))
+    return _Dual(a.val**e, a.dot * (e * a.val ** (e - 1.0)))
 
 
 def _log(a):
     if not isinstance(a, _Dual):
         return np.log(a)
-    return _Dual(np.log(a.val), a.dot / _x(a.val))
+    return _Dual(np.log(a.val), a.dot / a.val)
 
 
 def _abs(a):
     if not isinstance(a, _Dual):
         return np.abs(a)
-    return _Dual(np.abs(a.val), a.dot * _x(np.sign(a.val)))
+    return _Dual(np.abs(a.val), a.dot * np.sign(a.val))
 
 
 def _sum_all(a):
     if not isinstance(a, _Dual):
         return float(np.sum(a))
-    k = a.dot.shape[-1]
-    return _Dual(float(np.sum(a.val)), a.dot.reshape(-1, k).sum(axis=0))
-
-
-def _row_sum(a):
-    # numpy adds fewer than 8 elements one by one onto +0.0; the final
-    # += 0.0 turns an all -0.0 row into +0.0, as that start does
-    n = a.shape[1]
-    if not 2 <= n < 8:
-        return a.sum(axis=1)
-    out = a[:, 0] + a[:, 1]
-    for j in range(2, n):
-        out += a[:, j]
-    out += 0.0
-    return out
+    return _Dual(float(np.sum(a.val)), a.dot.reshape(a.dot.shape[0], -1).sum(axis=1))
 
 
 def _sum_rows(a):
-    if not isinstance(a, _Dual):
-        return _row_sum(a)
-    return _Dual(_row_sum(a.val), _row_sum(a.dot))
+    # sum over the last axis; numpy adds fewer than 8 elements one by one
+    # onto +0.0, and the final += 0.0 turns an all -0.0 row into +0.0, as
+    # that start does
+    if isinstance(a, _Dual):
+        return _Dual(_sum_rows(a.val), _sum_rows(a.dot))
+    n = a.shape[-1]
+    if not 2 <= n < 8:
+        return a.sum(axis=-1)
+    out = a[..., 0] + a[..., 1]
+    for j in range(2, n):
+        out += a[..., j]
+    out += 0.0
+    return out
 
 
 def _take(a, idx):
     if not isinstance(a, _Dual):
         return a[idx]
-    return _Dual(a.val[idx], a.dot[idx])
+    return _Dual(a.val[idx], a.dot[:, idx])
 
 
 def _scatter_add(g, idx, n):
     # adjoint of a gather from a vector of length n: accumulate g back
-    # through the non-negative idx; bincount adds onto 0.0 in index order
-    flat = idx.ravel()
-    if not isinstance(g, _Dual):
-        return np.bincount(flat, weights=g.ravel(), minlength=n)
-    val = np.bincount(flat, weights=g.val.ravel(), minlength=n)
-    k = g.dot.shape[-1]
-    dot = np.empty((n, k))
-    for j in range(k):
-        dot[:, j] = np.bincount(flat, weights=g.dot[..., j].ravel(), minlength=n)
-    return _Dual(val, dot)
+    # through the non-negative idx, one tangent row at a time; bincount
+    # adds onto 0.0 in index order
+    if isinstance(g, _Dual):
+        dot = np.stack([_scatter_add(row, idx, n) for row in g.dot])
+        return _Dual(_scatter_add(g.val, idx, n), dot)
+    return np.bincount(idx.ravel(), weights=g.ravel(), minlength=n)
 
 
 def _bcast_rows(g, n_cols):
-    # adjoint of a row sum: repeat g across axis 1
-    if not isinstance(g, _Dual):
-        return np.broadcast_to(g[:, None], (g.shape[0], n_cols))
-    shape = (g.val.shape[0], n_cols)
-    return _Dual(
-        np.broadcast_to(g.val[:, None], shape),
-        np.broadcast_to(g.dot[:, None, :], shape + (g.dot.shape[-1],)),
-    )
+    # adjoint of a row sum: repeat g along a new last axis
+    if isinstance(g, _Dual):
+        return _Dual(_bcast_rows(g.val, n_cols), _bcast_rows(g.dot, n_cols))
+    return np.broadcast_to(g[..., None], g.shape + (n_cols,))
 
 
 def _bcast_full(g, shape):
     # adjoint of a full sum: spread the scalar g over shape
-    if not isinstance(g, _Dual):
-        return np.broadcast_to(np.asarray(g), shape)
-    return _Dual(
-        np.broadcast_to(np.asarray(g.val), shape),
-        np.broadcast_to(g.dot, shape + (g.dot.shape[-1],)),
-    )
+    if isinstance(g, _Dual):
+        dot = g.dot.reshape(g.dot.shape + (1,) * len(shape))
+        return _Dual(_bcast_full(g.val, shape), np.broadcast_to(dot, g.dot.shape + shape))
+    return np.broadcast_to(np.asarray(g), shape)
 
 
 def _vdot(a, b):
@@ -244,9 +229,9 @@ def _vdot(a, b):
     val = float(_val(a) @ _val(b))
     dot = 0.0
     if isinstance(a, _Dual):
-        dot = dot + _val(b) @ a.dot
+        dot = dot + a.dot @ _val(b)
     if isinstance(b, _Dual):
-        dot = dot + _val(a) @ b.dot
+        dot = dot + b.dot @ _val(a)
     return _Dual(val, dot)
 
 
@@ -254,21 +239,15 @@ def _matmul(a, m):
     # product of a (possibly dual) array with a constant matrix or vector
     if not isinstance(a, _Dual):
         return a @ m
-    val = a.val @ m
-    if a.val.ndim == 2 and m.ndim == 2:
-        dot = np.einsum("abk,bc->ack", a.dot, m)
-    elif a.val.ndim == 2:
-        dot = np.einsum("abk,b->ak", a.dot, m)
-    else:
-        dot = np.einsum("bk,bc->ck", a.dot, m)
-    return _Dual(val, dot)
+    spec = "...b,bc->...c" if m.ndim == 2 else "...b,b->..."
+    return _Dual(a.val @ m, np.einsum(spec, a.dot, m))
 
 
 def _outer_vec(g, w):
     # adjoint of (E,3) @ w -> (E,): spread g over the columns of w
-    if not isinstance(g, _Dual):
-        return g[:, None] * w
-    return _Dual(g.val[:, None] * w, g.dot[:, None, :] * w[None, :, None])
+    if isinstance(g, _Dual):
+        return _Dual(_outer_vec(g.val, w), _outer_vec(g.dot, w))
+    return g[..., None] * w
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +328,8 @@ class Var:
         if axis is None:
             return self.rec._unary("sum", self)
         if axis == 1:
+            if len(self.shape) != 2:
+                raise ValueError(f"sum(axis=1) needs a 2-D operand, got shape {self.shape}")
             return self.rec._unary("sum_rows", self)
         raise ValueError("sum supports axis=None or axis=1")
 
@@ -403,6 +384,16 @@ class Recorder:
         if not any(s in self._diff for s in slots):
             # nothing here depends on the input: fold it into a constant
             return self.constant(value)
+        # numpy lines tangents up with values only if no operand that depends
+        # on the input is broadcast; its adjoint is never summed back either
+        shapes = [np.shape(self._values[s]) for s in slots]
+        if op in ("add", "sub", "mul", "div") and any(
+            s in self._diff and shape != np.shape(value) for s, shape in zip(slots, shapes)
+        ):
+            raise TypeError(
+                f"{op!r} broadcasts an operand that depends on the input: "
+                f"operand shapes {shapes}, result shape {np.shape(value)}"
+            )
         out = len(self._values)
         self._values.append(value)
         self._instrs.append(Instr(op, out, slots, aux))
@@ -503,6 +494,9 @@ def _vjp(instr: Instr, ws: list, g, diff: frozenset[int]) -> list[tuple[int, Any
         return each(lambda: g, lambda: g)
     if op == "sub":
         return each(lambda: g, lambda: _neg(g))
+    if op == "dot":
+        # spread the scalar adjoint over the vectors' entries
+        g = _bcast_full(g, np.shape(_val(a)))
     if op == "mul" or op == "dot":
         return each(lambda: _mul(g, ws[args[1]]), lambda: _mul(g, a))
     if op == "div":
@@ -611,16 +605,6 @@ def _input_gathers(program: "Program") -> list[Instr]:
     return gathers
 
 
-def _local_one_hots(n_elems: int, npe: int, n_gathers: int, start: int, stop: int) -> list:
-    """Seeds of local directions start..stop-1 for each gather, in tape order.
-
-    Local index a = n_gathers * i + k is column i of gather k.
-    """
-    seeds = np.zeros((n_elems, npe * n_gathers, stop - start))
-    seeds[:, start:stop, :] = np.eye(stop - start)
-    return [seeds[:, k::n_gathers] for k in range(n_gathers)]
-
-
 def _ndim(ins: Instr, ndim: dict[int, int]) -> int:
     # the number of axes of the slot ins writes, from its operands'
     if ins.op == "take":
@@ -687,12 +671,17 @@ def _element_cut(program: "Program") -> ElementCut:
         raise ValueError("element Hessians need gathers from the input by one (E, npe) matrix")
     ((n_elems, npe),) = shapes
     slots = _element_slots(program, gathers)
-    n_local = npe * len(gathers)
+    c = len(gathers)
+    n_local = npe * c
+    eye = np.eye(n_local)
     jacobian = None
     for start in range(0, n_local, _ELEMENT_PROBE_BLOCK):
         stop = min(start + _ELEMENT_PROBE_BLOCK, n_local)
-        one_hots = _local_one_hots(n_elems, npe, len(gathers), start, stop)
-        seeds = {ins.out: seed for ins, seed in zip(gathers, one_hots)}
+        # local index a = c * i + k is column i of gather k (tape order)
+        seeds = {
+            ins.out: np.broadcast_to(eye[start:stop, None, k::c], (stop - start, n_elems, npe))
+            for k, ins in enumerate(gathers)
+        }
         ws = program._forward(np.zeros(program.n_inputs), seeds, program.frontier.prefix)
         if jacobian is None:
             row_shapes = tuple(ws[slot].val.shape[1:] for slot in slots)
@@ -701,8 +690,8 @@ def _element_cut(program: "Program") -> ElementCut:
         row = 0
         for slot, shape in zip(slots, row_shapes):
             entries = int(np.prod(shape))
-            tangent = ws[slot].dot.reshape(n_elems, entries, -1)
-            jacobian[:, row : row + entries, start:stop] = tangent
+            tangent = ws[slot].dot.reshape(-1, n_elems, entries)
+            jacobian[:, row : row + entries, start:stop] = tangent.transpose(1, 2, 0)
             row += entries
         del ws  # one block's working set at a time
     return ElementCut(slots, row_shapes, jacobian)
@@ -800,7 +789,11 @@ class Program:
         return self.value_and_gradient(u)[1]
 
     def hessian_vector_product(self, u, s) -> np.ndarray:
-        """Exact H(u) @ s for one direction (n,) or stacked directions (n, k)."""
+        """Exact H(u) @ s for one direction (n,) or stacked directions (n, k).
+
+        The k directions travel as the leading tangent axis of one dual:
+        s is transposed on the way in and the result on the way out.
+        """
         u = self._check_input(u)
         s = np.asarray(s, dtype=float)
         single = s.ndim == 1
@@ -810,12 +803,12 @@ class Program:
             raise ValueError(
                 f"direction must have leading dimension {self.n_inputs}, got {s.shape}"
             )
-        ws = self._forward(_Dual(u, s))
+        ws = self._forward(_Dual(u, np.ascontiguousarray(s.T)))
         (grad,) = self._reverse(ws, 1.0)
         if grad is None or not isinstance(grad, _Dual):
             out = np.zeros((self.n_inputs, s.shape[1]))
         else:
-            out = np.array(grad.dot, dtype=float)
+            out = grad.dot.T.copy()
         return out[:, 0] if single else out
 
     # -- the linear frontier ------------------------------------------------
@@ -847,7 +840,7 @@ class Program:
         if direction.shape != u.shape:
             raise ValueError(f"direction must have shape {u.shape}, got {direction.shape}")
         frontier = self.frontier
-        ws = self._forward(_Dual(u, direction[:, None]), instrs=frontier.prefix)
+        ws = self._forward(_Dual(u, direction[None, :]), instrs=frontier.prefix)
         alpha_input, alpha = self.n_slots, self.n_slots + 1
         consts = dict(self.consts)
         instrs = [Instr("take", alpha, (alpha_input,), np.asarray(0))]
@@ -856,7 +849,7 @@ class Program:
         for out in frontier.slots:
             z0, z1, scaled = slot, slot + 1, slot + 2
             consts[z0] = ws[out].val
-            tangent = ws[out].dot[..., 0]
+            tangent = ws[out].dot[0]
             consts[z1] = tangent if tangent.ndim else float(tangent)
             instrs += [Instr("mul", scaled, (alpha, z1)), Instr("add", out, (z0, scaled))]
             diff |= {scaled, out}
@@ -899,8 +892,8 @@ class Program:
         seeds, columns, start = {}, [], 0
         for slot, shape in zip(cut.slots, cut.shapes):
             cols = slice(start, start + int(np.prod(shape)))
-            seed = eye[cols].reshape(shape + (width,))
-            seeds[slot] = np.broadcast_to(seed, (n_elems,) + seed.shape)
+            seed = eye[:, cols].reshape((width, 1) + shape)
+            seeds[slot] = np.broadcast_to(seed, (width, n_elems) + shape)
             columns.append(cols)
             start = cols.stop
         stop = self.frontier.slots
@@ -908,5 +901,6 @@ class Program:
         w = np.zeros((n_elems, width, width))
         for slot, cols in zip(cut.slots, columns):
             if isinstance(adjoints[slot], _Dual):
-                w[:, cols] = adjoints[slot].dot.reshape(n_elems, -1, width)
+                tangent = adjoints[slot].dot.reshape(width, n_elems, -1)
+                w[:, cols] = tangent.transpose(1, 2, 0)
         return np.matmul(k.transpose(0, 2, 1), np.matmul(w, k))

@@ -65,6 +65,21 @@ def test_quadratic_hvp_is_matrix_product():
     assert np.allclose(prog.hessian_vector_product(u, stacked), a @ stacked, atol=1e-13)
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_hvp_through_a_squared_dot_product(k):
+    # the dot products' scalar adjoints carry tangents of their own, which
+    # the reverse sweep spreads over the vectors' entries
+    rec = Recorder(5)
+    u = rec.input_var
+    c = np.array([0.4, -1.0, 2.0, 0.3, -0.7])
+    prog = rec.build(dot(u, u) ** 2 + dot(c, u) ** 3)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(5)
+    s = rng.standard_normal((5, k))
+    hessian = 4.0 * (x @ x) * np.eye(5) + 8.0 * np.outer(x, x) + 6.0 * (c @ x) * np.outer(c, c)
+    assert np.allclose(prog.hessian_vector_product(x, s), hessian @ s, atol=1e-13)
+
+
 def test_gradient_matches_central_differences(small_benchmarks):
     rng = np.random.default_rng(11)
     for problem in small_benchmarks:
@@ -201,7 +216,7 @@ def test_program_signature_is_stable():
 def oracle_sum_rows(a):
     if not isinstance(a, autodiff._Dual):
         return a.sum(axis=1)
-    return autodiff._Dual(a.val.sum(axis=1), a.dot.sum(axis=1))
+    return autodiff._Dual(a.val.sum(axis=1), a.dot.sum(axis=2))
 
 
 def oracle_scatter_add(g, idx, n):
@@ -211,8 +226,8 @@ def oracle_scatter_add(g, idx, n):
         return out
     val = np.zeros(n)
     np.add.at(val, idx, g.val)
-    dot = np.zeros((n, g.dot.shape[-1]))
-    np.add.at(dot, idx, g.dot)
+    dot = np.zeros((g.dot.shape[0], n))
+    np.add.at(dot, (slice(None), idx), g.dot)
     return autodiff._Dual(val, dot)
 
 
@@ -246,8 +261,8 @@ def test_sum_rows_matches_numpy_reduction(width):
     a[:3] = -0.0  # all -0.0 rows sum to +0.0
     assert_same_bits(autodiff._sum_rows(a), oracle_sum_rows(a))
     for k in (1, 6):
-        dual = autodiff._Dual(a, heavy_tailed(rng, (2000, width, k)))
-        dual.dot[:3] = -0.0
+        dual = autodiff._Dual(a, heavy_tailed(rng, (k, 2000, width)))
+        dual.dot[:, :3] = -0.0
         assert_same_dual_bits(autodiff._sum_rows(dual), oracle_sum_rows(dual))
 
 
@@ -260,8 +275,8 @@ def test_scatter_add_matches_add_at():
     g[:10] = -0.0  # an entry reached only by -0.0 stays +0.0
     assert_same_bits(autodiff._scatter_add(g, idx, n), oracle_scatter_add(g, idx, n))
     for k in (1, 6):
-        dot = heavy_tailed(rng, idx.shape + (k,))
-        dot[:10] = -0.0
+        dot = heavy_tailed(rng, (k,) + idx.shape)
+        dot[:, :10] = -0.0
         dual = autodiff._Dual(g, dot)
         assert_same_dual_bits(
             autodiff._scatter_add(dual, idx, n), oracle_scatter_add(dual, idx, n)
@@ -531,18 +546,13 @@ def test_rows_mixed_in_the_prefix_are_refused():
     ("energy", "op"),
     [
         (lambda v, g, z: ((z**2).sum()) ** 2, "pow"),
-        (lambda v, g, z: (z**2 * (z**2).sum()).sum(), "mul"),
         (lambda v, g, z: ((z + z[PERM]) ** 4).sum(), "pow"),
-        # an (E, 1) by (E,) product broadcasts across rows
-        (lambda v, g, z: (g @ np.ones((2, 1)) * z).sum(), "mul"),
         # an (E,) by (E, 3) product contracts across rows
         (lambda v, g, z: ((z @ np.arange(9.0).reshape(3, 3)) ** 2).sum(), "pow"),
     ],
     ids=[
         "square-of-the-sum",
-        "times-the-sum",
         "coupled-rows",
-        "broadcast-across-rows",
         "contraction-across-rows",
     ],
 )
@@ -550,6 +560,31 @@ def test_element_hessians_refuse_tapes_that_are_not_sums_of_element_densities(en
     program = row_sum_tape(energy)
     with pytest.raises(ValueError, match=f"'{op}'.*sum of element densities"):
         program.element_hessians(U4)
+
+
+@pytest.mark.parametrize(
+    "energy",
+    [
+        # an input-dependent scalar broadcast across the rows
+        lambda v, g, z: (z**2 * (z**2).sum()).sum(),
+        # an (E, 1) by (E,) product broadcasts across rows
+        lambda v, g, z: (g @ np.ones((2, 1)) * z).sum(),
+        lambda v, g, z: (z * np.ones((3, 1))).sum(),
+        lambda v, g, z: ((z**2).sum() * np.ones(3)).sum(),
+    ],
+    ids=["times-the-sum", "broadcast-across-rows", "rows-into-columns", "sum-across-rows"],
+)
+def test_broadcasts_of_input_dependent_operands_are_refused_when_recorded(energy):
+    with pytest.raises(TypeError, match=r"'mul' broadcasts .* result shape \(3,"):
+        row_sum_tape(energy)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 1, 2)])
+def test_row_sums_need_a_matrix(shape):
+    rec = Recorder(4)
+    v = rec.input_var if len(shape) == 1 else rec.input_var[np.arange(4).reshape(shape)]
+    with pytest.raises(ValueError, match=r"sum\(axis=1\) needs a 2-D operand"):
+        v.sum(axis=1)
 
 
 @pytest.mark.parametrize(
