@@ -423,6 +423,9 @@ class Recorder:
         return self._emit("matmul", (a, self.constant(m)))
 
     def _dot(self, a, b) -> Var:
+        sa, sb = np.shape(a), np.shape(b)
+        if len(sa) != 1 or len(sb) != 1:
+            raise TypeError(f"dot products need 1-D operands, got shapes {sa} and {sb}")
         return self._emit("dot", (self._as_var(a), self._as_var(b)))
 
     def log(self, a: Var) -> Var:
@@ -591,20 +594,6 @@ class ElementCut:
     jacobian: np.ndarray
 
 
-def _input_gathers(program: "Program") -> list[Instr]:
-    """The gathers from the input; ``ValueError`` if anything else but a
-    dot product with a constant reads it (that term is linear)."""
-    gathers = []
-    for ins in program.instrs:
-        if program.input_slot not in ins.args:
-            continue
-        if ins.op == "take":
-            gathers.append(ins)
-        elif not (ins.op == "dot" and sum(s in program.diff for s in ins.args) == 1):
-            raise ValueError(f"the input is read by {ins.op!r}, not only by gathers")
-    return gathers
-
-
 def _ndim(ins: Instr, ndim: dict[int, int]) -> int:
     # the number of axes of the slot ins writes, from its operands'
     if ins.op == "take":
@@ -618,30 +607,31 @@ def _ndim(ins: Instr, ndim: dict[int, int]) -> int:
     return max(ndim[s] for s in ins.args)
 
 
-def _element_slots(program: "Program", gathers: list[Instr]) -> tuple[int, ...]:
-    """The per-element frontier slots, after one pass that checks that the
-    tape is a sum of element densities (``ValueError`` naming the first
-    slot that is not).
+def _element_slots(program: "Program") -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The gathers' slots (tape order) and the per-element frontier slots,
+    after one pass that checks that the tape is a sum of element densities
+    (``ValueError`` naming the first slot that is not).
 
-    Each slot must be per-element or linear.  A per-element slot is built
-    row by row from the gathers: its op is not ``take``, ``sum`` or
-    ``dot``, its live operands are per-element with one number of axes n,
-    and no constant operand has more than n.  A linear slot enters the
-    energy only linearly: it is affine (``_is_affine``) in per-element and
-    linear slots, as the density sum and a load term are.  Only numbers of
-    axes are read, so nothing is replayed.
+    Each slot must be per-element or linear.  A per-element slot is a
+    gather from the input or is built row by row from them: its op is not
+    ``take``, ``sum`` or ``dot``, its live operands are per-element with
+    one number of axes n, and no constant operand has more than n.  A
+    linear slot enters the energy only linearly: it is affine
+    (``_is_affine``) in per-element and linear slots, as the density sum
+    and a load term are.  Only numbers of axes are read, so nothing is
+    replayed.
     """
     diff = program.diff
     ndim = {slot: np.ndim(value) for slot, value in program.consts.items()}
     ndim[program.input_slot] = 1
-    rows = {ins.out for ins in gathers}
-    linear = {program.input_slot}
+    gathers, rows, linear = [], set(), {program.input_slot}
     for ins in program.instrs:
         ndim[ins.out] = _ndim(ins, ndim)
-        if ins.out in rows:
-            continue
         n = max(ndim[s] for s in ins.args if s in diff)
-        if ins.op not in ("take", "sum", "dot") and all(
+        if ins.op == "take" and ins.args[0] == program.input_slot:
+            gathers.append(ins.out)
+            rows.add(ins.out)
+        elif ins.op not in ("take", "sum", "dot") and all(
             s in rows and ndim[s] == n if s in diff else ndim[s] <= n for s in ins.args
         ):
             rows.add(ins.out)
@@ -652,35 +642,30 @@ def _element_slots(program: "Program", gathers: list[Instr]) -> tuple[int, ...]:
                 f"slot {ins.out} ({ins.op!r}) is neither per-element nor linear: "
                 "element Hessians need a sum of element densities"
             )
-    return tuple(slot for slot in program.frontier.slots if slot in rows)
+    return tuple(gathers), tuple(slot for slot in program.frontier.slots if slot in rows)
 
 
 def _element_cut(program: "Program") -> ElementCut:
     """The cut for element Hessians: the per-element frontier slots.
 
-    The input must be read only by gathers with one (E, npe) index matrix
-    and by dot products with constants, and the tape must be a sum of
-    element densities (``_element_slots``); ``ValueError`` otherwise.
-    Frontier slots that are not per-element enter the energy linearly and
-    add nothing to the Hessian.  The Jacobian comes from the local one-hot
-    directions pushed through the prefix at u = 0, a few at a time.
+    The local dofs are those of ``Program.element_dofs``, and the tape
+    must be a sum of element densities (``_element_slots``); ``ValueError``
+    otherwise.  Frontier slots that are not per-element enter the energy
+    linearly and add nothing to the Hessian.  The Jacobian comes from the
+    local one-hot directions pushed through the prefix at u = 0, a few at
+    a time.
     """
-    gathers = _input_gathers(program)
-    shapes = {ins.aux.shape for ins in gathers}
-    if len(shapes) != 1 or len(next(iter(shapes))) != 2:
-        raise ValueError("element Hessians need gathers from the input by one (E, npe) matrix")
-    ((n_elems, npe),) = shapes
-    slots = _element_slots(program, gathers)
+    n_elems, n_local = program.element_dofs.shape
+    gathers, slots = _element_slots(program)
     c = len(gathers)
-    n_local = npe * c
     eye = np.eye(n_local)
     jacobian = None
     for start in range(0, n_local, _ELEMENT_PROBE_BLOCK):
         stop = min(start + _ELEMENT_PROBE_BLOCK, n_local)
-        # local index a = c * i + k is column i of gather k (tape order)
+        # one-hot local directions, in the order of element_dofs
         seeds = {
-            ins.out: np.broadcast_to(eye[start:stop, None, k::c], (stop - start, n_elems, npe))
-            for k, ins in enumerate(gathers)
+            g: np.broadcast_to(eye[start:stop, None, k::c], (stop - start, n_elems, n_local // c))
+            for k, g in enumerate(gathers)
         }
         ws = program._forward(np.zeros(program.n_inputs), seeds, program.frontier.prefix)
         if jacobian is None:
@@ -819,6 +804,33 @@ class Program:
         return _frontier(self)
 
     @functools.cached_property
+    def element_dofs(self) -> np.ndarray:
+        """The input index behind every element-local index, shape (E, L).
+
+        Read from the tape's own gathers: element e's local index
+        a = c * i + k is column i of the k-th of the c gathers from the
+        input (tape order), so L = c * npe; for c interleaved components
+        gathered one per component, a is node i, component k.
+        ``element_hessians`` and ``fem.element_slots`` follow this table.
+        Raises ``ValueError`` when anything but gathers and dot products
+        with a constant reads the input, or when the gathers are not all
+        by one (E, npe) matrix.
+        """
+        gathers = []
+        for ins in self.instrs:
+            if self.input_slot not in ins.args:
+                continue
+            if ins.op == "take":
+                gathers.append(ins.aux)
+            elif not (ins.op == "dot" and sum(s in self.diff for s in ins.args) == 1):
+                raise ValueError(f"the input is read by {ins.op!r}, not only by gathers")
+        if len({idx.shape for idx in gathers}) != 1 or gathers[0].ndim != 2:
+            raise ValueError("element Hessians need gathers from the input by one (E, npe) matrix")
+        # a view for one gather (a scalar field): the cache then holds no memory
+        dofs = gathers[0] if len(gathers) == 1 else np.stack(gathers, axis=2)
+        return dofs.reshape(len(dofs), -1)
+
+    @functools.cached_property
     def element_cut(self) -> ElementCut:
         """The cut for element Hessians with its constant Jacobian, computed
         on first use (see ``element_hessians``)."""
@@ -868,19 +880,15 @@ class Program:
     def element_hessians(self, u) -> np.ndarray:
         """Every element's (L, L) Hessian block at u, for a sum of element densities.
 
-        Local index a = c * i + k is column i of the k-th gather from the
-        input (tape order, c gathers in all), so for a field with c
-        interleaved components gathered one per component it is node i,
-        component k; L = c * npe.  The F per-element entries of
-        ``element_cut`` are seeded with one-hot tangents and the reverse
-        sweep stops at the frontier, giving W'' (E, F, F), the second
-        derivatives with respect to those entries; the blocks are
-        K^T W'' K with K the cut's Jacobian.  F = 0 (a linear tape) gives
-        zero blocks.  Raises ``ValueError`` when anything other than a
-        gather by one index matrix or a dot product with a constant reads
-        the input, or when the tape is not a sum of element densities
-        (see ``_element_slots``): a slot that mixes elements and is not
-        used only linearly, such as ``z[perm]`` inside a power, is
+        The local indices are those of ``element_dofs``.  The F
+        per-element entries of ``element_cut`` are seeded with one-hot
+        tangents and the reverse sweep stops at the frontier, giving W''
+        (E, F, F), the second derivatives with respect to those entries;
+        the blocks are K^T W'' K with K the cut's Jacobian.  F = 0 (a
+        linear tape) gives zero blocks.  Raises ``ValueError`` where
+        ``element_dofs`` does, or when the tape is not a sum of element
+        densities (see ``_element_slots``): a slot that mixes elements and
+        is not used only linearly, such as ``z[perm]`` inside a power, is
         refused even where the energy still separates.
         """
         u = self._check_input(u)

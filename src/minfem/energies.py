@@ -222,9 +222,9 @@ class EnergyProblem:
     the field (directions get zeros at the fixed dofs) and restrict the
     results to ``dofmap.freedofs``.
 
-    ``element_slots`` maps each element's (L, L) Hessian block, with
-    L = npe * components, into ``pattern`` (see ``fem.element_slots``);
-    ``hessian`` takes the blocks from ``program`` itself, as second-order
+    ``element_slots`` maps each element's Hessian block, indexed by
+    ``program.element_dofs``, into ``pattern``; ``hessian`` takes the
+    blocks from ``program`` itself, as second-order
     adjoints at its element cut (``Program.element_cut``).  That needs a
     tape that is a sum of element densities; ``Program.element_hessians``
     refuses any other.  A problem without a slot map gets its Hessian
@@ -292,9 +292,8 @@ class EnergyProblem:
         """Exact sparse Hessian at u over the free dofs.
 
         With a slot map, the element blocks come from ``program`` itself
-        (``Program.element_hessians``: element e's local index
-        a = c * i + comp is its node i, component comp); without one, the
-        Hessian is recovered through the coloring.  A tape that is not a
+        (``Program.element_hessians``); without one, the Hessian is
+        recovered through the coloring.  A tape that is not a
         sum of element densities raises ``ValueError`` with a slot map and
         needs a problem without one.  A non-finite Hessian raises
         ``ColoringError`` either way.
@@ -367,7 +366,7 @@ def problem_from_mesh(kind: str, mesh: MeshData, params=None) -> EnergyProblem:
     Applies the benchmark's Dirichlet data (zero for the scalar problems,
     untwisted end faces for the bar) and default parameters, records the
     tape over the full nodal field, and builds the sparsity pattern and
-    the element slot map.
+    the element slot map from the tape's gathers.
     """
     elemdata = precompute_gradients(mesh)
     if kind == "plaplace":
@@ -401,7 +400,7 @@ def problem_from_mesh(kind: str, mesh: MeshData, params=None) -> EnergyProblem:
         program=program,
         pattern=pattern,
         initial_guess=start,
-        element_slots=element_slots(mesh.elems, dofmap, pattern),
+        element_slots=element_slots(program.element_dofs, dofmap, pattern),
     )
 
 

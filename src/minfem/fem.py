@@ -24,7 +24,6 @@ __all__ = [
     "build_dofmap",
     "assemble_load_vector",
     "sparsity_pattern",
-    "element_dofs",
     "element_slots",
 ]
 
@@ -214,27 +213,17 @@ def sparsity_pattern(mesh: MeshData, dofmap: DofMap) -> SparsityPattern:
     return SparsityPattern.from_csr(restricted)
 
 
-def element_dofs(elems: np.ndarray, components: int) -> np.ndarray:
-    """Full-field dof of every element-local index, shape (E, npe * components).
-
-    Local index ``a = components * i + comp`` of element e is component
-    ``comp`` of its node ``elems[e, i]``.
-    """
-    dofs = components * elems[:, :, None] + np.arange(components)
-    return dofs.reshape(elems.shape[0], -1)
-
-
-def element_slots(elems: np.ndarray, dofmap: DofMap, pattern: SparsityPattern) -> np.ndarray:
+def element_slots(dofs: np.ndarray, dofmap: DofMap, pattern: SparsityPattern) -> np.ndarray:
     """Slot in ``pattern.indices`` of every element Hessian entry (e, a, b).
 
-    Entry (e, a, b) couples local row a with local column b of element e
-    (local indices as in ``element_dofs``).  Entries on a fixed dof go to
-    the spare slot ``pattern.nnz``.  Returns int32 of shape (E, L, L) with
-    L = npe * components.
+    ``dofs`` (E, L) holds the full-field dof behind each element-local
+    index (``Program.element_dofs``); entry (e, a, b) couples local row a
+    with local column b of element e.  Entries on a fixed dof go to the
+    spare slot ``pattern.nnz``.  Returns int32 of shape (E, L, L).
     """
     position = np.full(dofmap.n_total, -1, dtype=np.int64)
     position[dofmap.freedofs] = np.arange(dofmap.n_free)
-    local = position[element_dofs(elems, dofmap.components)]
+    local = position[dofs]
     rows, cols = local[:, :, None], local[:, None, :]
     free = (rows >= 0) & (cols >= 0)
     wanted = (rows * pattern.n + cols)[free]

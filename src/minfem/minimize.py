@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -74,13 +75,24 @@ class NewtonConfig:
     infinity norm is ``grad_tol * (1 + |J(u_init)|)``.  ``energy_tol``
     stops on relative energy stagnation.  ``solver`` picks the linear
     path: auto (direct up to 15,000 dofs, AMG-CG above), or forced
-    direct / amg / diag-cg.
+    direct / amg / diag-cg.  Other values raise ``ValueError`` naming the field.
     """
 
     grad_tol: float = 1e-6
     energy_tol: float = 1e-10
     max_iters: int = 200
     solver: str = "auto"
+
+    def __post_init__(self):
+        for name in ("grad_tol", "energy_tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        n = self.max_iters
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"max_iters must be a non-negative integer, got {n!r}")
+        if self.solver not in ("auto", "direct", "amg", "diag-cg"):
+            raise ValueError(f"solver must be auto, direct, amg or diag-cg, got {self.solver!r}")
 
 
 @dataclass(frozen=True)

@@ -211,7 +211,8 @@ def _aggregate(a: sp.csr_matrix) -> tuple[np.ndarray, int]:
                 agg[j] = next_agg
             agg[i] = next_agg
             next_agg += 1
-    # pass 2: attach leftovers to the first adjacent aggregate
+    # pass 2: attach leftovers to the first adjacent aggregate.  Pass 1 left a node
+    # out only for a neighbor it had assigned (an empty row is a root), so none remain
     attach: list[tuple[int, int]] = []
     for i in range(n):
         if agg[i] != -1:
@@ -222,15 +223,6 @@ def _aggregate(a: sp.csr_matrix) -> tuple[np.ndarray, int]:
                 break
     for i, k in attach:
         agg[i] = k
-    # pass 3: islands form their own aggregates
-    for i in range(n):
-        if agg[i] != -1:
-            continue
-        agg[i] = next_agg
-        for j in indices[indptr[i] : indptr[i + 1]]:
-            if agg[j] == -1:
-                agg[j] = next_agg
-        next_agg += 1
     return np.array(agg, dtype=np.int64), next_agg
 
 

@@ -8,13 +8,24 @@ import scipy.sparse as sp
 from minfem import energies
 from minfem.autodiff import Recorder, dot
 from minfem.energies import EnergyProblem, problem_from_mesh
-from minfem.fem import DofMap, SparsityPattern, element_dofs
+from minfem.fem import DofMap, SparsityPattern
 
 DENSITIES = {
     "plaplace": energies._plaplace_density,
     "ginzburg_landau": energies._ginzburg_landau_density,
     "neohooke": energies._neohooke_density,
 }
+
+
+def element_dofs(elems: np.ndarray, components: int) -> np.ndarray:
+    """Full-field dof of every element-local index, shape (E, npe * components).
+
+    Local index ``a = components * i + comp`` of element e is component
+    ``comp`` of its node ``elems[e, i]``: the benchmark tapes' order,
+    derived from the mesh independently of ``Program.element_dofs``.
+    """
+    dofs = components * elems[:, :, None] + np.arange(components)
+    return dofs.reshape(elems.shape[0], -1)
 
 
 def make_quadratic_problem(a: np.ndarray, b: np.ndarray) -> EnergyProblem:

@@ -7,6 +7,7 @@ from helpers import (
     central_difference_gradient,
     dense_hessian_by_probes,
     element_blocks_by_hvp,
+    element_dofs,
     element_local_program,
     jittered,
     make_quadratic_problem,
@@ -15,7 +16,6 @@ from helpers import (
 from minfem import autodiff
 from minfem.autodiff import Recorder, dot
 from minfem.energies import build_problem
-from minfem.fem import element_dofs
 
 
 def sum_of_squares_program(n=3):
@@ -155,6 +155,34 @@ def test_replay_determinism_bitwise():
     h1 = problem.hessian_vector_product(u, s)
     h2 = problem.hessian_vector_product(u, s)
     assert np.array_equal(h1, h2)
+
+
+@pytest.mark.parametrize("var_first", [True, False], ids=["var-at-vector", "vector-at-var"])
+def test_one_dimensional_matmul_records_a_dot_product(var_first):
+    w = np.array([1.5, -0.4, 0.9])
+    u = np.array([0.3, -1.2, 2.5])
+    rec = Recorder(3)
+    cubes = rec.input_var**3
+    prog = rec.build(cubes @ w if var_first else w @ cubes)
+    assert [ins.op for ins in prog.instrs] == ["pow", "dot"]
+    assert prog.evaluate(u) == np.dot(u**3.0, w)
+    assert np.allclose(prog.gradient(u), 3.0 * u**2 * w, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    ("contract", "shapes"),
+    [
+        (lambda v: np.ones((2, 3)) @ v, r"\(2, 3\) and \(3,\)"),
+        (lambda v: dot(v[np.array([[0, 1], [1, 2]])], np.ones(2)), r"\(2, 2\) and \(2,\)"),
+        (lambda v: dot(np.ones((3, 1)), v), r"\(3, 1\) and \(3,\)"),
+        (lambda v: dot(2.0, v), r"\(\) and \(3,\)"),
+    ],
+    ids=["matrix-at-var", "dot-of-a-matrix-var", "dot-with-a-matrix", "dot-with-a-scalar"],
+)
+def test_dot_products_need_vectors(contract, shapes):
+    rec = Recorder(3)
+    with pytest.raises(TypeError, match=f"dot products need 1-D operands, got shapes {shapes}$"):
+        contract(rec.input_var)
 
 
 def test_abs_uses_sign_zero_at_origin():
@@ -587,25 +615,61 @@ def test_row_sums_need_a_matrix(shape):
         v.sum(axis=1)
 
 
-@pytest.mark.parametrize(
-    "energy",
-    [
-        lambda v, g, z: (g * (2.0 * g)).sum(),
-        lambda v, g, z: 0.5 * g.sum(),
+SUMS_OF_ELEMENT_DENSITIES = [
+    pytest.param(lambda v, g, z: (g * (2.0 * g)).sum(), id="dependent-frontier-slots"),
+    pytest.param(lambda v, g, z: 0.5 * g.sum(), id="scaled-linear-terms"),
+    pytest.param(
         lambda v, g, z: (z @ np.array([[0.5, -1.0], [2.0, 0.3], [-0.7, 1.1]])).sum() + (z**4).sum(),
-        lambda v, g, z: ((z**3)[PERM] * np.array([1.5, -0.4, 0.9])).sum(),
-        lambda v, g, z: dot(z**3, np.array([1.5, -0.4, 0.9])) - dot(U4[::-1], v),
-    ],
-    ids=[
-        "dependent-frontier-slots",
-        "scaled-linear-terms",
-        "contraction-used-linearly",
-        "take-used-linearly",
-        "dot-products",
-    ],
-)
+        id="contraction-used-linearly",
+    ),
+    pytest.param(
+        lambda v, g, z: ((z**3)[PERM] * np.array([1.5, -0.4, 0.9])).sum(), id="take-used-linearly"
+    ),
+    pytest.param(
+        lambda v, g, z: dot(z**3, np.array([1.5, -0.4, 0.9])) - dot(U4[::-1], v), id="dot-products"
+    ),
+    pytest.param(lambda v, g, z: (z / (1.0 + z**2)).sum(), id="quotient"),
+    pytest.param(lambda v, g, z: (1.0 / (2.0 + z**2)).sum(), id="reciprocal"),
+    pytest.param(lambda v, g, z: (-(z**3)).sum(), id="negation"),
+    pytest.param(lambda v, g, z: ((3.0 - z) ** 3).sum(), id="constant-minus"),
+]
+
+
+@pytest.mark.parametrize("energy", SUMS_OF_ELEMENT_DENSITIES)
 def test_element_hessians_of_sums_of_element_densities_match_the_hvp(energy):
     assert_scatters_to_hessian(row_sum_tape(energy), U4)
+
+
+@pytest.mark.parametrize("energy", SUMS_OF_ELEMENT_DENSITIES)
+def test_row_sum_tape_derivatives_match_central_differences(energy):
+    # differences of values and of gradients: no rule checks against itself
+    program = row_sum_tape(energy)
+    h = 1e-6
+    steps = h * np.eye(4)
+    values = [program.evaluate(U4 + s) - program.evaluate(U4 - s) for s in steps]
+    grad = program.gradient(U4)
+    assert np.abs(grad - np.array(values) / (2.0 * h)).max() <= 1e-7 * max(1.0, np.abs(grad).max())
+    hessian = program.hessian_vector_product(U4, np.eye(4))
+    columns = [program.gradient(U4 + s) - program.gradient(U4 - s) for s in steps]
+    want = np.stack(columns, axis=1) / (2.0 * h)
+    assert np.abs(hessian - want).max() <= 1e-7 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize(
+    ("outer", "frontier_op", "suffix"),
+    [
+        (lambda z: z / 4.0, "div", ["pow", "sum"]),
+        (lambda z: -z, "neg", ["pow", "sum"]),
+        (lambda z: 1.0 / z, "sum_rows", ["div", "pow", "sum"]),
+    ],
+    ids=["divided-by-a-constant", "negated", "constant-divided-by-it"],
+)
+def test_affine_quotients_and_negations_join_the_prefix(outer, frontier_op, suffix):
+    # z / 4 and -z are affine in the input; 1 / z is not, so z is the frontier
+    program = row_sum_tape(lambda v, g, z: (outer(z) ** 3).sum())
+    assert ops_of(program, program.frontier.slots) == [frontier_op]
+    assert [ins.op for ins in program.frontier.suffix] == suffix
+    assert_scatters_to_hessian(program, U4)
 
 
 def test_a_refused_tape_gets_its_hessian_by_colored_recovery():

@@ -10,9 +10,9 @@ from minfem.coloring import (
     color_pattern,
     recover_hessian,
 )
-from helpers import element_local_program
+from helpers import element_dofs, element_local_program
 from minfem.energies import build_problem
-from minfem.fem import SparsityPattern, build_dofmap, element_dofs, sparsity_pattern
+from minfem.fem import SparsityPattern, build_dofmap, sparsity_pattern
 from minfem.minimize import benchmark_initial_guess
 from minfem.mesh import build_lshape_mesh, build_square_mesh
 

@@ -12,7 +12,7 @@ from helpers import (
     make_quadratic_problem,
     random_benchmark_state,
 )
-from minfem import autodiff
+from minfem import autodiff, energies
 from minfem.autodiff import Recorder
 from minfem.coloring import ColoringError, color_pattern, recover_hessian
 from minfem.energies import (
@@ -290,6 +290,32 @@ def test_element_hessian_matches_colored_recovery_on_rebound_bar():
     assert_matches_colored_recovery(twisted, twisted_bar_state(problem, angle, rng))
 
 
+def record_neohooke_gathers_reordered(dofmap, elemdata, params):
+    """The bar's tape with its component gathers recorded in the order 2, 0, 1."""
+    rec = Recorder(dofmap.n_total)
+    v = rec.input_var
+    comps = [None] * 3
+    for k in (2, 0, 1):
+        comps[k] = v[3 * elemdata.elems + k]
+    return rec.build(energies._neohooke_density(comps, elemdata, params).sum())
+
+
+def test_element_hessian_follows_the_tapes_own_gathers(monkeypatch):
+    # the same energy with another local order: the slot map that
+    # problem_from_mesh builds must follow the tape, not the mesh
+    problem = build_problem("neohooke", 1)
+    monkeypatch.setattr(energies, "record_neohooke", record_neohooke_gathers_reordered)
+    reordered = problem_from_mesh("neohooke", problem.mesh)
+    elems = problem.mesh.elems
+    assert np.array_equal(reordered.program.element_dofs[:, :3], 3 * elems[:, :1] + [2, 0, 1])
+    assert not np.array_equal(reordered.element_slots, problem.element_slots)
+    rng = np.random.default_rng(71)
+    for _ in range(2):
+        u = random_benchmark_state(problem, rng)
+        assert reordered.evaluate(u) == problem.evaluate(u)
+        assert_matches_colored_recovery(reordered, u)
+
+
 def test_problem_without_element_slots_uses_colored_recovery():
     rng = np.random.default_rng(9)
     m = rng.standard_normal((6, 6))
@@ -415,7 +441,7 @@ def test_element_slots_reject_couplings_outside_pattern():
     problem = build_problem("plaplace", 1)
     diagonal = SparsityPattern.from_csr(sp.identity(problem.n_dofs, format="csr"))
     with pytest.raises(ValueError, match="outside the sparsity pattern"):
-        element_slots(problem.mesh.elems, problem.dofmap, diagonal)
+        element_slots(problem.program.element_dofs, problem.dofmap, diagonal)
 
 
 def test_element_cut_choice_is_pinned(tiny_bar_problem):

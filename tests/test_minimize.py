@@ -194,6 +194,32 @@ def test_solver_override_is_honored():
     assert all(rec.inner_iterations > 0 for rec in result.iteration_log)
 
 
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("solver", "cholesky"),
+        ("grad_tol", -1e-6),
+        ("grad_tol", float("nan")),
+        ("energy_tol", 0.0),
+        ("energy_tol", float("inf")),
+        ("energy_tol", "1e-10"),
+        ("max_iters", -1),
+        ("max_iters", 2.5),
+        ("max_iters", True),
+    ],
+)
+def test_newton_config_rejects_bad_values_when_constructed(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        NewtonConfig(**{field: value})
+
+
+def test_newton_config_accepts_its_edge_values():
+    config = NewtonConfig(grad_tol=np.float64(1e-300), energy_tol=1.0, max_iters=np.int64(0))
+    assert config.max_iters == 0
+    for solver in ("auto", "direct", "amg", "diag-cg"):
+        assert NewtonConfig(solver=solver).solver == solver
+
+
 def test_benchmark_initial_guess_plaplace_is_harmonic_like():
     problem = build_problem("plaplace", 1)
     u0 = benchmark_initial_guess(problem)

@@ -406,10 +406,14 @@ def test_aggregation_and_tentative_prolongator_match_oracles(kind, level):
     a = problem.hessian(benchmark_initial_guess(problem))
     n = a.shape[0]
     coarse = build_amg(a + sp.identity(n), problem.near_nullspace()).levels[1].a
-    for mat in (a, coarse):
+    # a node with an empty row between the two becomes its own root
+    holed = sp.block_diag([a, sp.csr_matrix((1, 1)), coarse], format="csr")
+    assert np.diff(holed.indptr)[n] == 0
+    for mat in (a, coarse, holed):
         agg, n_agg = _aggregate(mat)
         want_agg, want_n = aggregate_oracle(mat)
         assert n_agg == want_n and identical(agg, want_agg)
+        assert agg.min() == 0 and np.unique(agg).size == n_agg
     agg, n_agg = _aggregate(a)
     # the benchmark near-nullspace, then one with a repeated column and an
     # all-zero aggregate, which drop columns in the keep rule
