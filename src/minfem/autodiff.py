@@ -29,7 +29,8 @@ by the rest, are its linear frontier (``Program.frontier``).
 ``Program.along(u, d)`` runs the prefix once on a dual of (u, d), which
 gives every frontier slot as z0 + alpha * z1, and returns a small
 program over [alpha] that replays only the rest: line-search samples
-skip the linear part of the tape.
+skip the linear part of the tape.  That ``LineProgram`` is for
+``evaluate`` only; its derivatives raise.
 
 Element Hessians come from the same tape (``Program.element_hessians``),
 by second-order adjoint preaccumulation at intermediate variables
@@ -69,6 +70,7 @@ import numpy as np
 __all__ = [
     "ElementCut",
     "Frontier",
+    "LineProgram",
     "Program",
     "Recorder",
     "Var",
@@ -420,12 +422,19 @@ class Recorder:
         return self._emit("take", (a,), idx)
 
     def _matmul(self, a: Var, m: np.ndarray) -> Var:
+        if not a.shape or m.ndim not in (1, 2) or a.shape[-1] != m.shape[0]:
+            raise ValueError(
+                f"matrix product contracts mismatched lengths: shapes {a.shape} and {m.shape} "
+                "(the constant must be 1-D or 2-D, with as many rows as the last axis)"
+            )
         return self._emit("matmul", (a, self.constant(m)))
 
     def _dot(self, a, b) -> Var:
         sa, sb = np.shape(a), np.shape(b)
         if len(sa) != 1 or len(sb) != 1:
             raise TypeError(f"dot products need 1-D operands, got shapes {sa} and {sb}")
+        if sa != sb:
+            raise ValueError(f"dot product contracts mismatched lengths: shapes {sa} and {sb}")
         return self._emit("dot", (self._as_var(a), self._as_var(b)))
 
     def log(self, a: Var) -> Var:
@@ -836,15 +845,15 @@ class Program:
         on first use (see ``element_hessians``)."""
         return _element_cut(self)
 
-    def along(self, u, direction) -> "Program":
+    def along(self, u, direction) -> "LineProgram":
         """J(u + alpha * direction) as a program over the one input [alpha].
 
         The prefix runs once, on a dual of (u, direction), which gives
         every frontier slot as z0 + alpha * z1.  The returned program
         computes those sums from its input and replays only the suffix, so
         each ``evaluate([alpha])`` skips the linear part of the tape.  Its
-        values match ``evaluate(u + alpha * direction)`` to rounding; it is
-        meant for ``evaluate`` only.
+        values match ``evaluate(u + alpha * direction)`` to rounding; its
+        derivatives raise (see ``LineProgram``).
         """
         # copies: the returned program may hold them as constants
         u = self._check_input(u).copy()
@@ -867,7 +876,7 @@ class Program:
             diff |= {scaled, out}
             slot += 3
         diff |= {ins.out for ins in frontier.suffix}
-        return Program(
+        return LineProgram(
             instrs=tuple(instrs) + frontier.suffix,
             n_slots=slot,
             n_inputs=1,
@@ -912,3 +921,18 @@ class Program:
                 tangent = adjoints[slot].dot.reshape(width, n_elems, -1)
                 w[:, cols] = tangent.transpose(1, 2, 0)
         return np.matmul(k.transpose(0, 2, 1), np.matmul(w, k))
+
+
+class LineProgram(Program):
+    """The energy on a line, from ``Program.along``: it supports ``evaluate`` only.
+
+    Its ``alpha * z1`` multiplies the scalar alpha into the frontier's
+    per-element slots, a broadcast that the recorder refuses because the
+    reverse sweep cannot sum its adjoint back; so every derivative raises
+    ``TypeError`` by name instead of failing inside a kernel.
+    """
+
+    def _evaluate_only(self, *args):
+        raise TypeError("a line program supports evaluate only, not derivatives")
+
+    value_and_gradient = gradient = hessian_vector_product = _evaluate_only

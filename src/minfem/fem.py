@@ -2,23 +2,27 @@
 
 Produces the per-element basis-gradient tables and volumes, the Dirichlet
 scaffolding (free-dof indexing and boundary-value vector), constant load
-vectors, the symmetric sparsity pattern of the energy Hessian, and the map
-from element Hessian entries to their slots in that pattern.
+vectors, the symmetric sparsity pattern of the energy Hessian with its
+band-narrowing ordering for the direct solver, and the map from element
+Hessian entries to their slots in that pattern.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .mesh import MeshData
 
 __all__ = [
     "ElementData",
     "DofMap",
+    "BandOrdering",
     "SparsityPattern",
     "precompute_gradients",
     "build_dofmap",
@@ -66,11 +70,26 @@ class DofMap:
 
 
 @dataclass(frozen=True, eq=False)
+class BandOrdering:
+    """A symmetric permutation that packs a pattern into a narrow band.
+
+    Position k of the permuted matrix holds row ``perm[k]``, and row i
+    moves to ``position[i]``.  Every stored entry (i, j) of the pattern
+    lands within ``bandwidth`` of the diagonal:
+    ``|position[i] - position[j]| <= bandwidth``.
+    """
+
+    perm: np.ndarray
+    position: np.ndarray
+    bandwidth: int
+
+
+@dataclass(frozen=True, eq=False)
 class SparsityPattern:
     """Symmetric nonzero structure of the Hessian over the free dofs.
 
     Stored in row-pointer (CSR) form with sorted column indices and a full
-    diagonal.
+    diagonal.  ``band_ordering`` is derived from it on first use.
     """
 
     n: int
@@ -90,9 +109,25 @@ class SparsityPattern:
         data = np.ones(self.nnz, dtype=dtype)
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
+    @functools.cached_property
+    def band_ordering(self) -> BandOrdering:
+        """Reverse Cuthill-McKee ordering and its half-bandwidth, computed on first use.
+
+        Cuthill and McKee (Proc. ACM 1969), reversed as in George and Liu,
+        Computer Solution of Large Sparse Positive Definite Systems (1981).
+        It depends on the structure alone, so every matrix with this
+        pattern (each Newton step, each load step) shares one.
+        """
+        perm = reverse_cuthill_mckee(self.tocsr(), symmetric_mode=True).astype(np.int64)
+        position = np.empty_like(perm)
+        position[perm] = np.arange(self.n)
+        rows, cols = self.rows_cols()
+        bandwidth = int(np.abs(position[rows] - position[cols]).max(initial=0))
+        return BandOrdering(perm, position, bandwidth)
+
     @classmethod
     def from_csr(cls, a: sp.spmatrix) -> "SparsityPattern":
-        a = sp.csr_matrix(a)
+        a = sp.csr_matrix(a, copy=True)  # tidied in place: leave the caller's arrays be
         a.sum_duplicates()
         a.sort_indices()
         return cls(a.shape[0], a.indptr.astype(np.int64), a.indices.astype(np.int64))

@@ -5,7 +5,9 @@ feeds the stopping tests and is the line search's phi(0), and its
 gradient the Newton step.  Each iteration takes the exact sparse Hessian
 from ``EnergyProblem.hessian`` (element blocks from the energy tape for
 the benchmark energies, the colored recovery for other problems), solves
-for the Newton direction (direct or AMG-CG depending on size; successive
+for the Newton direction (direct or AMG-CG depending on size; direct
+solves order by the problem's pattern, whose band ordering is derived
+once and shared by every call and load step; successive
 AMG builds in one call share the aggregation wherever the sparsity
 structure and near-nullspace repeat exactly), regularizes
 with an escalating Tikhonov shift when the solve fails or the direction
@@ -37,6 +39,7 @@ from . import solvers
 from .coloring import ColoringError
 from .coloring import recover_hessian  # noqa: F401  perfbench/layers.py wraps it here by name
 from .energies import EnergyProblem, PLaplaceParams, bar_dirichlet_values, record_plaplace
+from .fem import SparsityPattern
 
 __all__ = [
     "NewtonConfig",
@@ -239,18 +242,21 @@ def _solve_newton_system(
     method: str,
     near_nullspace: np.ndarray,
     amg: _AmgReuse | None = None,
+    pattern: SparsityPattern | None = None,
 ) -> tuple[np.ndarray, str, int]:
     """One linear solve along the configured path; returns (x, path, inner).
 
     ``auto`` solves directly up to ``solvers.DIRECT_DOF_LIMIT`` unknowns and
-    by AMG-CG above.  An AMG build starts from ``amg.structure`` and leaves
-    its own there; only the structure is kept, never the hierarchy.
+    by AMG-CG above.  A direct solve orders by ``pattern``, which holds
+    ``h``'s entries (None: ``h``'s own).  An AMG build starts from
+    ``amg.structure`` and leaves its own there; only the structure is
+    kept, never the hierarchy.
     """
     n = rhs.shape[0]
     if method == "auto":
         method = "direct" if n <= solvers.DIRECT_DOF_LIMIT else "amg"
     if method == "direct":
-        return solvers.solve_direct(h, rhs), "direct", 0
+        return solvers.solve_direct(h, rhs, pattern), "direct", 0
     if method == "amg":
         hierarchy = solvers.build_amg(h, near_nullspace, amg.structure if amg else ())
         if amg is not None:
@@ -269,8 +275,13 @@ def _newton_direction(
     config: NewtonConfig,
     near_nullspace: np.ndarray,
     amg: _AmgReuse,
+    pattern: SparsityPattern,
 ) -> tuple[np.ndarray, str, int, float]:
-    """Descent direction from H d = -g, with escalating Tikhonov shifts."""
+    """Descent direction from H d = -g, with escalating Tikhonov shifts.
+
+    ``pattern`` holds the entries of H and, with its full diagonal, of
+    every shifted H.
+    """
     n = grad.shape[0]
     diag_max = float(np.abs(h.diagonal()).max()) if h is not None else 0.0
     if h is None:
@@ -285,7 +296,7 @@ def _newton_direction(
         candidate = h if shift == 0.0 else (h + shift * eye).tocsr()
         try:
             d, path, inner = _solve_newton_system(
-                candidate, -grad, config.solver, near_nullspace, amg
+                candidate, -grad, config.solver, near_nullspace, amg, pattern
             )
         except solvers.SolverError as exc:
             last_error = exc
@@ -384,7 +395,9 @@ def newton_minimize(
             hessian = None  # singular flat states; fall back to the shifted path
         hessian_s = time.perf_counter() - hessian_started
         solve_started = time.perf_counter()
-        d, path, inner, shift = _newton_direction(hessian, grad, cfg, near_nullspace, amg)
+        d, path, inner, shift = _newton_direction(
+            hessian, grad, cfg, near_nullspace, amg, problem.pattern
+        )
         solve_s = time.perf_counter() - solve_started
         del hessian  # freed before the line search and the next Hessian: a lower peak memory
         linesearch_started = time.perf_counter()
@@ -436,7 +449,9 @@ def benchmark_initial_guess(problem: EnergyProblem) -> np.ndarray:
     quad = dataclasses.replace(problem, params=quad_params, program=quad_program)
     zero = np.zeros(problem.n_dofs)
     grad = quad.gradient(zero)
-    return _solve_newton_system(quad.hessian(zero), -grad, "auto", problem.near_nullspace())[0]
+    return _solve_newton_system(
+        quad.hessian(zero), -grad, "auto", problem.near_nullspace(), pattern=problem.pattern
+    )[0]
 
 
 class ContinuationError(NewtonError):

@@ -1,6 +1,10 @@
 """Sparse symmetric linear solvers for the Newton systems.
 
-Small systems go through a direct sparse factorization; large ones use
+Small systems are solved directly: one banded LU with partial pivoting
+(LAPACK ``dgbtrf``/``dgbtrs``) under the reverse Cuthill-McKee ordering
+of their sparsity pattern, which ``fem.SparsityPattern`` derives once per
+pattern.  Pivoting keeps indefinite systems solvable, as the Newton
+step's Tikhonov shifts expect.  Large ones use
 conjugate gradients preconditioned by one V(1,1) cycle of a
 smoothed-aggregation multigrid hierarchy.  Each level smooths with a
 degree-``CHEB_DEGREE`` Chebyshev polynomial in D^-1 A (Adams, Brezina, Hu
@@ -29,6 +33,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
+
+from .fem import SparsityPattern
 
 __all__ = [
     "DIRECT_DOF_LIMIT",
@@ -58,26 +65,60 @@ class IndefiniteSystemError(SolverError):
     """CG met a direction of non-positive curvature."""
 
 
-def solve_direct(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Sparse factorization solve with a fill-reducing ordering.
+def solve_direct(
+    a: sp.spmatrix, b: np.ndarray, pattern: SparsityPattern | None = None
+) -> np.ndarray:
+    """Banded LU solve under the band ordering of ``pattern``.
 
-    Raises ``SolverError`` on factorization breakdown or when the computed
-    solution fails the 1e-10 relative-residual contract (near-singular
-    systems).
+    ``pattern`` holds every stored entry of ``a`` (its entries may be
+    fewer); its ``band_ordering`` is computed once and shared by every
+    matrix with that pattern.  Without one, ``a``'s own structure is used.
+    The band storage is filled from ``a``'s stored entries, and one that
+    lies outside the ordering's band raises ``ValueError``.
+
+    Raises ``SolverError`` on an exactly singular factor, on non-finite
+    values, or when the solution fails the 1e-10 relative-residual
+    contract after one refinement step (near-singular systems).
     """
+    a = sp.csr_matrix(a)
     b = np.asarray(b, dtype=float)
-    try:
-        lu = spla.splu(sp.csc_matrix(a))
-        x = lu.solve(b)
-    except RuntimeError as exc:  # SuperLU signals exactly-singular factors
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
+    if pattern is None:
+        pattern = SparsityPattern.from_csr(a)
+    if a.shape != (pattern.n, pattern.n):
+        raise ValueError(f"matrix of shape {a.shape} against a pattern of order {pattern.n}")
+    order = pattern.band_ordering
+    w, n = order.bandwidth, pattern.n
+    rows = np.repeat(order.position, np.diff(a.indptr))
+    cols = order.position[a.indices]
+    offset = rows - cols
+    outside = np.abs(offset) > w
+    if outside.any():
+        k = int(np.flatnonzero(outside)[0])
+        raise ValueError(
+            f"matrix entry ({order.perm[rows[k]]}, {a.indices[k]}) lies outside the band "
+            f"of half-bandwidth {w} of its pattern's ordering"
+        )
+    # LAPACK band storage with room for the pivoting fill: A[i, j] sits at
+    # ab[2w + i - j, j], column-major; duplicates add up
+    ldab = 3 * w + 1
+    flat = cols * ldab + 2 * w + offset
+    ab = np.bincount(flat, weights=a.data, minlength=n * ldab).reshape(n, ldab).T
+    lu, piv, info = lapack.dgbtrf(ab, w, w, overwrite_ab=True)
+    if info != 0:
+        raise SolverError(f"banded LU factor is singular (dgbtrf info {info})")
+
+    def lu_solve(rhs: np.ndarray) -> np.ndarray:
+        x, _ = lapack.dgbtrs(lu, w, w, rhs[order.perm], piv)
+        return x[order.position]
+
+    x = lu_solve(b)
     if not np.all(np.isfinite(x)):
-        raise SolverError("sparse factorization produced non-finite values")
+        raise SolverError("banded LU produced non-finite values")
     bnorm = np.linalg.norm(b)
     resid = np.linalg.norm(a @ x - b)
     if resid > 1e-10 * max(bnorm, 1e-300):
         # one refinement step, then accept down to the backward-stable floor
-        x = x + lu.solve(b - a @ x)
+        x = x + lu_solve(b - a @ x)
         resid = np.linalg.norm(a @ x - b)
         floor = float(np.abs(a).sum(axis=1).max()) * np.linalg.norm(x)
         if resid > 1e-10 * max(bnorm + floor, 1e-300):

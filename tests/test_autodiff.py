@@ -480,6 +480,39 @@ def test_along_on_a_tape_that_is_nonlinear_in_the_input():
         assert line.evaluate([alpha]) == program.evaluate(u + alpha * d)
 
 
+def test_line_program_refuses_derivatives_by_name():
+    rec = Recorder(4)
+    z = rec.input_var
+    program = rec.build((z**4).sum())
+    u, d = np.array([0.3, -1.2, 2.5, 0.7]), np.array([1.1, 0.4, -0.7, -0.2])
+    line = program.along(u, d)
+    assert isinstance(line, autodiff.LineProgram)
+    for derivative in (
+        lambda: line.gradient([0.3]),
+        lambda: line.value_and_gradient([0.3]),
+        lambda: line.hessian_vector_product([0.3], [1.0]),
+    ):
+        with pytest.raises(TypeError, match="line program supports evaluate only"):
+            derivative()
+    # evaluate is Program.evaluate on the same tape, bit for bit
+    plain = autodiff.Program(
+        **{f.name: getattr(line, f.name) for f in dataclasses.fields(autodiff.Program)}
+    )
+    for alpha in (0.0, 0.3, 1.9):
+        assert line.evaluate([alpha]) == plain.evaluate([alpha])
+
+
+@pytest.mark.parametrize(
+    "contract",
+    [lambda v: np.ones(3) @ v, lambda v: v @ np.ones((3, 2))],
+    ids=["vector-at-var", "var-at-matrix"],
+)
+def test_contractions_of_mismatched_lengths_are_refused(contract):
+    rec = Recorder(4)
+    with pytest.raises(ValueError, match=r"contracts mismatched lengths: shapes \((3|4),"):
+        contract(rec.input_var)
+
+
 def test_dependent_frontier_slots_are_cut_at_the_frontier():
     # w and 2 w are both read by the product: each is seeded on its own
     rec = Recorder(3)

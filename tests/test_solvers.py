@@ -5,9 +5,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from minfem import solvers
+from minfem import fem, solvers
 from minfem.coloring import recover_hessian
-from minfem.energies import PLaplaceParams, build_problem, record_plaplace
+from minfem.energies import PLaplaceParams, bar_dirichlet_values, build_problem, record_plaplace
 from minfem.minimize import _solve_newton_system, benchmark_initial_guess
 from minfem.solvers import (
     DIRECT_DOF_LIMIT,
@@ -59,6 +59,66 @@ def test_direct_singular_raises():
     singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SolverError):
         solve_direct(singular, np.array([1.0, 0.0]))
+
+
+def test_direct_solves_an_indefinite_system_by_pivoting():
+    # zero diagonal, eigenvalues -2 cos(k pi / 51) of both signs: a
+    # Cholesky factor would refuse it, and LU without pivoting would break
+    a = (laplacian_1d(50) - 2.0 * sp.identity(50)).tocsr()
+    b = np.random.default_rng(5).standard_normal(50)
+    x = solve_direct(a, b)
+    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_direct_adds_duplicate_entries_and_leaves_the_matrix_be():
+    a = sp.csr_matrix(
+        (np.array([1.0, 1.0, 3.0]), np.array([0, 0, 1]), np.array([0, 2, 3])), shape=(2, 2)
+    )
+    assert not a.has_canonical_format
+    assert np.array_equal(solve_direct(a, np.array([2.0, 3.0])), [1.0, 1.0])
+    assert np.array_equal(a.indices, [0, 0, 1]) and np.array_equal(a.data, [1.0, 1.0, 3.0])
+
+
+def test_direct_refuses_an_entry_outside_the_pattern_band():
+    pattern = fem.SparsityPattern.from_csr(laplacian_1d(10))
+    assert pattern.band_ordering.bandwidth == 1
+    a = laplacian_1d(10).tolil()
+    a[0, 9] = a[9, 0] = 0.5
+    with pytest.raises(ValueError, match="outside the band of half-bandwidth 1"):
+        solve_direct(a.tocsr(), np.ones(10), pattern)
+
+
+def test_bar_hessians_solve_banded_with_one_ordering_per_pattern(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("SuperLU called")
+
+    orderings = []
+
+    def counted(*args, **kwargs):
+        orderings.append(args)
+        return rcm(*args, **kwargs)
+
+    rcm = fem.reverse_cuthill_mckee
+    monkeypatch.setattr(solvers.spla, "splu", refuse)
+    monkeypatch.setattr(fem, "reverse_cuthill_mckee", counted)
+    problem = build_problem("neohooke", 1)
+    for step in (1, 2):
+        stepped = problem.with_dirichlet(bar_dirichlet_values(problem.mesh, step * np.pi / 3.0))
+        assert stepped.pattern is problem.pattern
+        h = stepped.hessian(stepped.initial_guess)
+        b = -stepped.gradient(stepped.initial_guess)
+        x = solve_direct(h, b, stepped.pattern)
+        assert np.linalg.norm(h @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert len(orderings) == 1
+    # without a pattern, the matrix's own structure is ordered afresh
+    assert np.linalg.norm(h @ solve_direct(h, b) - b) <= 1e-10 * np.linalg.norm(b)
+    assert len(orderings) == 2
+
+
+@pytest.mark.parametrize("kind", ["plaplace", "neohooke"])
+def test_build_problem_leaves_the_band_ordering_for_the_first_solve(kind):
+    problem = build_problem(kind, 1)
+    assert "band_ordering" not in vars(problem.pattern)
 
 
 def test_amg_hierarchy_structure_1d():
