@@ -26,11 +26,19 @@ instructions that are affine in it (gathers, sums, negation, sums and
 differences of affine slots, products with a constant, division by a
 constant) form the tape's prefix; the slots where the prefix ends, read
 by the rest, are its linear frontier (``Program.frontier``).
-``Program.along(u, d)`` runs the prefix once on a dual of (u, d), which
-gives every frontier slot as z0 + alpha * z1, and returns a small
-program over [alpha] that replays only the rest: line-search samples
-skip the linear part of the tape.  That ``LineProgram`` is for
-``evaluate`` only; its derivatives raise.
+
+``Program.along(u, d)`` gives J(u + alpha d) as a small program over
+[alpha] for the line search.  It propagates univariate Taylor
+polynomials in alpha (Griewank and Walther, ch. 13) once: the input is
+the degree-1 stack (u, d), and every slot whose op keeps polynomials
+closed (the affine prefix, products, positive integer powers, ...)
+stays a stack of coefficients on a leading axis, as long as its degree
+is at most 4, the double well's.  The program Horner-evaluates the
+polynomial slots that the other instructions read and replays only
+those: on Ginzburg-Landau a sample is one scalar quartic, on the bar
+the cubic det F and the quadratic I1 feed the replayed ``abs``, ``log``
+and the rest.  That ``LineProgram`` is for ``evaluate`` only; its
+derivatives raise.
 
 Element Hessians come from the same tape (``Program.element_hessians``),
 by second-order adjoint preaccumulation at intermediate variables
@@ -250,6 +258,124 @@ def _outer_vec(g, w):
     if isinstance(g, _Dual):
         return _Dual(_outer_vec(g.val, w), _outer_vec(g.dot, w))
     return g[..., None] * w
+
+
+# ---------------------------------------------------------------------------
+# polynomials in the step length, coefficients on a leading axis
+
+# the largest degree in alpha that a line program keeps as coefficients:
+# the Ginzburg-Landau double well's
+_LINE_DEGREE = 4
+
+
+class _Poly:
+    """Polynomial in alpha: ``c[k]`` (shape of the slot) multiplies alpha**k.
+
+    Every rule below writes a fresh stack and never changes an operand's.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = c
+
+
+def _cauchy(a, b):
+    # coefficients of the product of two stacks: one pass per coefficient
+    # of the shorter one
+    if len(a) < len(b):
+        a, b = b, a
+    m, n = len(a) - 1, len(b) - 1
+    out = np.empty((m + n + 1,) + a.shape[1:])
+    np.multiply(a, b[0], out=out[: m + 1])
+    out[m + 1 :] = 0.0
+    term = np.empty_like(a)
+    for j in range(1, n + 1):
+        np.multiply(a, b[j], out=term)
+        out[j : j + m + 1] += term
+    return out
+
+
+def _square(a):
+    # symmetric terms: a_i**2 at 2i, and 2 a_i a_(i+k) at 2i + k, k >= 1;
+    # the odd coefficients start from the k = 1 terms, one for each
+    n = len(a) - 1
+    out = np.empty((2 * n + 1,) + a.shape[1:])
+    np.multiply(a, a, out=out[::2])
+    odd = out[1::2]
+    np.multiply(a[:-1], a[1:], out=odd)
+    odd += odd
+    for k in range(2, n + 1):
+        term = a[: n - k + 1] * a[k:]
+        term += term
+        out[k : 2 * n - k + 1 : 2] += term
+    return out
+
+
+def _poly_sum(a, b, subtract):
+    # a + b or a - b, at least one a polynomial; a constant is a stack of
+    # one coefficient, and the longer stack's upper coefficients are copied
+    fn = np.subtract if subtract else np.add
+    ca = a.c if isinstance(a, _Poly) else np.asarray(a)[None]
+    cb = b.c if isinstance(b, _Poly) else np.asarray(b)[None]
+    m = min(len(ca), len(cb))
+    shape = (a if isinstance(a, _Poly) else b).c.shape[1:]
+    c = np.empty((max(len(ca), len(cb)),) + shape)
+    fn(ca[:m], cb[:m], out=c[:m])
+    if len(ca) > m:
+        c[m:] = ca[m:]
+    elif subtract:
+        np.negative(cb[m:], out=c[m:])
+    else:
+        c[m:] = cb[m:]
+    return _Poly(c)
+
+
+def _poly_mul(a, b):
+    if not isinstance(a, _Poly):
+        a, b = b, a
+    if not isinstance(b, _Poly):
+        return _Poly(a.c * b)
+    return _Poly(_square(a.c) if a is b else _cauchy(a.c, b.c))
+
+
+def _poly_pow(a, e):
+    # a positive integer power, by repeated squaring
+    e = int(e)
+    c, base = None, a.c
+    while True:
+        if e & 1:
+            c = base if c is None else _cauchy(c, base)
+        e >>= 1
+        if not e:
+            return _Poly(c)
+        base = _square(base)
+
+
+def _poly_matmul(a, m):
+    # one BLAS call over the coefficients and rows together
+    c = a.c.reshape(-1, m.shape[0]) @ m
+    return _Poly(c.reshape(a.c.shape[:-1] + m.shape[1:]))
+
+
+def _poly_dot(a, b):
+    return _Poly(a.c @ b) if isinstance(a, _Poly) else _Poly(b.c @ a)
+
+
+# each rule is called only where _line_degree allows it
+_POLY: dict[str, Callable] = {
+    "add": lambda v, aux: _poly_sum(v[0], v[1], False),
+    "sub": lambda v, aux: _poly_sum(v[0], v[1], True),
+    "mul": lambda v, aux: _poly_mul(v[0], v[1]),
+    "div": lambda v, aux: _Poly(v[0].c / v[1]),
+    "neg": lambda v, aux: _Poly(-v[0].c),
+    "pow": lambda v, aux: _poly_pow(v[0], aux),
+    "sum": lambda v, aux: _Poly(v[0].c.reshape(len(v[0].c), -1).sum(axis=1)),
+    "sum_rows": lambda v, aux: _Poly(_sum_rows(v[0].c)),
+    "take": lambda v, aux: _Poly(np.take(v[0].c, aux, axis=1)),
+    "dot": lambda v, aux: _poly_dot(v[0], v[1]),
+    "matmul": lambda v, aux: _poly_matmul(v[0], v[1]),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +713,73 @@ def _frontier(program: "Program") -> Frontier:
     return Frontier(tuple(sorted(read)), tuple(prefix), tuple(suffix))
 
 
+# ---------------------------------------------------------------------------
+# line programs
+
+
+def _line_degree(ins: Instr, degree: dict[int, int], diff: frozenset[int]) -> int | None:
+    """The degree in alpha of the slot ``ins`` writes, given its operands'
+    (``degree`` holds the polynomial slots), or None when ``ins`` does not
+    keep polynomials closed or the degree would pass ``_LINE_DEGREE``."""
+    op, args = ins.op, ins.args
+    live = [s for s in args if s in diff]
+    if not all(s in degree for s in live):
+        return None
+    if op in ("add", "sub"):
+        d = max(degree[s] for s in live)
+    elif op == "mul":
+        d = sum(degree[s] for s in live)
+    elif op in ("take", "neg", "sum", "sum_rows"):
+        d = degree[args[0]]
+    elif op in ("dot", "matmul") and len(live) == 1:
+        d = degree[live[0]]
+    elif op == "div" and args[1] not in diff:
+        d = degree[args[0]]
+    elif op == "pow" and ins.aux > 0 and float(ins.aux).is_integer():
+        d = degree[args[0]] * int(ins.aux)
+    else:
+        return None
+    return d if d <= _LINE_DEGREE else None
+
+
+@dataclass(frozen=True, eq=False)
+class _LineSplit:
+    """How ``Program.along`` splits a tape; it depends on the tape alone.
+
+    ``build`` holds the instructions that ``along`` computes once as
+    coefficient stacks (the affine prefix among them), ``rest`` those each
+    sample replays, both in tape order.  ``horner`` are the polynomial
+    slots that ``rest`` reads (and the output, if polynomial); the stacks
+    of ``dead[i]`` have no reader after ``build[i]``.
+    """
+
+    build: tuple[Instr, ...]
+    rest: tuple[Instr, ...]
+    horner: tuple[int, ...]
+    dead: tuple[tuple[int, ...], ...]
+
+
+def _line_split(program: "Program") -> _LineSplit:
+    degree = {program.input_slot: 1}
+    build, rest = [], []
+    for ins in program.instrs:
+        d = _line_degree(ins, degree, program.diff)
+        if d is None:
+            rest.append(ins)
+        else:
+            degree[ins.out] = d
+            build.append(ins)
+    horner = {s for ins in rest for s in ins.args if s in degree}
+    if program.output_slot in degree:
+        horner.add(program.output_slot)
+    last = {s: i for i, ins in enumerate(build) for s in ins.args if s in degree}
+    dead: list[list[int]] = [[] for _ in build]
+    for slot, i in last.items():
+        if slot not in horner:
+            dead[i].append(slot)
+    return _LineSplit(tuple(build), tuple(rest), tuple(sorted(horner)), tuple(map(tuple, dead)))
+
+
 @dataclass(frozen=True, eq=False)
 class ElementCut:
     """Where element Hessians are cut: the per-element frontier slots.
@@ -845,39 +1038,64 @@ class Program:
         on first use (see ``element_hessians``)."""
         return _element_cut(self)
 
+    @functools.cached_property
+    def _line_split(self) -> _LineSplit:
+        return _line_split(self)
+
     def along(self, u, direction) -> "LineProgram":
         """J(u + alpha * direction) as a program over the one input [alpha].
 
-        The prefix runs once, on a dual of (u, direction), which gives
-        every frontier slot as z0 + alpha * z1.  The returned program
-        computes those sums from its input and replays only the suffix, so
-        each ``evaluate([alpha])`` skips the linear part of the tape.  Its
-        values match ``evaluate(u + alpha * direction)`` to rounding; its
-        derivatives raise (see ``LineProgram``).
+        One pass over the tape on coefficient stacks (Taylor polynomials
+        in alpha; Griewank and Walther, ch. 13) starts from the input's
+        (u, direction), which the affine prefix turns into every frontier
+        slot's coefficients (z0, z1) of z0 + alpha * z1.  A slot stays a
+        polynomial while its op keeps polynomials closed (sums and
+        differences, products, gathers, negation, division by a constant,
+        positive integer powers, ``sum``, ``sum_rows``, ``dot`` and
+        ``matmul`` with a constant) and its degree is at most
+        ``_LINE_DEGREE`` = 4; any other op, or a higher degree, ends the
+        polynomial part for that slot.  Each stack is dropped after its
+        last reader.  The returned program Horner-evaluates the polynomial
+        slots that the other instructions (or the output) read and replays
+        only those instructions: on Ginzburg-Landau the whole energy is one
+        scalar quartic.  Its values match ``evaluate(u + alpha *
+        direction)`` to rounding; its derivatives raise (see
+        ``LineProgram``).
         """
-        # copies: the returned program may hold them as constants
-        u = self._check_input(u).copy()
-        direction = np.array(direction, dtype=float)
+        u = self._check_input(u)
+        direction = np.asarray(direction, dtype=float)
         if direction.shape != u.shape:
             raise ValueError(f"direction must have shape {u.shape}, got {direction.shape}")
-        frontier = self.frontier
-        ws = self._forward(_Dual(u, direction[None, :]), instrs=frontier.prefix)
+        split = self._line_split
+        ws: list = [None] * self.n_slots
+        for slot, value in self.consts.items():
+            ws[slot] = value
+        ws[self.input_slot] = _Poly(np.stack((u, direction)))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for ins, dead in zip(split.build, split.dead):
+                ws[ins.out] = _POLY[ins.op]([ws[s] for s in ins.args], ins.aux)
+                for slot in dead:
+                    ws[slot] = None  # a lower peak memory
         alpha_input, alpha = self.n_slots, self.n_slots + 1
-        consts = dict(self.consts)
         instrs = [Instr("take", alpha, (alpha_input,), np.asarray(0))]
-        diff = {alpha_input, alpha}
+        consts = {s: self.consts[s] for ins in split.rest for s in ins.args if s in self.consts}
         slot = self.n_slots + 2
-        for out in frontier.slots:
-            z0, z1, scaled = slot, slot + 1, slot + 2
-            consts[z0] = ws[out].val
-            tangent = ws[out].dot[0]
-            consts[z1] = tangent if tangent.ndim else float(tangent)
-            instrs += [Instr("mul", scaled, (alpha, z1)), Instr("add", out, (z0, scaled))]
-            diff |= {scaled, out}
-            slot += 3
-        diff |= {ins.out for ins in frontier.suffix}
+        for out in split.horner:
+            # ((c_n alpha + c_(n-1)) alpha + ...) alpha + c_0, the last add writing out
+            coeffs = [c if c.ndim else float(c) for c in ws[out].c]
+            acc = slot
+            consts[acc] = coeffs[-1]
+            slot += 1
+            for k in range(len(coeffs) - 2, -1, -1):
+                scaled, coef, total = slot, slot + 1, out if k == 0 else slot + 2
+                consts[coef] = coeffs[k]
+                instrs += [Instr("mul", scaled, (alpha, acc)), Instr("add", total, (coef, scaled))]
+                acc = total
+                slot += 3
+        instrs += split.rest
+        diff = {alpha_input} | {ins.out for ins in instrs}
         return LineProgram(
-            instrs=tuple(instrs) + frontier.suffix,
+            instrs=tuple(instrs),
             n_slots=slot,
             n_inputs=1,
             input_slot=alpha_input,
@@ -926,10 +1144,13 @@ class Program:
 class LineProgram(Program):
     """The energy on a line, from ``Program.along``: it supports ``evaluate`` only.
 
-    Its ``alpha * z1`` multiplies the scalar alpha into the frontier's
-    per-element slots, a broadcast that the recorder refuses because the
-    reverse sweep cannot sum its adjoint back; so every derivative raises
-    ``TypeError`` by name instead of failing inside a kernel.
+    Its instructions are a Horner evaluation, one ``mul`` by alpha and one
+    ``add`` of a coefficient per degree, of each polynomial slot that the
+    replayed rest of the tape reads (or of the output), then that rest.
+    The ``mul`` broadcasts the scalar alpha into per-element coefficients,
+    which the recorder refuses because the reverse sweep cannot sum its
+    adjoint back; so every derivative raises ``TypeError`` by name instead
+    of failing inside a kernel.
     """
 
     def _evaluate_only(self, *args):

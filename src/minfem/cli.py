@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -75,6 +74,10 @@ def _parse_levels(text: str) -> list[int]:
     return levels
 
 
+# the command-line flag behind each NewtonConfig field it sets
+_CONFIG_FLAGS = {"grad_tol": "--tol-grad", "energy_tol": "--tol-energy", "solver": "--solver"}
+
+
 def _newton_config(overrides: dict) -> NewtonConfig:
     kwargs = {}
     if overrides.get("tol_grad") is not None:
@@ -108,10 +111,14 @@ def _run_level(kind: str, level: int, config: NewtonConfig):
     return rows, results
 
 
-def run_benchmark(name: str, levels: Iterable[int], overrides: dict | None = None) -> BenchmarkReport:
+def run_benchmark(
+    name: str, levels: Iterable[int], overrides: dict | NewtonConfig | None = None
+) -> BenchmarkReport:
     """Build and minimize each level, timing setup and solve separately.
 
-    ``name`` is one of plaplace | gl | hyper.  Nonconvergence, or a
+    ``name`` is one of plaplace | gl | hyper.  ``overrides`` is a
+    ``NewtonConfig`` or a dict of ``tol_grad``, ``tol_energy`` and
+    ``solver`` values, None meaning the default.  Nonconvergence, or a
     solver or Hessian failure anywhere in a level (the initial guess
     included), stops the run and yields a partial report
     (``complete = False`` with ``error`` set).
@@ -119,8 +126,10 @@ def run_benchmark(name: str, levels: Iterable[int], overrides: dict | None = Non
     if name not in BENCHMARK_NAMES:
         raise ValueError(f"unknown benchmark {name!r}; expected one of {sorted(BENCHMARK_NAMES)}")
     kind = BENCHMARK_NAMES[name]
-    overrides = overrides or {}
-    config = _newton_config(overrides)
+    if isinstance(overrides, NewtonConfig):
+        config = overrides
+    else:
+        config = _newton_config(overrides or {})
     levels = list(levels)
 
     report = BenchmarkReport(
@@ -277,18 +286,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         levels = [1]
     if any(level < 1 for level in levels):
         return _error("levels must be positive")
-    for flag, value in (("--tol-grad", args.tol_grad), ("--tol-energy", args.tol_energy)):
-        if value is not None and not (math.isfinite(value) and value > 0.0):
-            return _error(f"{flag} must be finite and positive, got {value}")
+    try:
+        config = _newton_config(
+            {"tol_grad": args.tol_grad, "tol_energy": args.tol_energy, "solver": args.solver}
+        )
+    except ValueError as exc:
+        # NewtonConfig's message starts with the field's name
+        field_name = str(exc).split()[0]
+        return _error(f"{_CONFIG_FLAGS.get(field_name, field_name)}: {exc}")
     if args.export and not os.path.isdir(os.path.dirname(os.path.abspath(args.export))):
         return _error(f"--export directory of {args.export!r} does not exist")
 
-    overrides = {
-        "tol_grad": args.tol_grad,
-        "tol_energy": args.tol_energy,
-        "solver": args.solver,
-    }
-    report = run_benchmark(args.benchmark, levels, overrides)
+    report = run_benchmark(args.benchmark, levels, config)
     report_table(report, args.format, stream=sys.stdout)
 
     if args.export and report.results:

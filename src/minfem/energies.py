@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .autodiff import Program, Recorder
+from .autodiff import LineProgram, Program, Recorder
 from .coloring import Coloring, assemble_element_hessian, color_pattern, recover_hessian
 from .fem import (
     DofMap,
@@ -303,7 +303,7 @@ class EnergyProblem:
         blocks = self.program.element_hessians(self.full_field(u))
         return assemble_element_hessian(blocks, self.element_slots, self.pattern)
 
-    def along(self, u: np.ndarray, d: np.ndarray) -> Program:
+    def along(self, u: np.ndarray, d: np.ndarray) -> LineProgram:
         """J(u + alpha * d) as a program over [alpha] (``Program.along``).
 
         ``d`` is lifted into the field with zeros at the fixed dofs.

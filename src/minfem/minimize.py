@@ -16,11 +16,14 @@ rejecting steps where the energy is non-finite.  The search narrows the
 bracket to ``INTERVAL_TOL`` and ends with one parabolic step: 19 energy
 evaluations per Newton step unless it falls back, and the exact step on a
 quadratic.  It samples ``EnergyProblem.along``: the energy on the step's
-line as a program over the step length, which replays only the part of
-the tape past its linear frontier.  Each ``IterationRecord`` keeps the
-wall time of the gradient sweep the step starts from and of the step's
-Hessian, linear solve and line search, and the line search's energy
-evaluations.  A load-stepping loop handles the twisted-bar continuation.
+line as a program over the step length.  The energy's polynomial part
+in the step length (all of Ginzburg-Landau, a quartic; det F and I1 on
+the bar) is computed once as coefficients, so a sample is a Horner
+evaluation plus a replay of the rest of the tape.  Each
+``IterationRecord`` keeps the wall time of the gradient sweep the step
+starts from and of the step's Hessian, linear solve (and the AMG builds
+within it) and line search, and the line search's energy evaluations.
+A load-stepping loop handles the twisted-bar continuation.
 """
 
 from __future__ import annotations
@@ -106,9 +109,12 @@ class IterationRecord:
     gave the iterate the step starts from its energy and gradient,
     ``hessian_s`` that of ``EnergyProblem.hessian`` (a failed one
     included), ``solve_s`` that of finding the Newton direction (AMG
-    builds and shifted retries included), ``linesearch_s`` that of
-    building the line program and the golden-section search over it,
-    which evaluated the energy ``linesearch_evals`` times.
+    builds and shifted retries included), ``amg_build_s`` the part of
+    ``solve_s`` spent in ``solvers.build_amg`` (every shifted retry's
+    build included; 0 on the direct and diagonal-CG paths),
+    ``linesearch_s`` that of building the line program and the
+    golden-section search over it, which evaluated the energy
+    ``linesearch_evals`` times.
     """
 
     iteration: int
@@ -121,6 +127,7 @@ class IterationRecord:
     grad_s: float
     hessian_s: float
     solve_s: float
+    amg_build_s: float
     linesearch_s: float
     linesearch_evals: int
 
@@ -231,9 +238,11 @@ def golden_section(
 
 @dataclass(eq=False)
 class _AmgReuse:
-    """The AMG structure of the latest build, kept for one Newton solve."""
+    """The AMG structure of the latest build, kept for one Newton solve,
+    and the wall time of the builds since ``build_s`` was last reset."""
 
     structure: tuple[solvers.LevelStructure, ...] = ()
+    build_s: float = 0.0
 
 
 def _solve_newton_system(
@@ -258,9 +267,14 @@ def _solve_newton_system(
     if method == "direct":
         return solvers.solve_direct(h, rhs, pattern), "direct", 0
     if method == "amg":
-        hierarchy = solvers.build_amg(h, near_nullspace, amg.structure if amg else ())
-        if amg is not None:
-            amg.structure = hierarchy.structure
+        if amg is None:
+            amg = _AmgReuse()
+        build_started = time.perf_counter()
+        try:
+            hierarchy = solvers.build_amg(h, near_nullspace, amg.structure)
+        finally:
+            amg.build_s += time.perf_counter() - build_started
+        amg.structure = hierarchy.structure
         x, inner = solvers.pcg_solve(h, rhs, hierarchy, rtol=1e-8, maxiter=400)
         return x, "amg", inner
     if method == "diag-cg":
@@ -395,6 +409,7 @@ def newton_minimize(
             hessian = None  # singular flat states; fall back to the shifted path
         hessian_s = time.perf_counter() - hessian_started
         solve_started = time.perf_counter()
+        amg.build_s = 0.0
         d, path, inner, shift = _newton_direction(
             hessian, grad, cfg, near_nullspace, amg, problem.pattern
         )
@@ -415,6 +430,7 @@ def newton_minimize(
                 grad_s=grad_s,
                 hessian_s=hessian_s,
                 solve_s=solve_s,
+                amg_build_s=amg.build_s,
                 linesearch_s=linesearch_s,
                 linesearch_evals=linesearch_evals,
             )

@@ -468,16 +468,109 @@ def test_along_inverting_direction_is_nonfinite(tiny_bar_problem):
     assert np.isfinite(line.evaluate([0.5]))
 
 
+def horner_chains(program, line):
+    """The (slot, degree) of each polynomial slot that ``line`` evaluates by
+    Horner's rule, in order, and the instructions it replays after them.
+
+    A chain is one ``mul`` by alpha per degree, each followed by an
+    ``add``; the last ``add`` writes the tape's own slot.
+    """
+    alpha = line.instrs[0].out
+    chains, degree, rest = [], 0, []
+    for ins in line.instrs[1:]:
+        if alpha in ins.args:
+            degree += 1
+        elif ins.out >= program.n_slots:
+            continue  # an inner Horner step
+        elif degree:
+            chains.append((ins.out, degree))
+            degree = 0
+        else:
+            rest.append(ins)
+    return chains, rest
+
+
+def assert_line_matches_evaluate(program, line, u, d, rtol):
+    for alpha in (0.0, 0.25, 1.0, 1.9):
+        want = program.evaluate(u + alpha * d)
+        assert abs(line.evaluate([alpha]) - want) <= rtol * abs(want), alpha
+
+
 def test_along_on_a_tape_that_is_nonlinear_in_the_input():
     rec = Recorder(3)
-    program = rec.build((rec.input_var**2).sum())
+    z = rec.input_var
+    program = rec.build((z**2).sum())
     assert program.frontier.slots == (program.input_slot,)
     assert program.frontier.prefix == ()
     u, d = np.array([0.3, -1.2, 2.5]), np.array([1.1, 0.4, -0.7])
+    # the whole tape is a quadratic in alpha: a scalar Horner chain, no replay
     line = program.along(u, d)
+    assert horner_chains(program, line) == ([(program.output_slot, 2)], [])
+    assert_line_matches_evaluate(program, line, u, d, 1e-15)
+    # abs is no polynomial: its operand is z0 + alpha * z1, which is
+    # u + alpha * d, and the replay from abs on moves no bit
+    rec = Recorder(3)
+    z = rec.input_var
+    program = rec.build((abs(z) * z).sum())
+    line = program.along(u, d)
+    chains, rest = horner_chains(program, line)
+    assert chains == [(program.input_slot, 1)]
+    assert [ins.op for ins in rest] == ["abs", "mul", "sum"]
     for alpha in (0.25, 1.0, 1.9):
-        # z0 + alpha * z1 is u + alpha * d, so no bit moves
         assert line.evaluate([alpha]) == program.evaluate(u + alpha * d)
+
+
+def test_line_programs_of_benchmarks_evaluate_polynomials_by_horner(small_benchmarks):
+    pl, gl, bar = small_benchmarks
+    rng = np.random.default_rng(61)
+    lines = []
+    for problem in small_benchmarks:
+        u = random_benchmark_state(problem, rng)
+        lines.append(problem.along(u, random_benchmark_state(problem, rng) - u))
+    # Ginzburg-Landau: one scalar quartic, and no per-element array is read
+    program, line = gl.program, lines[1]
+    assert horner_chains(program, line) == ([(program.output_slot, 4)], [])
+    assert all(isinstance(value, float) for value in line.consts.values())
+    # the bar: det F (a cubic, into abs) and I1 - 3 (a quadratic, recorded
+    # after abs), then the suffix replays from abs on
+    program, line = bar.program, lines[2]
+    (det, det_degree), (i1, i1_degree) = horner_chains(program, line)[0]
+    assert (det_degree, i1_degree) == (3, 2)
+    suffix = program.frontier.suffix
+    after_abs = suffix[[ins.op for ins in suffix].index("abs") :]
+    assert after_abs[0].args == (det,)
+    assert horner_chains(program, line)[1] == [ins for ins in after_abs if ins.out != i1]
+    assert len(line.instrs) == 22
+    # p-Laplace: |grad u|**2 (a quadratic, into the power p / 2) and the load term
+    program, line = pl.program, lines[0]
+    writers = {ins.out: ins for ins in program.instrs}
+    ((grad2, grad2_degree), (load, load_degree)), rest = horner_chains(program, line)
+    assert (grad2_degree, writers[grad2].op) == (2, "add")
+    assert (load_degree, writers[load].op) == (1, "dot")
+    assert [ins.op for ins in rest] == ["pow", "mul", "mul", "sum", "sub"]
+
+
+@pytest.mark.parametrize(
+    ("energy", "degree", "replayed"),
+    [
+        pytest.param(lambda z: (z**5).sum(), 1, ["pow", "sum"], id="fifth-power"),
+        pytest.param(lambda z: ((z**2) ** 3).sum(), 2, ["pow", "sum"], id="cube-of-a-square"),
+        pytest.param(lambda z: (1.0 / (1.0 + z**2)).sum(), 2, ["div", "sum"], id="quotient"),
+        pytest.param(lambda z: ((z**2) ** 1.5).sum(), 2, ["pow", "sum"], id="non-integer-power"),
+    ],
+)
+def test_line_programs_replay_from_the_first_slot_that_is_no_polynomial(energy, degree, replayed):
+    # a degree over 4, division by an input-dependent slot and a
+    # non-integer power each end the polynomial part; the replay starts there
+    rec = Recorder(3)
+    program = rec.build(energy(rec.input_var))
+    u, d = np.array([0.3, -1.2, 2.5]), np.array([1.1, 0.4, -0.7])
+    line = program.along(u, d)
+    chains, rest = horner_chains(program, line)
+    assert [chain_degree for _, chain_degree in chains] == [degree]
+    assert [ins.op for ins in rest] == replayed
+    assert rest == list(program.instrs[-len(replayed) :])
+    assert_line_matches_evaluate(program, line, u, d, 1e-15)
 
 
 def test_line_program_refuses_derivatives_by_name():
@@ -522,7 +615,10 @@ def test_dependent_frontier_slots_are_cut_at_the_frontier():
     assert program.frontier.slots == (w.slot, twice.slot)
     assert program.element_cut.jacobian.shape == (2, 4, 2)
     u, d = np.array([0.3, -1.2, 2.5]), np.array([1.1, 0.4, -0.7])
-    assert program.along(u, d).evaluate([0.5]) == program.evaluate(u + 0.5 * d)
+    # both slots are degree 1, their product 2: the energy is a scalar quadratic
+    line = program.along(u, d)
+    assert horner_chains(program, line) == ([(program.output_slot, 2)], [])
+    assert_line_matches_evaluate(program, line, u, d, 1e-15)
     assert_scatters_to_hessian(program, u)
 
 
@@ -671,6 +767,13 @@ SUMS_OF_ELEMENT_DENSITIES = [
 @pytest.mark.parametrize("energy", SUMS_OF_ELEMENT_DENSITIES)
 def test_element_hessians_of_sums_of_element_densities_match_the_hvp(energy):
     assert_scatters_to_hessian(row_sum_tape(energy), U4)
+
+
+@pytest.mark.parametrize("energy", SUMS_OF_ELEMENT_DENSITIES)
+def test_line_programs_of_row_sum_tapes_match_evaluate(energy):
+    program = row_sum_tape(energy)
+    d = np.array([0.7, 0.2, -1.1, 0.4])
+    assert_line_matches_evaluate(program, program.along(U4, d), U4, d, 1e-14)
 
 
 @pytest.mark.parametrize("energy", SUMS_OF_ELEMENT_DENSITIES)
