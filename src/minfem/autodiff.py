@@ -21,24 +21,26 @@ the adjoint of ``x**1`` is passed back unchanged.  Non-finite values
 propagate through replays without raising; the caller decides.
 
 An operation whose operands are all constants is folded into a constant
-when recorded, so every instruction depends on the input.  The
-instructions that are affine in it (gathers, sums, negation, sums and
-differences of affine slots, products with a constant, division by a
-constant) form the tape's prefix; the slots where the prefix ends, read
-by the rest, are its linear frontier (``Program.frontier``).
+when recorded, so every instruction depends on the input, and a slot
+depends on it exactly when it is not a constant.  One rule (``_degree``)
+gives the degree in the input of each slot while its op keeps
+polynomials closed (sums, differences, products, gathers, negation,
+division by a constant, positive integer powers, contractions with a
+constant); an affine slot is one of degree 1.  The instructions up to a
+degree bound form a prefix, and the slots where it ends, read by the
+rest, are a ``Frontier``.  Degree at most 1 gives the linear frontier
+(``Program.frontier``), degree at most 4 the line programs.
 
 ``Program.along(u, d)`` gives J(u + alpha d) as a small program over
 [alpha] for the line search.  It propagates univariate Taylor
 polynomials in alpha (Griewank and Walther, ch. 13) once: the input is
-the degree-1 stack (u, d), and every slot whose op keeps polynomials
-closed (the affine prefix, products, positive integer powers, ...)
-stays a stack of coefficients on a leading axis, as long as its degree
-is at most 4, the double well's.  The program Horner-evaluates the
-polynomial slots that the other instructions read and replays only
-those: on Ginzburg-Landau a sample is one scalar quartic, on the bar
-the cubic det F and the quadratic I1 feed the replayed ``abs``, ``log``
-and the rest.  That ``LineProgram`` is for ``evaluate`` only; its
-derivatives raise.
+the degree-1 stack (u, d), and every slot of the degree-4 prefix (4 is
+the double well's degree) is a stack of coefficients on a leading axis.
+The program Horner-evaluates the frontier slots of that prefix and
+replays only the rest: on Ginzburg-Landau a sample is one scalar
+quartic, on the bar the cubic det F and the quadratic I1 feed the
+replayed ``abs``, ``log`` and the rest.  That ``LineProgram`` is for
+``evaluate`` only; its derivatives raise.
 
 Element Hessians come from the same tape (``Program.element_hessians``),
 by second-order adjoint preaccumulation at intermediate variables
@@ -62,8 +64,7 @@ sum over fewer than 8 columns adds the columns one by one, which is what
 gather scatter-adds with ``np.bincount``, which, like ``np.add.at`` on a
 zero vector, adds each entry onto 0.0 in index order; gathers are taken
 from vectors only, and negative indices are wrapped when recorded.  The
-reverse sweep computes no adjoint for an operand that does not depend on
-the input.
+reverse sweep computes no adjoint for a constant operand.
 """
 
 from __future__ import annotations
@@ -245,12 +246,18 @@ def _vdot(a, b):
     return _Dual(val, dot)
 
 
+def _stack_matmul(a, m):
+    # a @ m for a stack a (tangents or coefficients on a leading axis) and
+    # a constant matrix or vector m: one BLAS call over all rows together
+    c = a.reshape(-1, m.shape[0]) @ m
+    return c.reshape(a.shape[:-1] + m.shape[1:])
+
+
 def _matmul(a, m):
     # product of a (possibly dual) array with a constant matrix or vector
     if not isinstance(a, _Dual):
         return a @ m
-    spec = "...b,bc->...c" if m.ndim == 2 else "...b,b->..."
-    return _Dual(a.val @ m, np.einsum(spec, a.dot, m))
+    return _Dual(a.val @ m, _stack_matmul(a.dot, m))
 
 
 def _outer_vec(g, w):
@@ -352,17 +359,11 @@ def _poly_pow(a, e):
         base = _square(base)
 
 
-def _poly_matmul(a, m):
-    # one BLAS call over the coefficients and rows together
-    c = a.c.reshape(-1, m.shape[0]) @ m
-    return _Poly(c.reshape(a.c.shape[:-1] + m.shape[1:]))
-
-
 def _poly_dot(a, b):
     return _Poly(a.c @ b) if isinstance(a, _Poly) else _Poly(b.c @ a)
 
 
-# each rule is called only where _line_degree allows it
+# each rule is called only where _degree gives a degree
 _POLY: dict[str, Callable] = {
     "add": lambda v, aux: _poly_sum(v[0], v[1], False),
     "sub": lambda v, aux: _poly_sum(v[0], v[1], True),
@@ -374,7 +375,7 @@ _POLY: dict[str, Callable] = {
     "sum_rows": lambda v, aux: _Poly(_sum_rows(v[0].c)),
     "take": lambda v, aux: _Poly(np.take(v[0].c, aux, axis=1)),
     "dot": lambda v, aux: _poly_dot(v[0], v[1]),
-    "matmul": lambda v, aux: _poly_matmul(v[0], v[1]),
+    "matmul": lambda v, aux: _Poly(_stack_matmul(v[0].c, v[1])),
 }
 
 
@@ -473,7 +474,6 @@ class Recorder:
         self.n_inputs = int(n_inputs)
         self._instrs: list[Instr] = []
         self._values: list[Any] = [np.zeros(self.n_inputs)]
-        self._diff: set[int] = {0}
         self._consts: dict[int, np.ndarray | float] = {}
         self._const_cache: dict[int, int] = {}
         self._const_keepalive: list = []  # ids in the cache must stay live
@@ -509,14 +509,14 @@ class Recorder:
         slots = tuple(a.slot for a in args)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             value = _FORWARD[op]([self._values[s] for s in slots], aux)
-        if not any(s in self._diff for s in slots):
+        if all(s in self._consts for s in slots):
             # nothing here depends on the input: fold it into a constant
             return self.constant(value)
         # numpy lines tangents up with values only if no operand that depends
         # on the input is broadcast; its adjoint is never summed back either
         shapes = [np.shape(self._values[s]) for s in slots]
         if op in ("add", "sub", "mul", "div") and any(
-            s in self._diff and shape != np.shape(value) for s, shape in zip(slots, shapes)
+            s not in self._consts and shape != np.shape(value) for s, shape in zip(slots, shapes)
         ):
             raise TypeError(
                 f"{op!r} broadcasts an operand that depends on the input: "
@@ -525,7 +525,6 @@ class Recorder:
         out = len(self._values)
         self._values.append(value)
         self._instrs.append(Instr(op, out, slots, aux))
-        self._diff.add(out)
         return Var(self, out, np.shape(value))
 
     # -- primitives ---------------------------------------------------------
@@ -577,7 +576,6 @@ class Recorder:
             input_slot=0,
             output_slot=output.slot,
             consts=dict(self._consts),
-            diff=frozenset(self._diff),
         )
 
 
@@ -617,8 +615,9 @@ _FORWARD: dict[str, Callable] = {
 }
 
 
-def _vjp(instr: Instr, ws: list, g, diff: frozenset[int]) -> list[tuple[int, Any]]:
-    """Adjoint contributions of one instruction to its operands in ``diff``.
+def _vjp(instr: Instr, ws: list, g, consts: dict) -> list[tuple[int, Any]]:
+    """Adjoint contributions of one instruction to its operands that are
+    not in ``consts``.
 
     A constant operand gets no contribution, so none is computed for it.
     """
@@ -626,7 +625,7 @@ def _vjp(instr: Instr, ws: list, g, diff: frozenset[int]) -> list[tuple[int, Any
     a = ws[args[0]]
 
     def each(*rules):
-        return [(slot, rule()) for slot, rule in zip(args, rules) if slot in diff]
+        return [(slot, rule()) for slot, rule in zip(args, rules) if slot not in consts]
 
     if op == "add":
         return each(lambda: g, lambda: g)
@@ -665,32 +664,39 @@ def _vjp(instr: Instr, ws: list, g, diff: frozenset[int]) -> list[tuple[int, Any
 
 
 # ---------------------------------------------------------------------------
-# the linear frontier
+# polynomial prefixes: the linear frontier and the line split
 
 
-def _is_affine(ins: Instr, affine: set[int], diff: frozenset[int]) -> bool:
-    """Whether ``ins`` is affine in the input, given its affine operand slots."""
+def _degree(ins: Instr, degree: dict[int, int], consts: dict) -> int | None:
+    """The degree in the input of the slot ``ins`` writes, from its
+    operands' (``degree`` holds the polynomial slots; a constant has degree
+    0), or None when ``ins`` does not keep polynomials closed."""
     op, args = ins.op, ins.args
-    live = [s for s in args if s in diff]
-    if op in ("take", "neg", "sum", "sum_rows"):
-        return args[0] in affine
+    live = [s for s in args if s not in consts]
+    if not all(s in degree for s in live):
+        return None
     if op in ("add", "sub"):
-        return all(s in affine for s in live)
-    if op in ("mul", "dot", "matmul"):
-        return len(live) == 1 and live[0] in affine
-    if op == "div":
-        return args[0] in affine and args[1] not in diff
-    return False
+        return max(degree[s] for s in live)
+    # a contraction with a constant keeps the degree, as a product with one does
+    if op == "mul" or (op in ("dot", "matmul") and len(live) == 1):
+        return sum(degree[s] for s in live)
+    if op in ("take", "neg", "sum", "sum_rows") or (op == "div" and args[1] in consts):
+        return degree[args[0]]
+    if op == "pow" and ins.aux > 0 and float(ins.aux).is_integer():
+        return degree[args[0]] * int(ins.aux)
+    return None
 
 
 @dataclass(frozen=True, eq=False)
 class Frontier:
-    """Where a tape's part that is affine in the input ends.
+    """Where a tape's part of bounded degree in the input ends.
 
-    ``prefix`` holds the instructions whose outputs are affine in the
-    input, ``suffix`` the others, each in tape order.  ``slots`` are the
-    affine slots that the suffix reads (the output slot too, if affine):
-    the suffix sees the input only through them.
+    ``prefix`` holds the instructions whose outputs are polynomials in the
+    input of at most the bound's degree (``_degree``), ``suffix`` the
+    others, each in tape order.  ``slots`` are the prefix's slots that the
+    suffix reads (the output slot too, if in the prefix): the suffix sees
+    the input only through them.  With the bound 1 the prefix is the part
+    that is affine in the input, and ``slots`` are its linear frontier.
     """
 
     slots: tuple[int, ...]
@@ -698,86 +704,20 @@ class Frontier:
     suffix: tuple[Instr, ...]
 
 
-def _frontier(program: "Program") -> Frontier:
-    affine = {program.input_slot}
+def _split(program: "Program", max_degree: int) -> Frontier:
+    degree = {program.input_slot: 1}
     prefix, suffix = [], []
     for ins in program.instrs:
-        if _is_affine(ins, affine, program.diff):
-            affine.add(ins.out)
+        d = _degree(ins, degree, program.consts)
+        if d is not None and d <= max_degree:
+            degree[ins.out] = d
             prefix.append(ins)
         else:
             suffix.append(ins)
-    read = {s for ins in suffix for s in ins.args if s in affine}
-    if program.output_slot in affine:
+    read = {s for ins in suffix for s in ins.args if s in degree}
+    if program.output_slot in degree:
         read.add(program.output_slot)
     return Frontier(tuple(sorted(read)), tuple(prefix), tuple(suffix))
-
-
-# ---------------------------------------------------------------------------
-# line programs
-
-
-def _line_degree(ins: Instr, degree: dict[int, int], diff: frozenset[int]) -> int | None:
-    """The degree in alpha of the slot ``ins`` writes, given its operands'
-    (``degree`` holds the polynomial slots), or None when ``ins`` does not
-    keep polynomials closed or the degree would pass ``_LINE_DEGREE``."""
-    op, args = ins.op, ins.args
-    live = [s for s in args if s in diff]
-    if not all(s in degree for s in live):
-        return None
-    if op in ("add", "sub"):
-        d = max(degree[s] for s in live)
-    elif op == "mul":
-        d = sum(degree[s] for s in live)
-    elif op in ("take", "neg", "sum", "sum_rows"):
-        d = degree[args[0]]
-    elif op in ("dot", "matmul") and len(live) == 1:
-        d = degree[live[0]]
-    elif op == "div" and args[1] not in diff:
-        d = degree[args[0]]
-    elif op == "pow" and ins.aux > 0 and float(ins.aux).is_integer():
-        d = degree[args[0]] * int(ins.aux)
-    else:
-        return None
-    return d if d <= _LINE_DEGREE else None
-
-
-@dataclass(frozen=True, eq=False)
-class _LineSplit:
-    """How ``Program.along`` splits a tape; it depends on the tape alone.
-
-    ``build`` holds the instructions that ``along`` computes once as
-    coefficient stacks (the affine prefix among them), ``rest`` those each
-    sample replays, both in tape order.  ``horner`` are the polynomial
-    slots that ``rest`` reads (and the output, if polynomial); the stacks
-    of ``dead[i]`` have no reader after ``build[i]``.
-    """
-
-    build: tuple[Instr, ...]
-    rest: tuple[Instr, ...]
-    horner: tuple[int, ...]
-    dead: tuple[tuple[int, ...], ...]
-
-
-def _line_split(program: "Program") -> _LineSplit:
-    degree = {program.input_slot: 1}
-    build, rest = [], []
-    for ins in program.instrs:
-        d = _line_degree(ins, degree, program.diff)
-        if d is None:
-            rest.append(ins)
-        else:
-            degree[ins.out] = d
-            build.append(ins)
-    horner = {s for ins in rest for s in ins.args if s in degree}
-    if program.output_slot in degree:
-        horner.add(program.output_slot)
-    last = {s: i for i, ins in enumerate(build) for s in ins.args if s in degree}
-    dead: list[list[int]] = [[] for _ in build]
-    for slot, i in last.items():
-        if slot not in horner:
-            dead[i].append(slot)
-    return _LineSplit(tuple(build), tuple(rest), tuple(sorted(horner)), tuple(map(tuple, dead)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -818,32 +758,32 @@ def _element_slots(program: "Program") -> tuple[tuple[int, ...], tuple[int, ...]
     gather from the input or is built row by row from them: its op is not
     ``take``, ``sum`` or ``dot``, its live operands are per-element with
     one number of axes n, and no constant operand has more than n.  A
-    linear slot enters the energy only linearly: it is affine
-    (``_is_affine``) in per-element and linear slots, as the density sum
-    and a load term are.  Only numbers of axes are read, so nothing is
+    linear slot enters the energy only linearly: it has degree 1
+    (``_degree``) in per-element and linear slots, as the density sum and
+    a load term have.  Only numbers of axes are read, so nothing is
     replayed.
     """
-    diff = program.diff
-    ndim = {slot: np.ndim(value) for slot, value in program.consts.items()}
+    consts = program.consts
+    ndim = {slot: np.ndim(value) for slot, value in consts.items()}
     ndim[program.input_slot] = 1
-    gathers, rows, linear = [], set(), {program.input_slot}
+    # the per-element and linear slots, each of degree 1 to the linear test
+    gathers, rows, degree = [], set(), {program.input_slot: 1}
     for ins in program.instrs:
         ndim[ins.out] = _ndim(ins, ndim)
-        n = max(ndim[s] for s in ins.args if s in diff)
+        n = max(ndim[s] for s in ins.args if s not in consts)
         if ins.op == "take" and ins.args[0] == program.input_slot:
             gathers.append(ins.out)
             rows.add(ins.out)
         elif ins.op not in ("take", "sum", "dot") and all(
-            s in rows and ndim[s] == n if s in diff else ndim[s] <= n for s in ins.args
+            s in rows and ndim[s] == n if s not in consts else ndim[s] <= n for s in ins.args
         ):
             rows.add(ins.out)
-        elif _is_affine(ins, rows | linear, diff):
-            linear.add(ins.out)
-        else:
+        elif _degree(ins, degree, consts) != 1:
             raise ValueError(
                 f"slot {ins.out} ({ins.op!r}) is neither per-element nor linear: "
                 "element Hessians need a sum of element densities"
             )
+        degree[ins.out] = 1
     return tuple(gathers), tuple(slot for slot in program.frontier.slots if slot in rows)
 
 
@@ -898,7 +838,6 @@ class Program:
     input_slot: int
     output_slot: int
     consts: dict[int, np.ndarray | float]
-    diff: frozenset[int]
 
     def signature(self) -> bytes:
         """Deterministic byte serialization of the tape and constants."""
@@ -949,7 +888,7 @@ class Program:
                     # each slot is written by one instruction: its adjoint is final here
                     g, adj[ins.out] = adj[ins.out], None
                     if g is not None:
-                        for slot, contrib in _vjp(ins, ws, g, self.diff):
+                        for slot, contrib in _vjp(ins, ws, g, self.consts):
                             cur = adj[slot]
                             adj[slot] = contrib if cur is None else _add(cur, contrib)
                 # every reader of this slot comes later in the tape and is swept
@@ -1003,7 +942,7 @@ class Program:
     @functools.cached_property
     def frontier(self) -> Frontier:
         """The cut between the part of the tape that is affine in the input and the rest."""
-        return _frontier(self)
+        return _split(self, 1)
 
     @functools.cached_property
     def element_dofs(self) -> np.ndarray:
@@ -1024,7 +963,7 @@ class Program:
                 continue
             if ins.op == "take":
                 gathers.append(ins.aux)
-            elif not (ins.op == "dot" and sum(s in self.diff for s in ins.args) == 1):
+            elif not (ins.op == "dot" and sum(s not in self.consts for s in ins.args) == 1):
                 raise ValueError(f"the input is read by {ins.op!r}, not only by gathers")
         if len({idx.shape for idx in gathers}) != 1 or gathers[0].ndim != 2:
             raise ValueError("element Hessians need gathers from the input by one (E, npe) matrix")
@@ -1039,8 +978,9 @@ class Program:
         return _element_cut(self)
 
     @functools.cached_property
-    def _line_split(self) -> _LineSplit:
-        return _line_split(self)
+    def _line_frontier(self) -> Frontier:
+        # the polynomial prefix that along computes once as coefficient stacks
+        return _split(self, _LINE_DEGREE)
 
     def along(self, u, direction) -> "LineProgram":
         """J(u + alpha * direction) as a program over the one input [alpha].
@@ -1048,17 +988,15 @@ class Program:
         One pass over the tape on coefficient stacks (Taylor polynomials
         in alpha; Griewank and Walther, ch. 13) starts from the input's
         (u, direction), which the affine prefix turns into every frontier
-        slot's coefficients (z0, z1) of z0 + alpha * z1.  A slot stays a
-        polynomial while its op keeps polynomials closed (sums and
-        differences, products, gathers, negation, division by a constant,
-        positive integer powers, ``sum``, ``sum_rows``, ``dot`` and
-        ``matmul`` with a constant) and its degree is at most
-        ``_LINE_DEGREE`` = 4; any other op, or a higher degree, ends the
-        polynomial part for that slot.  Each stack is dropped after its
-        last reader.  The returned program Horner-evaluates the polynomial
-        slots that the other instructions (or the output) read and replays
-        only those instructions: on Ginzburg-Landau the whole energy is one
-        scalar quartic.  Its values match ``evaluate(u + alpha *
+        slot's coefficients (z0, z1) of z0 + alpha * z1.  The pass covers
+        the prefix of degree at most ``_LINE_DEGREE`` = 4 (``_split``, by
+        the rule of the linear frontier: a slot stays a polynomial while
+        its op keeps polynomials closed), and each stack is dropped after
+        its last reader.  The returned program Horner-evaluates that
+        prefix's frontier slots (the polynomial slots that the other
+        instructions or the output read) and replays only the other
+        instructions: on Ginzburg-Landau the whole energy is one scalar
+        quartic.  Its values match ``evaluate(u + alpha *
         direction)`` to rounding; its derivatives raise (see
         ``LineProgram``).
         """
@@ -1066,21 +1004,23 @@ class Program:
         direction = np.asarray(direction, dtype=float)
         if direction.shape != u.shape:
             raise ValueError(f"direction must have shape {u.shape}, got {direction.shape}")
-        split = self._line_split
+        split = self._line_frontier
         ws: list = [None] * self.n_slots
         for slot, value in self.consts.items():
             ws[slot] = value
         ws[self.input_slot] = _Poly(np.stack((u, direction)))
+        last = {s: ins.out for ins in split.prefix for s in ins.args}
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for ins, dead in zip(split.build, split.dead):
+            for ins in split.prefix:
                 ws[ins.out] = _POLY[ins.op]([ws[s] for s in ins.args], ins.aux)
-                for slot in dead:
-                    ws[slot] = None  # a lower peak memory
+                for s in ins.args:
+                    if last[s] == ins.out and s not in split.slots:
+                        ws[s] = None  # a lower peak memory
         alpha_input, alpha = self.n_slots, self.n_slots + 1
         instrs = [Instr("take", alpha, (alpha_input,), np.asarray(0))]
-        consts = {s: self.consts[s] for ins in split.rest for s in ins.args if s in self.consts}
+        consts = {s: self.consts[s] for ins in split.suffix for s in ins.args if s in self.consts}
         slot = self.n_slots + 2
-        for out in split.horner:
+        for out in split.slots:
             # ((c_n alpha + c_(n-1)) alpha + ...) alpha + c_0, the last add writing out
             coeffs = [c if c.ndim else float(c) for c in ws[out].c]
             acc = slot
@@ -1092,8 +1032,7 @@ class Program:
                 instrs += [Instr("mul", scaled, (alpha, acc)), Instr("add", total, (coef, scaled))]
                 acc = total
                 slot += 3
-        instrs += split.rest
-        diff = {alpha_input} | {ins.out for ins in instrs}
+        instrs += split.suffix
         return LineProgram(
             instrs=tuple(instrs),
             n_slots=slot,
@@ -1101,7 +1040,6 @@ class Program:
             input_slot=alpha_input,
             output_slot=self.output_slot,
             consts=consts,
-            diff=frozenset(diff),
         )
 
     def element_hessians(self, u) -> np.ndarray:

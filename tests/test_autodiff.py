@@ -457,6 +457,31 @@ def test_along_matches_evaluate_on_benchmarks(small_benchmarks):
             assert abs(line.evaluate([alpha]) - want) <= 1e-13 * abs(want), problem.kind
 
 
+def slot_sources(tape):
+    return [tape.input_slot, *tape.consts, *(ins.out for ins in tape.instrs)]
+
+
+def test_every_slot_has_one_source_and_every_instruction_a_live_operand(small_benchmarks):
+    # constants are folded when recorded, so a slot depends on the input
+    # exactly when it is not a constant: the input, the constants and the
+    # instruction outputs are disjoint, and each instruction reads a slot
+    # that is not a constant
+    rng = np.random.default_rng(71)
+    for problem in small_benchmarks:
+        program = problem.program
+        # a recorded tape has no other slots; a line program leaves those of
+        # the prefix it computed once as coefficient stacks unused
+        assert sorted(slot_sources(program)) == list(range(program.n_slots))
+        u = random_benchmark_state(problem, rng)
+        line = problem.along(u, random_benchmark_state(problem, rng) - u)
+        for tape in (program, line):
+            sources = slot_sources(tape)
+            assert len(set(sources)) == len(sources), problem.kind
+            read = {s for ins in tape.instrs for s in ins.args} | {tape.output_slot}
+            assert read <= set(sources), problem.kind
+            assert all(any(s not in tape.consts for s in ins.args) for ins in tape.instrs)
+
+
 def test_along_inverting_direction_is_nonfinite(tiny_bar_problem):
     # d = -u collapses every element away from the end faces to a point at
     # alpha = 1: det F = 0 there, and log(det F) = -inf
@@ -761,6 +786,8 @@ SUMS_OF_ELEMENT_DENSITIES = [
     pytest.param(lambda v, g, z: (1.0 / (2.0 + z**2)).sum(), id="reciprocal"),
     pytest.param(lambda v, g, z: (-(z**3)).sum(), id="negation"),
     pytest.param(lambda v, g, z: ((3.0 - z) ** 3).sum(), id="constant-minus"),
+    # x**1 is affine in x: the power of the sum enters the energy linearly
+    pytest.param(lambda v, g, z: ((z**2).sum()) ** 1.0, id="first-power-of-the-sum"),
 ]
 
 
@@ -797,11 +824,12 @@ def test_row_sum_tape_derivatives_match_central_differences(energy):
         (lambda z: z / 4.0, "div", ["pow", "sum"]),
         (lambda z: -z, "neg", ["pow", "sum"]),
         (lambda z: 1.0 / z, "sum_rows", ["div", "pow", "sum"]),
+        (lambda z: z**1.0, "pow", ["pow", "sum"]),
     ],
-    ids=["divided-by-a-constant", "negated", "constant-divided-by-it"],
+    ids=["divided-by-a-constant", "negated", "constant-divided-by-it", "first-power"],
 )
 def test_affine_quotients_and_negations_join_the_prefix(outer, frontier_op, suffix):
-    # z / 4 and -z are affine in the input; 1 / z is not, so z is the frontier
+    # z / 4, -z and z**1 are affine in the input; 1 / z is not, so z is the frontier
     program = row_sum_tape(lambda v, g, z: (outer(z) ** 3).sum())
     assert ops_of(program, program.frontier.slots) == [frontier_op]
     assert [ins.op for ins in program.frontier.suffix] == suffix
