@@ -50,11 +50,15 @@ frontier slots with one row per element.  That needs a tape that is a
 sum of element densities, which one pass checks: every slot is either
 per-element (built row by row from the gathers) or enters the energy
 only linearly, and any other slot raises ``ValueError``.  The cut's
-entries are seeded with one-hot tangents and the reverse sweep stops at
-the frontier, giving the density's second derivatives W'' with respect
-to them; each block is K^T W'' K, with K the cut's constant Jacobian
-with respect to the element's local dofs.  The adjoint tangents are read
-per element and never scattered into the field.
+entries are seeded by colors and the reverse sweep stops at the
+frontier, giving the density's second derivatives W'' with respect to
+them; each block is K^T W'' K, with K the cut's constant Jacobian with
+respect to the element's local dofs.  The colors are a distance-2
+coloring of the pattern of W'', which one symbolic pass over the
+nonlinear rest of the tape finds: entries that no nonlinear op couples
+share a tangent (one tangent for Ginzburg-Landau's five entries).  The
+adjoint tangents are read per element and never scattered into the
+field.
 
 The replay kernels are written for speed but keep numpy's bits.  A row
 sum over fewer than 8 columns adds the columns one by one, which is what
@@ -75,6 +79,10 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
+import scipy.sparse as sp
+
+from .coloring import Coloring, color_pattern
+from .fem import SparsityPattern
 
 __all__ = [
     "ElementCut",
@@ -728,12 +736,41 @@ class ElementCut:
     for an (E,) slot, (q,) for an (E, q) one); ``jacobian`` (E, F, L)
     holds the derivatives of element e's F cut entries, in slot order,
     with respect to its L local dofs.  It is constant because the prefix
-    is linear.
+    is linear.  ``pattern`` (F, F) marks the entries of the density's
+    second derivatives W'' that can be nonzero, the diagonal included
+    (``_interaction_pattern``), and ``coloring`` is its distance-2
+    coloring (``coloring.color_pattern``): entries of one color share no
+    row of the pattern, so one tangent seeds them all.
     """
 
     slots: tuple[int, ...]
     shapes: tuple[tuple[int, ...], ...]
     jacobian: np.ndarray
+    pattern: np.ndarray
+    coloring: Coloring
+
+    @functools.cached_property
+    def fill(self) -> tuple[tuple[int, int, int, int], ...]:
+        """How W'' is read from the colored tangents: each (i, j0, j1, c)
+        sets W''[:, i, j0:j1] to entry i's tangents c to c + j1 - j0.
+
+        These are the runs of the pattern's row i over which column and
+        color both step by one; every other entry of W'' is 0.  A dense
+        pattern colored in column order has one run per row.
+        """
+        colors, runs = self.coloring.color_of.tolist(), []
+        for i, row in enumerate(self.pattern):
+            cols = np.flatnonzero(row).tolist()
+            start = 0
+            for k in range(1, len(cols) + 1):
+                if (
+                    k == len(cols)
+                    or cols[k] != cols[k - 1] + 1
+                    or colors[cols[k]] != colors[cols[k - 1]] + 1
+                ):
+                    runs.append((i, cols[start], cols[k - 1] + 1, colors[cols[start]]))
+                    start = k
+        return tuple(runs)
 
 
 def _ndim(ins: Instr, ndim: dict[int, int]) -> int:
@@ -787,6 +824,57 @@ def _element_slots(program: "Program") -> tuple[tuple[int, ...], tuple[int, ...]
     return tuple(gathers), tuple(slot for slot in program.frontier.slots if slot in rows)
 
 
+def _couple(pattern: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    # entry by entry of two slots' dependency arrays (which broadcast), mark
+    # every cut entry behind a as coupled with every one behind b
+    a, b = np.broadcast_arrays(a, b)
+    pairs = (a.reshape(-1, a.shape[-1])[:, :, None] & b.reshape(-1, b.shape[-1])[:, None, :]).any(0)
+    pattern |= pairs | pairs.T
+
+
+def _interaction_pattern(program: "Program", slots, shapes) -> np.ndarray:
+    """Which second derivatives of the density can be nonzero: an (F, F)
+    boolean pattern over the cut's entries, with its diagonal.
+
+    One symbolic pass over the suffix gives each slot, entry by entry of
+    one element's row, the set of cut entries it depends on (a boolean
+    array of shape row shape + (F,), or (F,) where every entry has the
+    same set).  Elementwise ops union their operands' sets entry by
+    entry; the ops that mix entries (``sum_rows``, ``sum``, ``take``,
+    ``dot``, ``matmul``) give the union of all.  The nonlinear ops record
+    couplings, as nonlinear interaction domains do (Walther, ACM TOMS
+    34(1), 2008): a product or dot product of two live operands couples
+    them, a live denominator couples itself and the numerator, and a
+    power other than 1 (``x**0`` is recorded as a constant) and a log
+    couple their operand with itself.  ``abs`` is piecewise linear and
+    couples nothing.  The pattern so holds every entry of W'' that is
+    nonzero at some input.
+    """
+    width = sum(int(np.prod(shape)) for shape in shapes)
+    eye = np.eye(width, dtype=bool)
+    deps, start = {}, 0
+    for slot, shape in zip(slots, shapes):
+        entries = int(np.prod(shape))
+        deps[slot] = eye[start : start + entries].reshape(shape + (width,))
+        start += entries
+    none = np.zeros(width, dtype=bool)
+    pattern = eye.copy()
+    for ins in program.frontier.suffix:
+        op, args = ins.op, ins.args
+        live = [deps.get(s, none) for s in args if s not in program.consts]
+        if op in ("mul", "dot") and len(live) == 2:
+            _couple(pattern, live[0], live[1])
+        elif op == "div" and args[1] not in program.consts:
+            for other in live:  # the denominator itself and a live numerator
+                _couple(pattern, live[-1], other)
+        elif (op == "pow" and ins.aux != 1.0) or op == "log":
+            _couple(pattern, live[0], live[0])
+        if op in ("sum_rows", "sum", "take", "dot", "matmul"):
+            live = [d.reshape(-1, width).any(0) for d in live]
+        deps[ins.out] = functools.reduce(np.logical_or, live)
+    return pattern
+
+
 def _element_cut(program: "Program") -> ElementCut:
     """The cut for element Hessians: the per-element frontier slots.
 
@@ -795,7 +883,10 @@ def _element_cut(program: "Program") -> ElementCut:
     otherwise.  Frontier slots that are not per-element enter the energy
     linearly and add nothing to the Hessian.  The Jacobian comes from the
     local one-hot directions pushed through the prefix at u = 0, a few at
-    a time.
+    a time; the pattern of W'' from one symbolic pass over the suffix
+    (``_interaction_pattern``), and its colors from the greedy distance-2
+    rule of the global Hessians (Gebremedhin, Tarafdar, Pothen and
+    Walther, INFORMS J. Computing 21(2), 2009).
     """
     n_elems, n_local = program.element_dofs.shape
     gathers, slots = _element_slots(program)
@@ -821,7 +912,9 @@ def _element_cut(program: "Program") -> ElementCut:
             jacobian[:, row : row + entries, start:stop] = tangent.transpose(1, 2, 0)
             row += entries
         del ws  # one block's working set at a time
-    return ElementCut(slots, row_shapes, jacobian)
+    pattern = _interaction_pattern(program, slots, row_shapes)
+    coloring = color_pattern(SparsityPattern.from_csr(sp.csr_matrix(pattern)))
+    return ElementCut(slots, row_shapes, jacobian, pattern, coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -1045,12 +1138,17 @@ class Program:
     def element_hessians(self, u) -> np.ndarray:
         """Every element's (L, L) Hessian block at u, for a sum of element densities.
 
-        The local indices are those of ``element_dofs``.  The F
-        per-element entries of ``element_cut`` are seeded with one-hot
-        tangents and the reverse sweep stops at the frontier, giving W''
-        (E, F, F), the second derivatives with respect to those entries;
-        the blocks are K^T W'' K with K the cut's Jacobian.  F = 0 (a
-        linear tape) gives zero blocks.  Raises ``ValueError`` where
+        The local indices are those of ``element_dofs``.  Each color of
+        ``element_cut`` seeds one tangent, which is 1 at that color's
+        per-element entries, and the reverse sweep stops at the frontier.
+        Entry i's adjoint tangent for the color of entry j is then W''[i,
+        j], the density's second derivative with respect to the two, at
+        every (i, j) of the cut's pattern, because no other entry of that
+        color couples with i; W'' (E, F, F) is 0 elsewhere.  On
+        Ginzburg-Landau W'' is diagonal and one tangent replaces five; a
+        dense pattern has F colors, which seed the one-hot tangents.  The
+        blocks are K^T W'' K with K the cut's Jacobian.  F = 0 (a linear
+        tape) gives zero blocks.  Raises ``ValueError`` where
         ``element_dofs`` does, or when the tape is not a sum of element
         densities (see ``_element_slots``): a slot that mixes elements and
         is not used only linearly, such as ``z[perm]`` inside a power, is
@@ -1060,22 +1158,33 @@ class Program:
         cut = self.element_cut
         k = cut.jacobian
         n_elems, width = k.shape[:2]
-        # one-hot tangents: each slot's entries are its columns among the F
-        eye = np.eye(width)
-        seeds, columns, start = {}, [], 0
+        n_colors = cut.coloring.n_colors
+        # tangent c is 1 at the entries of color c; each slot's entries are
+        # its columns among the F
+        basis = np.zeros((n_colors, width))
+        basis[cut.coloring.color_of, np.arange(width)] = 1.0
+        seeds, start = {}, 0
         for slot, shape in zip(cut.slots, cut.shapes):
-            cols = slice(start, start + int(np.prod(shape)))
-            seed = eye[:, cols].reshape((width, 1) + shape)
-            seeds[slot] = np.broadcast_to(seed, (width, n_elems) + shape)
-            columns.append(cols)
-            start = cols.stop
+            end = start + int(np.prod(shape))
+            seed = basis[:, start:end].reshape((n_colors, 1) + shape)
+            seeds[slot] = np.broadcast_to(seed, (n_colors, n_elems) + shape)
+            start = end
         stop = self.frontier.slots
         adjoints = dict(zip(stop, self._reverse(self._forward(u, seeds), 1.0, stop)))
+        # each entry's adjoint tangents (n_colors, E), or None where it has none
+        tangents = []
+        for slot, shape in zip(cut.slots, cut.shapes):
+            adjoint = adjoints[slot]
+            entries = int(np.prod(shape))
+            if isinstance(adjoint, _Dual):
+                t = adjoint.dot.reshape(n_colors, n_elems, entries)
+                tangents += [t[:, :, i] for i in range(entries)]
+            else:
+                tangents += [None] * entries
         w = np.zeros((n_elems, width, width))
-        for slot, cols in zip(cut.slots, columns):
-            if isinstance(adjoints[slot], _Dual):
-                tangent = adjoints[slot].dot.reshape(width, n_elems, -1)
-                w[:, cols] = tangent.transpose(1, 2, 0)
+        for i, j0, j1, c in cut.fill:
+            if tangents[i] is not None:
+                w[:, i, j0:j1] = tangents[i][c : c + j1 - j0].T
         return np.matmul(k.transpose(0, 2, 1), np.matmul(w, k))
 
 

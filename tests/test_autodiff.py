@@ -14,7 +14,7 @@ from helpers import (
     random_benchmark_state,
 )
 from minfem import autodiff
-from minfem.autodiff import Recorder, dot
+from minfem.autodiff import Recorder, dot, log
 from minfem.energies import build_problem
 
 
@@ -769,6 +769,23 @@ def test_row_sums_need_a_matrix(shape):
         v.sum(axis=1)
 
 
+M2 = np.array([[0.5, -1.0], [2.0, 0.3]])
+# cut entries g0, g1 (the gather) and z
+BLOCK = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=bool)
+# cut entries g0, g1 and h0, h1 (h = g @ M2): column q couples g_q with h_q
+BAND = np.eye(4, dtype=bool) | np.eye(4, k=2, dtype=bool) | np.eye(4, k=-2, dtype=bool)
+
+# densities whose W'' is neither diagonal nor dense: more than one color
+# and fewer than the F cut entries seed the element Hessians
+PARTIALLY_COMPRESSED = [
+    pytest.param(
+        lambda v, g, z: ((g**2).sum(axis=1) ** 2 + z**4).sum(), BLOCK, id="block-of-a-row-sum"
+    ),
+    pytest.param(lambda v, g, z: ((g * (g @ M2)) ** 2).sum(), BAND, id="banded-products"),
+    pytest.param(lambda v, g, z: (g / (3.0 + (g @ M2) ** 2)).sum(), BAND, id="live-denominator"),
+    pytest.param(lambda v, g, z: log(abs(g * (g @ M2)) + 1.0).sum(), BAND, id="abs-inside-log"),
+]
+
 SUMS_OF_ELEMENT_DENSITIES = [
     pytest.param(lambda v, g, z: (g * (2.0 * g)).sum(), id="dependent-frontier-slots"),
     pytest.param(lambda v, g, z: 0.5 * g.sum(), id="scaled-linear-terms"),
@@ -788,7 +805,19 @@ SUMS_OF_ELEMENT_DENSITIES = [
     pytest.param(lambda v, g, z: ((3.0 - z) ** 3).sum(), id="constant-minus"),
     # x**1 is affine in x: the power of the sum enters the energy linearly
     pytest.param(lambda v, g, z: ((z**2).sum()) ** 1.0, id="first-power-of-the-sum"),
+    *(pytest.param(p.values[0], id=p.id) for p in PARTIALLY_COMPRESSED),
 ]
+
+
+@pytest.mark.parametrize(("energy", "pattern"), PARTIALLY_COMPRESSED)
+def test_element_cuts_seed_partial_patterns_by_fewer_colors_than_entries(energy, pattern):
+    cut = row_sum_tape(energy).element_cut
+    assert np.array_equal(cut.pattern, pattern)
+    colors = cut.coloring.color_of
+    assert 1 < cut.coloring.n_colors < len(colors)
+    # no row of the pattern holds two entries of one color
+    for c in range(cut.coloring.n_colors):
+        assert cut.pattern[:, colors == c].sum(axis=1).max() == 1
 
 
 @pytest.mark.parametrize("energy", SUMS_OF_ELEMENT_DENSITIES)

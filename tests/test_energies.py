@@ -456,6 +456,19 @@ def test_element_cut_choice_is_pinned(tiny_bar_problem):
         assert cut.jacobian.shape == (n_elems, width, local)
 
 
+def test_element_cut_patterns_and_colors_are_pinned(tiny_bar_problem):
+    # Ginzburg-Landau's f_x, f_y and z_q meet in no nonlinear op: W'' is
+    # diagonal and one color seeds all five entries; the p-Laplace and bar
+    # densities couple every pair, so each entry takes its own color
+    pl, gl = build_problem("plaplace", 1), build_problem("ginzburg_landau", 1)
+    for problem, width, dense in ((gl, 5, False), (pl, 2, True), (tiny_bar_problem, 9, True)):
+        cut = problem.program.element_cut
+        pattern = np.ones((width, width), dtype=bool) if dense else np.eye(width, dtype=bool)
+        assert np.array_equal(cut.pattern, pattern), problem.kind
+        colors = np.arange(width) if dense else np.zeros(width)
+        assert np.array_equal(cut.coloring.color_of, colors), problem.kind
+
+
 def test_frontier_hessian_matches_colored_recovery(tiny_bar_problem):
     bar = build_problem("neohooke", 1)
     angle = 2.0 * np.pi / 3.0
@@ -473,15 +486,20 @@ def test_frontier_hessian_matches_colored_recovery(tiny_bar_problem):
 
 
 # SHA-256 of ``problem.hessian(u).data`` from before Ginzburg-Landau joined
-# the frontier cut: the p-Laplace and bar blocks must keep their bits
+# the frontier cut: the p-Laplace and bar blocks must keep their bits.  The
+# Ginzburg-Landau digest is from before the cut was seeded by colors of the
+# density's interaction pattern: one direction must give the five one-hot
+# directions' bits
 HESSIAN_PINNED = {
     "plaplace": (71, "91024ac05e1ddbebfa1da7694b8559b08750697dcb19a4ae2fdd5131f1d2aee1"),
     "neohooke": (73, "cc1c78e36efe4b6f14b37c5b7fad9b5fd402b2b6958d79525763495e62918362"),
+    "ginzburg_landau": (79, "cd09036f9959de33a506f3a55510103f3a547b37ac48f52801d8123efa362abd"),
 }
 
 
 def test_frontier_hessian_bits_are_pinned(tiny_bar_problem):
-    for problem in (build_problem("plaplace", 3), tiny_bar_problem):
+    gl = build_problem("ginzburg_landau", 3)
+    for problem in (build_problem("plaplace", 3), tiny_bar_problem, gl):
         seed, digest = HESSIAN_PINNED[problem.kind]
         u = random_benchmark_state(problem, np.random.default_rng(seed))
         data = problem.hessian(u).data
