@@ -22,8 +22,21 @@ the bar) is computed once as coefficients, so a sample is a Horner
 evaluation plus a replay of the rest of the tape.  Each
 ``IterationRecord`` keeps the wall time of the gradient sweep the step
 starts from and of the step's Hessian, linear solve (and the AMG builds
-within it) and line search, and the line search's energy evaluations.
-A load-stepping loop handles the twisted-bar continuation.
+within it) and line search, the line search's energy evaluations and
+the relative residual the step asked of CG.  A load-stepping loop
+handles the twisted-bar continuation.
+
+Newton is inexact on the CG paths (AMG and diagonal CG; Dembo,
+Eisenstat and Steihaug, SIAM J. Numer. Anal. 19(2), 1982): step k asks
+CG for the relative residual eta_k of Eisenstat and Walker's choice 2
+(SIAM J. Sci. Comput. 17(1), 1996), eta_k = 0.9 (|g_k| / |g_(k-1)|)^2 in
+gradient 2-norms, raised to 0.9 eta_(k-1)^2 when that exceeds 0.1, then
+kept in [1e-8, 0.5], with eta_0 = 0.1 at the start of every call.  A
+shifted retry reuses its step's eta.  Every CG iterate from a zero start
+descends for a positive definite H, so the line search is unchanged.
+The direct path ignores the forcing term and keeps its 1e-10
+relative-residual contract, and the p-Laplace initial-guess solve asks
+CG for 1e-8.
 """
 
 from __future__ import annotations
@@ -70,6 +83,12 @@ MAX_EVALS = 100
 SHIFT_SCALE = 1e-6
 SHIFT_GROWTH = 10.0
 SHIFT_TRIES = 20
+# forcing terms of the inexact Newton steps, see _forcing_term
+FORCING_INITIAL = 0.1
+FORCING_MAX = 0.5
+FORCING_MIN = 1e-8
+FORCING_GAMMA = 0.9
+FORCING_SAFEGUARD = 0.1
 
 
 @dataclass(frozen=True)
@@ -114,7 +133,8 @@ class IterationRecord:
     build included; 0 on the direct and diagonal-CG paths),
     ``linesearch_s`` that of building the line program and the
     golden-section search over it, which evaluated the energy
-    ``linesearch_evals`` times.
+    ``linesearch_evals`` times.  ``cg_rtol`` is the relative residual
+    the step asked of CG, its forcing term (None on the direct path).
     """
 
     iteration: int
@@ -130,6 +150,7 @@ class IterationRecord:
     amg_build_s: float
     linesearch_s: float
     linesearch_evals: int
+    cg_rtol: float | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,14 +273,19 @@ def _solve_newton_system(
     near_nullspace: np.ndarray,
     amg: _AmgReuse | None = None,
     pattern: SparsityPattern | None = None,
+    rtol: float = 1e-8,
 ) -> tuple[np.ndarray, str, int]:
     """One linear solve along the configured path; returns (x, path, inner).
 
     ``auto`` solves directly up to ``solvers.DIRECT_DOF_LIMIT`` unknowns and
     by AMG-CG above.  A direct solve orders by ``pattern``, which holds
-    ``h``'s entries (None: ``h``'s own).  An AMG build starts from
-    ``amg.structure`` and leaves its own there; only the structure is
-    kept, never the hierarchy.
+    ``h``'s entries (None: ``h``'s own), and ignores ``rtol``: it keeps
+    ``solvers.solve_direct``'s 1e-10 relative-residual contract.  CG
+    (``amg`` and ``diag-cg``) stops at the relative residual ``rtol``: a
+    Newton step passes its Eisenstat-Walker forcing term
+    (``_forcing_term``), the p-Laplace initial guess the default.  An
+    AMG build starts from ``amg.structure`` and leaves its own there;
+    only the structure is kept, never the hierarchy.
     """
     n = rhs.shape[0]
     if method == "auto":
@@ -275,12 +301,40 @@ def _solve_newton_system(
         finally:
             amg.build_s += time.perf_counter() - build_started
         amg.structure = hierarchy.structure
-        x, inner = solvers.pcg_solve(h, rhs, hierarchy, rtol=1e-8, maxiter=400)
+        x, inner = solvers.pcg_solve(h, rhs, hierarchy, rtol=rtol, maxiter=400)
         return x, "amg", inner
     if method == "diag-cg":
-        x, inner = solvers.pcg_solve(h, rhs, h.diagonal(), rtol=1e-8, maxiter=10_000)
+        x, inner = solvers.pcg_solve(h, rhs, h.diagonal(), rtol=rtol, maxiter=10_000)
         return x, "diag-cg", inner
     raise ValueError(f"unknown solver method {method!r}")
+
+
+def _forcing_term(
+    grad_norm: float, previous_grad_norm: float, previous_eta: float | None
+) -> float:
+    """CG's relative residual for a Newton step: Eisenstat-Walker choice 2.
+
+    ``previous_eta`` None marks a call's first step, which gets
+    ``FORCING_INITIAL``.  Later steps get FORCING_GAMMA times the squared
+    ratio of the gradient 2-norms, at least FORCING_GAMMA * previous_eta**2
+    when that exceeds ``FORCING_SAFEGUARD`` (so eta cannot drop much faster
+    than it did), within [``FORCING_MIN``, ``FORCING_MAX``].
+
+    The first term is 0.1, not the cap: the first steps from the
+    benchmark starting points are not yet in the quadratic regime (the
+    line search takes alpha of 1.1-1.2), and a first solve to 0.5 leaves
+    Ginzburg-Landau's gradient about three times larger after the step,
+    which costs a fourth Newton step at levels 4 and 6.
+    """
+    if previous_eta is None:
+        return FORCING_INITIAL
+    eta = FORCING_GAMMA * (grad_norm / previous_grad_norm) ** 2
+    safeguard = FORCING_GAMMA * previous_eta**2
+    if safeguard > FORCING_SAFEGUARD:
+        eta = max(eta, safeguard)
+    if math.isnan(eta):  # a non-finite gradient: the tightest solve
+        return FORCING_MIN
+    return min(max(eta, FORCING_MIN), FORCING_MAX)
 
 
 def _newton_direction(
@@ -290,11 +344,12 @@ def _newton_direction(
     near_nullspace: np.ndarray,
     amg: _AmgReuse,
     pattern: SparsityPattern,
+    rtol: float,
 ) -> tuple[np.ndarray, str, int, float]:
     """Descent direction from H d = -g, with escalating Tikhonov shifts.
 
     ``pattern`` holds the entries of H and, with its full diagonal, of
-    every shifted H.
+    every shifted H.  Every solve, shifted or not, asks CG for ``rtol``.
     """
     n = grad.shape[0]
     diag_max = float(np.abs(h.diagonal()).max()) if h is not None else 0.0
@@ -310,7 +365,7 @@ def _newton_direction(
         candidate = h if shift == 0.0 else (h + shift * eye).tocsr()
         try:
             d, path, inner = _solve_newton_system(
-                candidate, -grad, config.solver, near_nullspace, amg, pattern
+                candidate, -grad, config.solver, near_nullspace, amg, pattern, rtol
             )
         except solvers.SolverError as exc:
             last_error = exc
@@ -361,6 +416,9 @@ def newton_minimize(
     near-nullspace block are exactly the same (see ``solvers.build_amg``);
     only the numeric part is redone.  Nothing carries over to another
     call or problem.
+
+    On the CG paths each step solves to its forcing term
+    (``_forcing_term``), and the rule starts afresh with every call.
     """
     started = time.perf_counter()
     cfg = config or NewtonConfig()
@@ -375,6 +433,8 @@ def newton_minimize(
     gtol = cfg.grad_tol * (1.0 + abs(energy))
     near_nullspace = problem.near_nullspace()
     amg = _AmgReuse()
+    eta: float | None = None  # forcing term of the previous step
+    previous_grad_l2 = math.nan
 
     log: list[IterationRecord] = []
 
@@ -408,10 +468,13 @@ def newton_minimize(
         except ColoringError:
             hessian = None  # singular flat states; fall back to the shifted path
         hessian_s = time.perf_counter() - hessian_started
+        grad_l2 = float(np.linalg.norm(grad))
+        eta = _forcing_term(grad_l2, previous_grad_l2, eta)
+        previous_grad_l2 = grad_l2
         solve_started = time.perf_counter()
         amg.build_s = 0.0
         d, path, inner, shift = _newton_direction(
-            hessian, grad, cfg, near_nullspace, amg, problem.pattern
+            hessian, grad, cfg, near_nullspace, amg, problem.pattern, eta
         )
         solve_s = time.perf_counter() - solve_started
         del hessian  # freed before the line search and the next Hessian: a lower peak memory
@@ -433,6 +496,7 @@ def newton_minimize(
                 amg_build_s=amg.build_s,
                 linesearch_s=linesearch_s,
                 linesearch_evals=linesearch_evals,
+                cg_rtol=None if path == "direct" else eta,
             )
         )
         previous = energy
@@ -456,7 +520,7 @@ def benchmark_initial_guess(problem: EnergyProblem) -> np.ndarray:
     F = 0 for p = 3), so its Newton run starts from the minimizer of the
     p = 2 quadratic energy instead: one linear solve with the same Hessian
     entry point (``EnergyProblem.hessian``) and solver dispatch as a Newton
-    step.
+    step (CG, above the direct limit, to a relative residual of 1e-8).
     """
     if problem.kind != "plaplace":
         return problem.initial_guess.copy()

@@ -26,6 +26,8 @@ that differs is rebuilt afresh, and so is every coarser one.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -422,8 +424,14 @@ def pcg_solve(
     ``precond`` is an AMG hierarchy (one V-cycle per application), the
     diagonal of ``a`` (Jacobi preconditioning), or None.  Raises
     ``IndefiniteSystemError`` on non-positive curvature and
-    ``SolverError`` when ``maxiter`` is exceeded.
+    ``SolverError`` when ``maxiter`` is exceeded.  ``rtol`` must be finite
+    and in (0, 1), ``maxiter`` a positive integer; anything else raises
+    ``ValueError`` naming the argument.
     """
+    if not (isinstance(rtol, numbers.Real) and math.isfinite(rtol) and 0.0 < rtol < 1.0):
+        raise ValueError(f"rtol must be finite and in (0, 1), got {rtol!r}")
+    if isinstance(maxiter, bool) or not isinstance(maxiter, numbers.Integral) or maxiter < 1:
+        raise ValueError(f"maxiter must be a positive integer, got {maxiter!r}")
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if isinstance(precond, AmgHierarchy):

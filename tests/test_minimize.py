@@ -10,10 +10,14 @@ from minfem.coloring import ColoringError, recover_hessian
 from minfem.energies import bar_dirichlet_values, build_problem, problem_from_mesh
 from minfem.mesh import bar_mesh_from_cells
 from minfem.minimize import (
+    FORCING_INITIAL,
+    FORCING_MAX,
+    FORCING_MIN,
     INTERVAL_TOL,
     ContinuationError,
     NewtonConfig,
     NewtonError,
+    _forcing_term,
     _solve_newton_system,
     benchmark_initial_guess,
     continuation_hyperelastic,
@@ -353,6 +357,88 @@ def test_linear_solve_time_includes_shifted_retries(monkeypatch):
     assert log and all(rec.shift > 0.0 and rec.solve_s >= 0.02 for rec in log)
 
 
+@pytest.mark.parametrize(
+    ("grad_norm", "previous_grad_norm", "previous_eta", "eta"),
+    [
+        pytest.param(1.0, np.nan, None, 0.1, id="first-step"),
+        # 0.9 * 0.3**2 = 0.081 is under the safeguard threshold 0.1
+        pytest.param(0.1, 1.0, 0.3, 0.9 * 0.1**2, id="squared-decrease"),
+        pytest.param(1e-3, 0.5, 0.3, 0.9 * 2e-3**2, id="safeguard-under-threshold"),
+        # 0.9 * 0.5**2 = 0.225 exceeds it and bounds the 3.6e-6 of the ratio
+        pytest.param(1e-3, 0.5, 0.5, 0.9 * 0.5**2, id="safeguard"),
+        pytest.param(2.0, 1.0, 0.01, 0.5, id="cap"),  # the ratio asks for 3.6
+        pytest.param(1e-9, 1.0, 1e-3, 1e-8, id="floor"),
+        pytest.param(np.nan, 1.0, 0.1, 1e-8, id="nonfinite-gradient"),
+    ],
+)
+def test_forcing_term(grad_norm, previous_grad_norm, previous_eta, eta):
+    assert _forcing_term(grad_norm, previous_grad_norm, previous_eta) == pytest.approx(
+        eta, rel=1e-15
+    )
+
+
+def _record_solves(monkeypatch):
+    """Wrap the Newton solves; each call's (h, rhs, rtol, x, path) goes to the list."""
+    calls = []
+
+    def recording(h, rhs, method, near_nullspace, amg, pattern, rtol):
+        x, path, inner = _solve_newton_system(h, rhs, method, near_nullspace, amg, pattern, rtol)
+        calls.append((h, rhs, rtol, x, path))
+        return x, path, inner
+
+    monkeypatch.setattr("minfem.minimize._solve_newton_system", recording)
+    return calls
+
+
+@pytest.mark.parametrize("solver", ["amg", "diag-cg"])
+def test_cg_steps_reach_their_forcing_terms(solver, monkeypatch):
+    calls = _record_solves(monkeypatch)
+    problem = build_problem("ginzburg_landau", 3)
+    result = newton_minimize(problem, benchmark_initial_guess(problem), NewtonConfig(solver=solver))
+    log = result.iteration_log
+    assert result.stop_reason == "grad" and all(rec.shift == 0.0 for rec in log)
+    assert len(calls) == len(log)
+    assert log[0].cg_rtol == FORCING_INITIAL
+    for rec, (h, rhs, rtol, d, path) in zip(log, calls):
+        assert path == rec.solver == solver and rtol == rec.cg_rtol
+        assert FORCING_MIN <= rec.cg_rtol <= FORCING_MAX
+        # the true residual ||H d + g|| / ||g||, with rhs = -g
+        assert np.linalg.norm(h @ d - rhs) <= rec.cg_rtol * np.linalg.norm(rhs)
+    # CG stops once it meets eta, so the first solve is far from exact
+    h, rhs, _, d, _ = calls[0]
+    assert np.linalg.norm(h @ d - rhs) > 1e-2 * np.linalg.norm(rhs)
+
+
+def test_direct_steps_record_no_cg_tolerance():
+    problem = build_problem("ginzburg_landau", 2)
+    result = newton_minimize(problem, benchmark_initial_guess(problem), NewtonConfig(solver="direct"))
+    assert result.iteration_log
+    assert all(rec.cg_rtol is None for rec in result.iteration_log)
+
+
+def test_shifted_retries_reuse_their_steps_forcing_term(monkeypatch):
+    asked = []
+    pcg_solve = solvers.pcg_solve
+
+    def refuse_unshifted(h, rhs, precond, rtol, maxiter):
+        asked.append(rtol)
+        if h.diagonal().max() == 1.0:  # the unshifted Hessian
+            raise SolverError("refused")
+        return pcg_solve(h, rhs, precond, rtol=rtol, maxiter=maxiter)
+
+    monkeypatch.setattr("minfem.solvers.pcg_solve", refuse_unshifted)
+    rng = np.random.default_rng(5)
+    # a 1D Laplacian: an inexact first solve leaves work for a second step
+    h = np.eye(8) - 0.45 * (np.eye(8, k=1) + np.eye(8, k=-1))
+    problem = make_quadratic_problem(h, rng.standard_normal(8))
+    result = newton_minimize(problem, np.zeros(8), NewtonConfig(solver="diag-cg"))
+    log = result.iteration_log
+    assert len(log) >= 2 and all(rec.shift > 0.0 for rec in log)
+    # one refused and one shifted solve per step, both at the step's eta
+    assert asked == [rec.cg_rtol for rec in log for _ in range(2)]
+    assert log[0].cg_rtol == FORCING_INITIAL and log[1].cg_rtol != FORCING_INITIAL
+
+
 def test_stop_reason_grad():
     rng = np.random.default_rng(12)
     m = rng.standard_normal((5, 5))
@@ -409,11 +495,11 @@ def _pinned(result):
 # line-search alphas of two reference runs.  A change to the replay kernels
 # that moves one bit of any energy, gradient or Hessian shows up here.
 GL4_AMG_PINNED = (
-    "0x1.628a7f1813eecp-2",
+    "0x1.628a7f2b59a32p-2",
     3,
-    (14, 14, 14),
+    (2, 4, 5),
     0,
-    ("0x1.2353822ff24a1p+0", "0x1.160eb576c61bep+0", "0x1.023ac98268263p+0"),
+    ("0x1.245657ed3c7dbp+0", "0x1.148fbfc56a752p+0", "0x1.028ac66f81f16p+0"),
 )
 TINY_BAR_PINNED = (
     (

@@ -259,6 +259,26 @@ def test_pcg_maxiter_exceeded():
         pcg_solve(a, b, None, rtol=1e-14, maxiter=2)
 
 
+@pytest.mark.parametrize(
+    ("name", "rtol", "maxiter"),
+    [
+        ("rtol", np.nan, 50),
+        ("rtol", np.inf, 50),
+        ("rtol", 0.0, 50),
+        ("rtol", 1.0, 50),
+        ("rtol", -1e-8, 50),
+        ("maxiter", 1e-8, -1),
+        ("maxiter", 1e-8, 0),
+        ("maxiter", 1e-8, 2.5),
+        ("maxiter", 1e-8, True),
+    ],
+)
+def test_pcg_rejects_bad_arguments_before_iterating(name, rtol, maxiter):
+    a = stiffness_on_square(2)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        pcg_solve(a, np.ones(a.shape[0]), None, rtol=rtol, maxiter=maxiter)
+
+
 def test_amg_cg_beats_diagonal_on_laplacian():
     a = stiffness_on_square(4)
     b = np.random.default_rng(0).standard_normal(a.shape[0])
