@@ -5,18 +5,23 @@ feeds the stopping tests and is the line search's phi(0), and its
 gradient the Newton step.  Each iteration takes the exact sparse Hessian
 from ``EnergyProblem.hessian`` (element blocks from the energy tape for
 the benchmark energies, the colored recovery for other problems), solves
-for the Newton direction (direct or AMG-CG depending on size; direct
-solves order by the problem's pattern, whose band ordering is derived
-once and shared by every call and load step; successive
+for the Newton direction (banded Cholesky or AMG-CG depending on size;
+direct solves order by the problem's pattern, whose band ordering is
+derived once and shared by every call and load step; successive
 AMG builds in one call share the aggregation wherever the sparsity
-structure and near-nullspace repeat exactly), regularizes
-with an escalating Tikhonov shift when the solve fails or the direction
-is not a descent direction, and line-searches with golden section,
-rejecting steps where the energy is non-finite.  The search narrows the
-bracket to ``INTERVAL_TOL`` and ends with one parabolic step: 19 energy
-evaluations per Newton step unless it falls back, and the exact step on a
-quadratic.  It samples ``EnergyProblem.along``: the energy on the step's
-line as a program over the step length.  The energy's polynomial part
+structure and near-nullspace repeat exactly), and line-searches with
+golden section, rejecting steps where the energy is non-finite.  A
+Hessian that is not positive definite gets one rule on both paths, a
+modified Newton step (Nocedal and Wright, Numerical Optimization, 2nd
+ed., 2006, Sec. 3.4, Alg. 3.3): the Cholesky factor or CG raises
+``solvers.IndefiniteSystemError``, and the step retries with an
+escalating Tikhonov shift H + lambda I.  Any other solver failure and a
+direction that is not finite or does not descend escalate the same way.
+The search narrows the bracket to ``INTERVAL_TOL`` and ends with one
+parabolic step: 19 energy evaluations per Newton step unless it falls
+back, and the exact step on a quadratic.  It samples
+``EnergyProblem.along``: the energy on the step's line as a program over
+the step length.  The energy's polynomial part
 in the step length (all of Ginzburg-Landau, a quartic; det F and I1 on
 the bar) is computed once as coefficients, so a sample is a Horner
 evaluation plus a replay of the rest of the tape.  Each
@@ -348,8 +353,11 @@ def _newton_direction(
 ) -> tuple[np.ndarray, str, int, float]:
     """Descent direction from H d = -g, with escalating Tikhonov shifts.
 
-    ``pattern`` holds the entries of H and, with its full diagonal, of
-    every shifted H.  Every solve, shifted or not, asks CG for ``rtol``.
+    A solve that raises ``SolverError`` (``IndefiniteSystemError`` when the
+    shifted H is not positive definite), or whose direction is not finite
+    or does not descend, moves on to the next shift.  ``pattern`` holds
+    the entries of H and, with its full diagonal, of every shifted H.
+    Every solve, shifted or not, asks CG for ``rtol``.
     """
     n = grad.shape[0]
     diag_max = float(np.abs(h.diagonal()).max()) if h is not None else 0.0
@@ -360,7 +368,7 @@ def _newton_direction(
     shifts += [lam * SHIFT_GROWTH**k for k in range(SHIFT_TRIES)]
     eye = sp.identity(n, format="csr")
 
-    last_error: Exception | None = None
+    last_error: str | None = None
     for shift in shifts:
         candidate = h if shift == 0.0 else (h + shift * eye).tocsr()
         try:
@@ -368,13 +376,16 @@ def _newton_direction(
                 candidate, -grad, config.solver, near_nullspace, amg, pattern, rtol
             )
         except solvers.SolverError as exc:
-            last_error = exc
+            # the message only: the exception's traceback holds this frame, which
+            # would keep the failed solve's arrays alive in a cycle until the
+            # garbage collector runs
+            last_error = str(exc)
             continue
         if np.all(np.isfinite(d)) and float(grad @ d) < 0.0:
             return d, path, inner, shift
     raise NewtonError(
         f"no descent direction after {len(shifts)} regularization attempts"
-        + (f" (last solver error: {last_error})" if last_error else "")
+        + (f" (last solver error: {last_error})" if last_error is not None else "")
     )
 
 

@@ -1,17 +1,23 @@
 """Sparse symmetric linear solvers for the Newton systems.
 
-Small systems are solved directly: one banded LU with partial pivoting
-(LAPACK ``dgbtrf``/``dgbtrs``) under the reverse Cuthill-McKee ordering
-of their sparsity pattern, which ``fem.SparsityPattern`` derives once per
-pattern.  Pivoting keeps indefinite systems solvable, as the Newton
-step's Tikhonov shifts expect.  Large ones use
-conjugate gradients preconditioned by one V(1,1) cycle of a
+The package has one factorization: a banded Cholesky factor (LAPACK
+``dpbtrf``/``dpbtrs``) of the upper band under the reverse Cuthill-McKee
+ordering of a sparsity pattern, which ``fem.SparsityPattern`` derives
+once per pattern.  Small systems are solved directly with it.  Large
+ones use conjugate gradients preconditioned by one V(1,1) cycle of a
 smoothed-aggregation multigrid hierarchy.  Each level smooths with a
 degree-``CHEB_DEGREE`` Chebyshev polynomial in D^-1 A (Adams, Brezina, Hu
 and Tuminaro, J. Comput. Phys. 188, 2003), which needs matrix-vector
-products only; the coarsest level alone is factored.  The switch happens
-at ``DIRECT_DOF_LIMIT`` unknowns; the Newton step in ``minfem.minimize``
+products only; the coarsest level alone is factored, by the same banded
+Cholesky under its own pattern's ordering.  The switch happens at
+``DIRECT_DOF_LIMIT`` unknowns; the Newton step in ``minfem.minimize``
 makes it.
+
+Both paths have one rule for a matrix that is not positive definite:
+they raise ``IndefiniteSystemError`` (a Cholesky factor that breaks
+down, or CG meeting non-positive curvature), and the Newton step retries
+with a Tikhonov shift (Nocedal and Wright, Numerical Optimization, 2nd
+ed., 2006, Sec. 3.4, Alg. 3.3).
 
 With strength threshold theta = 0, a level's aggregates, tentative
 prolongator and coarse near-nullspace depend only on its sparsity
@@ -32,12 +38,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .fem import SparsityPattern
+from .fem import BandOrdering, SparsityPattern
 
 __all__ = [
     "DIRECT_DOF_LIMIT",
@@ -64,35 +68,34 @@ class SolverError(RuntimeError):
 
 
 class IndefiniteSystemError(SolverError):
-    """CG met a direction of non-positive curvature."""
+    """The matrix is not positive definite.
 
-
-def solve_direct(
-    a: sp.spmatrix, b: np.ndarray, pattern: SparsityPattern | None = None
-) -> np.ndarray:
-    """Banded LU solve under the band ordering of ``pattern``.
-
-    ``pattern`` holds every stored entry of ``a`` (its entries may be
-    fewer); its ``band_ordering`` is computed once and shared by every
-    matrix with that pattern.  Without one, ``a``'s own structure is used.
-    The band storage is filled from ``a``'s stored entries, and one that
-    lies outside the ordering's band raises ``ValueError``.
-
-    Raises ``SolverError`` on an exactly singular factor, on non-finite
-    values, or when the solution fails the 1e-10 relative-residual
-    contract after one refinement step (near-singular systems).
+    Raised when a banded Cholesky factor breaks down (a pivot that is not
+    positive, or not finite) and when CG meets a direction of
+    non-positive curvature.
     """
-    a = sp.csr_matrix(a)
+
+
+def _check_rhs(b: np.ndarray, n: int) -> np.ndarray:
     b = np.asarray(b, dtype=float)
-    if pattern is None:
-        pattern = SparsityPattern.from_csr(a)
-    if a.shape != (pattern.n, pattern.n):
-        raise ValueError(f"matrix of shape {a.shape} against a pattern of order {pattern.n}")
-    order = pattern.band_ordering
-    w, n = order.bandwidth, pattern.n
+    if b.shape != (n,):
+        raise ValueError(f"right-hand side of shape {b.shape} against a matrix of order {n}")
+    return b
+
+
+def _band_cholesky(a: sp.csr_matrix, order: BandOrdering) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor symmetric ``a`` by LAPACK ``dpbtrf`` under ``order``; returns its solve.
+
+    Only the upper triangle is read: A[i, j] with i <= j in permuted
+    positions sits at ab[w + i - j, j] of the (w + 1)-row band storage,
+    column-major, and duplicates add up.  A stored entry outside the
+    ordering's band raises ``ValueError``, a factor that breaks down
+    ``IndefiniteSystemError``.
+    """
+    w, n = order.bandwidth, a.shape[0]
     rows = np.repeat(order.position, np.diff(a.indptr))
     cols = order.position[a.indices]
-    offset = rows - cols
+    offset = cols - rows
     outside = np.abs(offset) > w
     if outside.any():
         k = int(np.flatnonzero(outside)[0])
@@ -100,27 +103,57 @@ def solve_direct(
             f"matrix entry ({order.perm[rows[k]]}, {a.indices[k]}) lies outside the band "
             f"of half-bandwidth {w} of its pattern's ordering"
         )
-    # LAPACK band storage with room for the pivoting fill: A[i, j] sits at
-    # ab[2w + i - j, j], column-major; duplicates add up
-    ldab = 3 * w + 1
-    flat = cols * ldab + 2 * w + offset
-    ab = np.bincount(flat, weights=a.data, minlength=n * ldab).reshape(n, ldab).T
-    lu, piv, info = lapack.dgbtrf(ab, w, w, overwrite_ab=True)
+    upper = offset >= 0
+    flat = cols[upper] * (w + 1) + w - offset[upper]
+    ab = np.bincount(flat, weights=a.data[upper], minlength=n * (w + 1))
+    factor, info = lapack.dpbtrf(ab.reshape(n, w + 1).T, overwrite_ab=True)
     if info != 0:
-        raise SolverError(f"banded LU factor is singular (dgbtrf info {info})")
+        raise IndefiniteSystemError(
+            f"banded Cholesky factor breaks down at pivot {info} of {n}: "
+            "the matrix is not positive definite"
+        )
 
-    def lu_solve(rhs: np.ndarray) -> np.ndarray:
-        x, _ = lapack.dgbtrs(lu, w, w, rhs[order.perm], piv)
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x, _ = lapack.dpbtrs(factor, rhs[order.perm])
         return x[order.position]
 
-    x = lu_solve(b)
+    return solve
+
+
+def solve_direct(
+    a: sp.spmatrix, b: np.ndarray, pattern: SparsityPattern | None = None
+) -> np.ndarray:
+    """Banded Cholesky solve under the band ordering of ``pattern``.
+
+    ``pattern`` holds every stored entry of ``a`` (its entries may be
+    fewer); its ``band_ordering`` is computed once and shared by every
+    matrix with that pattern.  Without one, ``a``'s own structure is used.
+    The band storage is filled from the stored entries of ``a``'s upper
+    triangle (``a`` is taken to be symmetric), and a stored entry that
+    lies outside the ordering's band raises ``ValueError``, as do a matrix
+    of another order than ``pattern`` and a right-hand side whose shape
+    is not (n,).
+
+    Raises ``IndefiniteSystemError`` when the factor breaks down (``a`` is
+    not positive definite), and ``SolverError`` on non-finite values or
+    when the solution fails the 1e-10 relative-residual contract after
+    one refinement step (near-singular systems).
+    """
+    a = sp.csr_matrix(a)
+    if pattern is None:
+        pattern = SparsityPattern.from_csr(a)
+    if a.shape != (pattern.n, pattern.n):
+        raise ValueError(f"matrix of shape {a.shape} against a pattern of order {pattern.n}")
+    b = _check_rhs(b, pattern.n)
+    solve = _band_cholesky(a, pattern.band_ordering)
+    x = solve(b)
     if not np.all(np.isfinite(x)):
-        raise SolverError("banded LU produced non-finite values")
+        raise SolverError("banded Cholesky produced non-finite values")
     bnorm = np.linalg.norm(b)
     resid = np.linalg.norm(a @ x - b)
     if resid > 1e-10 * max(bnorm, 1e-300):
         # one refinement step, then accept down to the backward-stable floor
-        x = x + lu_solve(b - a @ x)
+        x = x + solve(b - a @ x)
         resid = np.linalg.norm(a @ x - b)
         floor = float(np.abs(a).sum(axis=1).max()) * np.linalg.norm(x)
         if resid > 1e-10 * max(bnorm + floor, 1e-300):
@@ -199,7 +232,7 @@ class LevelStructure:
 
 @dataclass(eq=False)
 class AmgHierarchy:
-    """Multigrid levels plus a factorization of the coarsest operator.
+    """Multigrid levels plus the banded Cholesky solve of the coarsest operator.
 
     ``apply`` runs one V(1,1) cycle that smooths with the same Chebyshev
     polynomial before and after the coarse correction, which makes it a
@@ -344,7 +377,10 @@ def build_amg(
     spectral radius of D^-1 A) smooths it.  The same D^-1 and rho set each
     level's Chebyshev smoother, on [CHEB_LOWER * rho, CHEB_UPPER * rho].
     Coarse operators are Galerkin products; coarsening stops at 64 dofs or
-    when aggregation stalls.
+    when aggregation stalls.  The coarsest operator is factored by banded
+    Cholesky under its own pattern's band ordering; when it is not
+    positive definite (an indefinite ``a`` can pass the diagonal check),
+    the build raises ``IndefiniteSystemError``.
     ``near_nullspace`` is an (n,) or (n, m) array with one row per matrix
     row; any other row count raises ``ValueError``.
 
@@ -400,11 +436,9 @@ def build_amg(
         )
         a, b = a_coarse, level.b_coarse
     levels.append(_AmgLevel(a=a))
-    if a.shape[0] <= 2000:
-        coarse_factor = scipy.linalg.lu_factor(a.toarray())
-        coarse_solve = lambda rhs: scipy.linalg.lu_solve(coarse_factor, rhs)
-    else:  # aggregation stalled on an unusually weak graph; stay sparse
-        coarse_solve = spla.splu(sp.csc_matrix(a)).solve
+    # at most 64 dofs, or stalled aggregation, which only a diagonal matrix
+    # (half-bandwidth 0) has: either way a narrow band
+    coarse_solve = _band_cholesky(a, SparsityPattern.from_csr(a).band_ordering)
     return AmgHierarchy(levels=levels, coarse_solve=coarse_solve, structure=tuple(built))
 
 
@@ -425,15 +459,15 @@ def pcg_solve(
     diagonal of ``a`` (Jacobi preconditioning), or None.  Raises
     ``IndefiniteSystemError`` on non-positive curvature and
     ``SolverError`` when ``maxiter`` is exceeded.  ``rtol`` must be finite
-    and in (0, 1), ``maxiter`` a positive integer; anything else raises
-    ``ValueError`` naming the argument.
+    and in (0, 1), ``maxiter`` a positive integer, and ``b`` of shape
+    (n,); anything else raises ``ValueError`` naming the argument.
     """
     if not (isinstance(rtol, numbers.Real) and math.isfinite(rtol) and 0.0 < rtol < 1.0):
         raise ValueError(f"rtol must be finite and in (0, 1), got {rtol!r}")
     if isinstance(maxiter, bool) or not isinstance(maxiter, numbers.Integral) or maxiter < 1:
         raise ValueError(f"maxiter must be a positive integer, got {maxiter!r}")
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
+    n = a.shape[0]
+    b = _check_rhs(b, n)
     if isinstance(precond, AmgHierarchy):
         apply_m = precond.apply
     elif precond is None:

@@ -1,3 +1,4 @@
+import gc
 import time
 from types import SimpleNamespace
 
@@ -17,7 +18,9 @@ from minfem.minimize import (
     ContinuationError,
     NewtonConfig,
     NewtonError,
+    _AmgReuse,
     _forcing_term,
+    _newton_direction,
     _solve_newton_system,
     benchmark_initial_guess,
     continuation_hyperelastic,
@@ -244,6 +247,47 @@ def test_nonfinite_element_hessian_takes_shifted_path():
         newton_minimize(problem, zero, NewtonConfig(max_iters=1))
     first = info.value.best.iteration_log[0]
     assert first.shift > 0.0 and first.alpha > 0.0
+
+
+@pytest.mark.parametrize("solver", ["direct", "amg"])
+def test_indefinite_hessian_takes_a_shifted_descent_step(solver):
+    # H = eps K + (3 u^2 - 1) M: at u = 0.1 the double well's negative
+    # curvature outweighs eps K, so the unshifted system is refused
+    problem = build_problem("ginzburg_landau", 2)
+    u0 = np.full(problem.n_dofs, 0.1)
+    with pytest.raises(solvers.IndefiniteSystemError):
+        _solve_newton_system(
+            problem.hessian(u0),
+            -problem.gradient(u0),
+            solver,
+            problem.near_nullspace(),
+            pattern=problem.pattern,
+        )
+    with pytest.raises(NewtonError) as info:
+        newton_minimize(problem, u0, NewtonConfig(max_iters=1, solver=solver))
+    first = info.value.best.iteration_log[0]
+    assert first.solver == solver and first.shift > 0.0 and first.alpha > 0.0
+    assert info.value.best.energy < problem.evaluate(u0)
+
+
+@pytest.mark.parametrize("solver", ["direct", "amg"])
+def test_refused_solves_leave_no_reference_cycles(solver):
+    # a kept exception's traceback would hold the refused solves' frames,
+    # and their arrays, until the garbage collector runs
+    problem = build_problem("ginzburg_landau", 2)
+    u0 = np.full(problem.n_dofs, 0.1)
+    h, grad = problem.hessian(u0), problem.gradient(u0)
+    config = NewtonConfig(solver=solver)
+    gc.collect()
+    gc.disable()
+    try:
+        *_, shift = _newton_direction(
+            h, grad, config, problem.near_nullspace(), _AmgReuse(), problem.pattern, 0.1
+        )
+        assert shift > 0.0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_line_search_energy_is_reused(monkeypatch):
@@ -477,7 +521,7 @@ def test_gradient_test_comes_before_stagnation():
     problem = build_problem("plaplace", 4)
     result = newton_minimize(problem, benchmark_initial_guess(problem))
     assert result.stop_reason == "grad" and result.converged
-    assert (result.energy.hex(), result.iterations) == ("-0x1.fc5999789c5afp+2", 5)
+    assert (result.energy.hex(), result.iterations) == ("-0x1.fc5999789c5b0p+2", 5)
 
 
 def _pinned(result):
@@ -503,28 +547,28 @@ GL4_AMG_PINNED = (
 )
 TINY_BAR_PINNED = (
     (
-        "0x1.bfa2c7cbb436cp+2",
+        "0x1.bfa2c7cbb435dp+2",
         5,
         (0, 0, 0, 0, 0),
         0,
         (
-            "0x1.ae7969a87ec57p-1",
-            "0x1.6e62cde556f38p+0",
-            "0x1.ddf2458741cefp-1",
-            "0x1.00496d12e1cf3p+0",
-            "0x1.ff8938b710b1ap-1",
+            "0x1.ae7969a87ec32p-1",
+            "0x1.6e62cde5555a5p+0",
+            "0x1.ddf2458736bedp-1",
+            "0x1.00496d2825ac7p+0",
+            "0x1.ffebb5d0cd7c4p-1",
         ),
     ),
     (
-        "0x1.c5c5beb32637ap+4",
+        "0x1.c5c5beb326378p+4",
         5,
         (0, 0, 0, 0, 0),
         0,
         (
-            "0x1.30aa29798b40fp+0",
-            "0x1.3fb5bda0012c7p+0",
-            "0x1.0753507cd662fp+0",
-            "0x1.00969b1ff4d7cp+0",
+            "0x1.30aa295ab315bp+0",
+            "0x1.3fb5bdac461cfp+0",
+            "0x1.075350725f0acp+0",
+            "0x1.00969b2671b5dp+0",
             "0x1.0000000000000p+0",
         ),
     ),
@@ -559,7 +603,7 @@ def _refuse_coloring(pattern):
     "kind, energy",
     [
         pytest.param(
-            "plaplace", "-0x1.f1b546efd11abp+2", id="plaplace--0x1.f1b546efd11aep+2"
+            "plaplace", "-0x1.f1b546efd11aep+2", id="plaplace--0x1.f1b546efd11aep+2"
         ),
         pytest.param(
             "ginzburg_landau", "0x1.6b4358a0b6620p-2", id="ginzburg_landau-0x1.6b4358a0b6620p-2"

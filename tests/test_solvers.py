@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -61,22 +62,31 @@ def test_direct_singular_raises():
         solve_direct(singular, np.array([1.0, 0.0]))
 
 
-def test_direct_solves_an_indefinite_system_by_pivoting():
-    # zero diagonal, eigenvalues -2 cos(k pi / 51) of both signs: a
-    # Cholesky factor would refuse it, and LU without pivoting would break
+def test_direct_refuses_an_indefinite_system():
+    # zero diagonal, eigenvalues -2 cos(k pi / 51) of both signs: the
+    # Cholesky factor breaks down, and the named error says why
     a = (laplacian_1d(50) - 2.0 * sp.identity(50)).tocsr()
     b = np.random.default_rng(5).standard_normal(50)
-    x = solve_direct(a, b)
-    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+    with pytest.raises(IndefiniteSystemError, match="not positive definite"):
+        solve_direct(a, b)
+
+
+def test_amg_build_refuses_an_indefinite_system_with_a_positive_diagonal():
+    # diagonal 0.5 passes the diagonal check; the coarsest factor breaks down
+    a = (laplacian_1d(400) - 1.5 * sp.identity(400)).tocsr()
+    assert a.diagonal().min() > 0.0
+    with pytest.raises(IndefiniteSystemError, match="not positive definite"):
+        build_amg(a, np.ones(400))
 
 
 def test_direct_adds_duplicate_entries_and_leaves_the_matrix_be():
+    # diag(4, 9), the 4 split into duplicates: square pivots keep [1, 1] exact
     a = sp.csr_matrix(
-        (np.array([1.0, 1.0, 3.0]), np.array([0, 0, 1]), np.array([0, 2, 3])), shape=(2, 2)
+        (np.array([2.0, 2.0, 9.0]), np.array([0, 0, 1]), np.array([0, 2, 3])), shape=(2, 2)
     )
     assert not a.has_canonical_format
-    assert np.array_equal(solve_direct(a, np.array([2.0, 3.0])), [1.0, 1.0])
-    assert np.array_equal(a.indices, [0, 0, 1]) and np.array_equal(a.data, [1.0, 1.0, 3.0])
+    assert np.array_equal(solve_direct(a, np.array([4.0, 9.0])), [1.0, 1.0])
+    assert np.array_equal(a.indices, [0, 0, 1]) and np.array_equal(a.data, [2.0, 2.0, 9.0])
 
 
 def test_direct_refuses_an_entry_outside_the_pattern_band():
@@ -89,9 +99,6 @@ def test_direct_refuses_an_entry_outside_the_pattern_band():
 
 
 def test_bar_hessians_solve_banded_with_one_ordering_per_pattern(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("SuperLU called")
-
     orderings = []
 
     def counted(*args, **kwargs):
@@ -99,7 +106,6 @@ def test_bar_hessians_solve_banded_with_one_ordering_per_pattern(monkeypatch):
         return rcm(*args, **kwargs)
 
     rcm = fem.reverse_cuthill_mckee
-    monkeypatch.setattr(solvers.spla, "splu", refuse)
     monkeypatch.setattr(fem, "reverse_cuthill_mckee", counted)
     problem = build_problem("neohooke", 1)
     for step in (1, 2):
@@ -209,13 +215,8 @@ def test_vcycle_is_spd_on_benchmark_hessians(kind, level):
     np.linalg.cholesky(0.5 * (m + m.T))  # raises unless positive definite
 
 
-def test_amg_cycle_and_build_factor_only_the_coarsest_level(monkeypatch):
+def test_amg_cycle_and_build_factor_only_the_coarsest_level():
     a = stiffness_on_square(4)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("SuperLU called")
-
-    monkeypatch.setattr(solvers.spla, "splu", refuse)
     hier = build_amg(a, np.ones(a.shape[0]))
     assert hier.n_levels >= 3
     b = np.random.default_rng(0).standard_normal(a.shape[0])
@@ -277,6 +278,18 @@ def test_pcg_rejects_bad_arguments_before_iterating(name, rtol, maxiter):
     a = stiffness_on_square(2)
     with pytest.raises(ValueError, match=f"^{name} must be"):
         pcg_solve(a, np.ones(a.shape[0]), None, rtol=rtol, maxiter=maxiter)
+
+
+@pytest.mark.parametrize("shape", [(9,), (11,), (10, 2), (1, 10), ()])
+@pytest.mark.parametrize(
+    "solve",
+    [solve_direct, lambda a, b: pcg_solve(a, b, None, rtol=1e-8, maxiter=50)],
+    ids=["solve_direct", "pcg_solve"],
+)
+def test_solvers_refuse_a_right_hand_side_not_of_shape_n(solve, shape):
+    message = f"right-hand side of shape {shape} against a matrix of order 10"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve(laplacian_1d(10), np.ones(shape))
 
 
 def test_amg_cg_beats_diagonal_on_laplacian():
