@@ -4,20 +4,25 @@ Produces the per-element basis-gradient tables and volumes, the Dirichlet
 scaffolding (free-dof indexing and boundary-value vector), constant load
 vectors, the symmetric sparsity pattern of the energy Hessian with its
 band-narrowing ordering for the direct solver, and the map from element
-Hessian entries to their slots in that pattern.
+Hessian entries to their slots in that pattern.  The pattern also keeps
+the sparsity-only AMG structure of the latest multigrid build on it, so
+that every Newton call and load step on the pattern starts from it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .mesh import MeshData
+
+if TYPE_CHECKING:
+    from .solvers import LevelStructure
 
 __all__ = [
     "ElementData",
@@ -90,11 +95,19 @@ class SparsityPattern:
 
     Stored in row-pointer (CSR) form with sorted column indices and a full
     diagonal.  ``band_ordering`` is derived from it on first use.
+    ``amg_structure`` holds the ``structure`` of the latest
+    ``solvers.build_amg`` on a matrix with this pattern (empty before the
+    first): every Newton solve on the pattern, whichever call or load step
+    it belongs to, starts its build from it and leaves its own there.
+    ``build_amg`` reuses a level only where its CSR structure and
+    near-nullspace repeat exactly, so a stale entry costs a fresh
+    aggregation, never a different hierarchy.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
+    amg_structure: list[LevelStructure] = field(default_factory=list, init=False, repr=False)
 
     @property
     def nnz(self) -> int:

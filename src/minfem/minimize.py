@@ -7,9 +7,10 @@ from ``EnergyProblem.hessian`` (element blocks from the energy tape for
 the benchmark energies, the colored recovery for other problems), solves
 for the Newton direction (banded Cholesky or AMG-CG depending on size;
 direct solves order by the problem's pattern, whose band ordering is
-derived once and shared by every call and load step; successive
-AMG builds in one call share the aggregation wherever the sparsity
-structure and near-nullspace repeat exactly), and line-searches with
+derived once and shared by every call and load step; AMG builds start
+from the structure of the latest build on that pattern, which the
+pattern keeps, and share the aggregation wherever the sparsity structure
+and near-nullspace repeat exactly), and line-searches with
 golden section, rejecting steps where the energy is non-finite.  A
 Hessian that is not positive definite gets one rule on both paths, a
 modified Newton step (Nocedal and Wright, Numerical Optimization, 2nd
@@ -262,21 +263,12 @@ def golden_section(
     return 0.0
 
 
-@dataclass(eq=False)
-class _AmgReuse:
-    """The AMG structure of the latest build, kept for one Newton solve,
-    and the wall time of the builds since ``build_s`` was last reset."""
-
-    structure: tuple[solvers.LevelStructure, ...] = ()
-    build_s: float = 0.0
-
-
 def _solve_newton_system(
     h: sp.csr_matrix,
     rhs: np.ndarray,
     method: str,
     near_nullspace: np.ndarray,
-    amg: _AmgReuse | None = None,
+    build_times: list[float] | None = None,
     pattern: SparsityPattern | None = None,
     rtol: float = 1e-8,
 ) -> tuple[np.ndarray, str, int]:
@@ -289,8 +281,10 @@ def _solve_newton_system(
     (``amg`` and ``diag-cg``) stops at the relative residual ``rtol``: a
     Newton step passes its Eisenstat-Walker forcing term
     (``_forcing_term``), the p-Laplace initial guess the default.  An
-    AMG build starts from ``amg.structure`` and leaves its own there;
-    only the structure is kept, never the hierarchy.
+    AMG build starts from ``pattern.amg_structure`` and leaves its own
+    there (without a pattern it starts afresh and nothing is kept); only
+    the structure is kept, never the hierarchy.  The wall time of the
+    build, a refused one included, is appended to ``build_times``.
     """
     n = rhs.shape[0]
     if method == "auto":
@@ -298,14 +292,14 @@ def _solve_newton_system(
     if method == "direct":
         return solvers.solve_direct(h, rhs, pattern), "direct", 0
     if method == "amg":
-        if amg is None:
-            amg = _AmgReuse()
+        kept = pattern.amg_structure if pattern is not None else []
         build_started = time.perf_counter()
         try:
-            hierarchy = solvers.build_amg(h, near_nullspace, amg.structure)
+            hierarchy = solvers.build_amg(h, near_nullspace, kept)
         finally:
-            amg.build_s += time.perf_counter() - build_started
-        amg.structure = hierarchy.structure
+            if build_times is not None:
+                build_times.append(time.perf_counter() - build_started)
+        kept[:] = hierarchy.structure
         x, inner = solvers.pcg_solve(h, rhs, hierarchy, rtol=rtol, maxiter=400)
         return x, "amg", inner
     if method == "diag-cg":
@@ -347,7 +341,7 @@ def _newton_direction(
     grad: np.ndarray,
     config: NewtonConfig,
     near_nullspace: np.ndarray,
-    amg: _AmgReuse,
+    build_times: list[float],
     pattern: SparsityPattern,
     rtol: float,
 ) -> tuple[np.ndarray, str, int, float]:
@@ -357,7 +351,8 @@ def _newton_direction(
     shifted H is not positive definite), or whose direction is not finite
     or does not descend, moves on to the next shift.  ``pattern`` holds
     the entries of H and, with its full diagonal, of every shifted H.
-    Every solve, shifted or not, asks CG for ``rtol``.
+    Every solve, shifted or not, asks CG for ``rtol``, and every AMG
+    build appends its wall time to ``build_times``.
     """
     n = grad.shape[0]
     diag_max = float(np.abs(h.diagonal()).max()) if h is not None else 0.0
@@ -373,7 +368,7 @@ def _newton_direction(
         candidate = h if shift == 0.0 else (h + shift * eye).tocsr()
         try:
             d, path, inner = _solve_newton_system(
-                candidate, -grad, config.solver, near_nullspace, amg, pattern, rtol
+                candidate, -grad, config.solver, near_nullspace, build_times, pattern, rtol
             )
         except solvers.SolverError as exc:
             # the message only: the exception's traceback holds this frame, which
@@ -422,11 +417,15 @@ def newton_minimize(
     construction.
 
     On the AMG path, each build reuses the aggregates, tentative
-    prolongators and coarse near-nullspaces of the previous build in this
-    call, level by level, while the level's CSR ``indptr``/``indices`` and
-    near-nullspace block are exactly the same (see ``solvers.build_amg``);
-    only the numeric part is redone.  Nothing carries over to another
-    call or problem.
+    prolongators, coarse near-nullspaces and coarsest band ordering of the
+    latest build on ``problem.pattern``, level by level, while the level's
+    CSR ``indptr``/``indices`` and near-nullspace block are exactly the
+    same (see ``solvers.build_amg``); only the numeric part is redone.
+    The pattern keeps that structure (``SparsityPattern.amg_structure``),
+    so it carries over to the next call, to the load steps of
+    ``with_dirichlet`` and to any problem that shares the pattern; a
+    fresh ``build_problem`` aggregates afresh.  The hierarchy is the same
+    to the bit either way.
 
     On the CG paths each step solves to its forcing term
     (``_forcing_term``), and the rule starts afresh with every call.
@@ -443,7 +442,6 @@ def newton_minimize(
         raise NewtonError(f"energy at the initial guess is non-finite ({energy})")
     gtol = cfg.grad_tol * (1.0 + abs(energy))
     near_nullspace = problem.near_nullspace()
-    amg = _AmgReuse()
     eta: float | None = None  # forcing term of the previous step
     previous_grad_l2 = math.nan
 
@@ -483,9 +481,9 @@ def newton_minimize(
         eta = _forcing_term(grad_l2, previous_grad_l2, eta)
         previous_grad_l2 = grad_l2
         solve_started = time.perf_counter()
-        amg.build_s = 0.0
+        build_times: list[float] = []
         d, path, inner, shift = _newton_direction(
-            hessian, grad, cfg, near_nullspace, amg, problem.pattern, eta
+            hessian, grad, cfg, near_nullspace, build_times, problem.pattern, eta
         )
         solve_s = time.perf_counter() - solve_started
         del hessian  # freed before the line search and the next Hessian: a lower peak memory
@@ -504,7 +502,7 @@ def newton_minimize(
                 grad_s=grad_s,
                 hessian_s=hessian_s,
                 solve_s=solve_s,
-                amg_build_s=amg.build_s,
+                amg_build_s=math.fsum(build_times),
                 linesearch_s=linesearch_s,
                 linesearch_evals=linesearch_evals,
                 cg_rtol=None if path == "direct" else eta,
@@ -531,7 +529,8 @@ def benchmark_initial_guess(problem: EnergyProblem) -> np.ndarray:
     F = 0 for p = 3), so its Newton run starts from the minimizer of the
     p = 2 quadratic energy instead: one linear solve with the same Hessian
     entry point (``EnergyProblem.hessian``) and solver dispatch as a Newton
-    step (CG, above the direct limit, to a relative residual of 1e-8).
+    step (CG, above the direct limit, to a relative residual of 1e-8,
+    with its AMG structure kept on the problem's pattern).
     """
     if problem.kind != "plaplace":
         return problem.initial_guess.copy()

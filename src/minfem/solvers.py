@@ -21,17 +21,21 @@ ed., 2006, Sec. 3.4, Alg. 3.3).
 
 With strength threshold theta = 0, a level's aggregates, tentative
 prolongator and coarse near-nullspace depend only on its sparsity
-structure and near-nullspace.  ``build_amg`` returns them as the
-hierarchy's ``structure`` and takes a previous one back: a level whose
-CSR ``indptr``, CSR ``indices`` and near-nullspace block all equal the
+structure and near-nullspace, and so does the band ordering of the
+coarsest level.  ``build_amg`` returns them as the hierarchy's
+``structure`` and takes a previous one back: a level whose CSR
+``indptr``, CSR ``indices`` and near-nullspace block all equal the
 stored ones exactly reuses its structure, and only the numeric part
 (Jacobi smoothing of the prolongator, the Galerkin products, the
 smoother bounds and the coarse factorization) is redone.  The first level
-that differs is rebuilt afresh, and so is every coarser one.
+that differs is rebuilt afresh, and so is every coarser one.  The Newton
+solves keep the latest structure with their ``fem.SparsityPattern``
+(``amg_structure``), so the reuse spans every call on one pattern.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -207,13 +211,15 @@ class _AmgLevel:
 
 @dataclass(frozen=True, eq=False)
 class LevelStructure:
-    """The sparsity-only part of one coarsening step.
+    """The sparsity-only part of one level.
 
     ``indptr``, ``indices`` and ``near_nullspace`` are copies of the
     level's key; ``t`` (the tentative prolongator, which encodes the
     aggregates) and ``b_coarse`` (the coarse near-nullspace) follow from
-    it alone.  Both are None where aggregation stalled, which makes the
-    level the coarsest.
+    it alone.  Both are None on the coarsest level: at most 64 dofs, or
+    where aggregation stalled.  ``pattern`` is the key's structure as a
+    ``SparsityPattern``, derived on first use; the coarsest level's
+    ``pattern.band_ordering`` orders the coarse factor.
     """
 
     indptr: np.ndarray
@@ -229,6 +235,14 @@ class LevelStructure:
             and np.array_equal(self.near_nullspace, b)
         )
 
+    @functools.cached_property
+    def pattern(self) -> SparsityPattern:
+        n = self.indptr.shape[0] - 1
+        ones = np.ones(self.indices.shape[0])
+        return SparsityPattern.from_csr(
+            sp.csr_matrix((ones, self.indices, self.indptr), shape=(n, n))
+        )
+
 
 @dataclass(eq=False)
 class AmgHierarchy:
@@ -237,8 +251,8 @@ class AmgHierarchy:
     ``apply`` runs one V(1,1) cycle that smooths with the same Chebyshev
     polynomial before and after the coarse correction, which makes it a
     symmetric positive definite preconditioner.  ``structure`` holds one
-    ``LevelStructure`` per coarsened level, and one more for a coarsest
-    level where aggregation stalled, for the next ``build_amg`` to reuse.
+    ``LevelStructure`` per level, the coarsest included, for the next
+    ``build_amg`` to reuse.
     """
 
     levels: list[_AmgLevel]
@@ -389,7 +403,8 @@ def build_amg(
     near-nullspace block equal the stored copies exactly; from the first
     level that differs on, aggregates and tentative prolongators are
     computed afresh.  A stalled aggregation is stored and reused the same
-    way.  The result is bit-identical either way.
+    way, and so is the coarsest level's band ordering.  The result is
+    bit-identical either way.
     """
     a = sp.csr_matrix(a)
     b = np.asarray(near_nullspace, dtype=float)
@@ -403,17 +418,17 @@ def build_amg(
     levels: list[_AmgLevel] = []
     built: list[LevelStructure] = []
     rng = np.random.default_rng(7)
-    while a.shape[0] > 64:
+    while True:
         k = len(built)
         if k < len(structure) and structure[k].matches(a, b):
             level = structure[k]
         else:
             structure = ()  # this level and every coarser one start afresh
-            agg, n_agg = _aggregate(a)
-            if n_agg >= a.shape[0]:  # stalled: this level is the coarsest
-                t = b_coarse = None
-            else:
-                t, b_coarse = _tentative_prolongator(agg, n_agg, b)
+            t = b_coarse = None  # the coarsest level unless it coarsens
+            if a.shape[0] > 64:
+                agg, n_agg = _aggregate(a)
+                if n_agg < a.shape[0]:  # else aggregation stalled
+                    t, b_coarse = _tentative_prolongator(agg, n_agg, b)
             level = LevelStructure(a.indptr.copy(), a.indices.copy(), b.copy(), t, b_coarse)
         built.append(level)
         if level.t is None:
@@ -438,7 +453,7 @@ def build_amg(
     levels.append(_AmgLevel(a=a))
     # at most 64 dofs, or stalled aggregation, which only a diagonal matrix
     # (half-bandwidth 0) has: either way a narrow band
-    coarse_solve = _band_cholesky(a, SparsityPattern.from_csr(a).band_ordering)
+    coarse_solve = _band_cholesky(a, level.pattern.band_ordering)
     return AmgHierarchy(levels=levels, coarse_solve=coarse_solve, structure=tuple(built))
 
 

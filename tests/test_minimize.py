@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import time
 from types import SimpleNamespace
@@ -8,7 +9,13 @@ import pytest
 from helpers import make_quadratic_problem
 from minfem import solvers
 from minfem.coloring import ColoringError, recover_hessian
-from minfem.energies import bar_dirichlet_values, build_problem, problem_from_mesh
+from minfem.energies import (
+    PLaplaceParams,
+    bar_dirichlet_values,
+    build_problem,
+    problem_from_mesh,
+    record_plaplace,
+)
 from minfem.mesh import bar_mesh_from_cells
 from minfem.minimize import (
     FORCING_INITIAL,
@@ -18,7 +25,6 @@ from minfem.minimize import (
     ContinuationError,
     NewtonConfig,
     NewtonError,
-    _AmgReuse,
     _forcing_term,
     _newton_direction,
     _solve_newton_system,
@@ -282,7 +288,7 @@ def test_refused_solves_leave_no_reference_cycles(solver):
     gc.disable()
     try:
         *_, shift = _newton_direction(
-            h, grad, config, problem.near_nullspace(), _AmgReuse(), problem.pattern, 0.1
+            h, grad, config, problem.near_nullspace(), [], problem.pattern, 0.1
         )
         assert shift > 0.0
         assert gc.collect() == 0
@@ -640,3 +646,64 @@ def test_continuation_error_names_the_failing_step(monkeypatch, tiny_bar_problem
     assert info.value.step == 2 and info.value.best is best
     assert "load step 2" in str(info.value)
     assert steps == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# AMG structure kept with the pattern
+
+
+def _count_aggregations(monkeypatch):
+    """Wrap ``solvers._aggregate``; the order of each matrix it aggregates goes to the list."""
+    sizes = []
+    aggregate = solvers._aggregate
+    monkeypatch.setattr(solvers, "_aggregate", lambda a: sizes.append(a.shape[0]) or aggregate(a))
+    return sizes
+
+
+def _amg_run(problem):
+    """Energy bits and CG iterations per step of a forced-AMG solve from the benchmark start."""
+    u0 = benchmark_initial_guess(problem)
+    result = newton_minimize(problem, u0, NewtonConfig(solver="amg"))
+    assert result.stop_reason == "grad"
+    return result.energy.hex(), [rec.inner_iterations for rec in result.iteration_log]
+
+
+def test_calls_on_one_pattern_aggregate_once(monkeypatch):
+    sizes = _count_aggregations(monkeypatch)
+    problem = build_problem("ginzburg_landau", 3)
+    first = _amg_run(problem)
+    assert sizes[0] == problem.n_dofs and len(problem.pattern.amg_structure) >= 3
+    sizes.clear()
+    assert _amg_run(problem) == first
+    assert sizes == []
+    # load-step rebinding and replaced problems share the pattern, and so the structure
+    zero_boundary = {int(b): 0.0 for b in problem.mesh.boundary_nodes}
+    for shared in (problem.with_dirichlet(zero_boundary), dataclasses.replace(problem)):
+        assert shared.pattern is problem.pattern
+        assert _amg_run(shared) == first
+    assert sizes == []
+    # a fresh problem has a fresh pattern: it aggregates again, to the same bits
+    fresh = build_problem("ginzburg_landau", 3)
+    assert fresh.pattern.amg_structure == []
+    assert _amg_run(fresh) == first
+    assert sizes[0] == fresh.n_dofs
+
+
+def test_a_call_after_a_solve_on_another_structure_matches_a_first_call(monkeypatch):
+    first = _amg_run(build_problem("plaplace", 3))
+    # the p = 2 Hessian of the p-Laplace initial guess drops exact zeros of
+    # the pattern, so its AMG solve keeps another level-0 structure
+    problem = build_problem("plaplace", 3)
+    quad_params = PLaplaceParams(p=2.0, f_vec=problem.params.f_vec)
+    quad_program = record_plaplace(problem.dofmap, problem.elemdata, quad_params)
+    quad = dataclasses.replace(problem, params=quad_params, program=quad_program)
+    zero = np.zeros(problem.n_dofs)
+    h_quad = quad.hessian(zero)
+    assert h_quad.nnz < problem.pattern.nnz
+    _solve_newton_system(
+        h_quad, -quad.gradient(zero), "amg", problem.near_nullspace(), None, problem.pattern
+    )
+    assert np.array_equal(problem.pattern.amg_structure[0].indices, h_quad.indices)
+    sizes = _count_aggregations(monkeypatch)
+    assert _amg_run(problem) == first
+    assert sizes[0] == problem.n_dofs

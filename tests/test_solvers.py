@@ -420,6 +420,34 @@ def test_amg_structure_change_rebuilds_that_level_and_coarser():
     assert all(new is not old for new, old in zip(rebuilt.structure[1:], stored[1:]))
 
 
+def test_amg_reused_coarsest_level_keeps_its_band_ordering(monkeypatch):
+    h0, h1, ns = two_hessians("ginzburg_landau", 3)
+    orderings = []
+    rcm = fem.reverse_cuthill_mckee
+    monkeypatch.setattr(
+        fem, "reverse_cuthill_mckee", lambda *args, **kw: orderings.append(1) or rcm(*args, **kw)
+    )
+    stored = build_amg(h0, ns).structure
+    assert len(orderings) == 1 and stored[-1].t is None and len(stored) >= 3
+    reused = build_amg(h1, ns, stored)
+    assert len(orderings) == 1 and reused.structure[-1] is stored[-1]
+    fresh = build_amg(h1, ns)
+    assert len(orderings) == 2
+    assert_same_hierarchy(reused, fresh)
+    r = np.random.default_rng(2).standard_normal(h1.shape[0])
+    assert reused.apply(r).tobytes() == fresh.apply(r).tobytes()
+
+    # a changed coarsest structure is ordered afresh, under the kept finer levels
+    tampered = list(stored)
+    tampered[-1] = dataclasses.replace(stored[-1], indices=stored[-1].indices[::-1].copy())
+    rebuilt = build_amg(h1, ns, tampered)
+    assert len(orderings) == 3
+    assert all(new is old for new, old in zip(rebuilt.structure[:-1], stored[:-1]))
+    assert rebuilt.structure[-1] is not stored[-1]
+    assert_same_hierarchy(rebuilt, fresh)
+    assert rebuilt.apply(r).tobytes() == fresh.apply(r).tobytes()
+
+
 # the per-row NumPy implementations that `_aggregate` and `_tentative_prolongator`
 # replaced, kept as oracles
 
