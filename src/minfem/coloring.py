@@ -1,6 +1,6 @@
 """Sparse Hessians from a few Hessian-vector products.
 
-Two constructions share the pattern and the symmetrization:
+Two constructions share the pattern and the symmetrization in its slots:
 
 - ``recover_hessian`` works for any energy.  A distance-2 coloring groups
   columns so that no two same-colored columns share a structurally nonzero
@@ -90,8 +90,8 @@ def recover_hessian(
     ``hvp`` must map stacked directions of shape (n, k) to the matching
     products (n, k).  Probes use the color indicator vectors; entry (i, j)
     is read from component i of the probe for j's color.  The result is
-    symmetrized as (H + H^T) / 2; values outside the pattern are
-    discarded.  A non-finite probe raises, naming the color.
+    symmetrized as (H + H^T) / 2 in the pattern's slots; values outside
+    the pattern are discarded.  A non-finite probe raises, naming its color.
     """
     n, k = pattern.n, coloring.n_colors
     seeds = np.zeros((n, k))
@@ -137,7 +137,5 @@ def assemble_element_hessian(
 
 
 def _symmetrized(data: np.ndarray, pattern: SparsityPattern) -> sp.csr_matrix:
-    """(H + H^T) / 2 of the matrix holding ``data`` in the pattern's slots."""
-    n = pattern.n
-    h = sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
-    return ((h + h.T) * 0.5).tocsr()
+    """(H + H^T) / 2 of the matrix with ``data`` in the pattern's slots, in them, zeros kept."""
+    return pattern.matrix((data + data[pattern.mirror]) * 0.5)

@@ -2,11 +2,11 @@
 
 Produces the per-element basis-gradient tables and volumes, the Dirichlet
 scaffolding (free-dof indexing and boundary-value vector), constant load
-vectors, the symmetric sparsity pattern of the energy Hessian with its
-band-narrowing ordering for the direct solver, and the map from element
-Hessian entries to their slots in that pattern.  The pattern also keeps
-the sparsity-only AMG structure of the latest multigrid build on it, so
-that every Newton call and load step on the pattern starts from it.
+vectors, the symmetric sparsity pattern of the energy Hessian, in whose
+slots every matrix on the Newton path holds its data (exact zeros kept),
+and the map from element Hessian entries to those slots.  The pattern
+keeps what depends on its structure alone: mirror and diagonal slots,
+the direct solver's band ordering and the latest AMG structure.
 """
 
 from __future__ import annotations
@@ -81,12 +81,14 @@ class BandOrdering:
     Position k of the permuted matrix holds row ``perm[k]``, and row i
     moves to ``position[i]``.  Every stored entry (i, j) of the pattern
     lands within ``bandwidth`` of the diagonal:
-    ``|position[i] - position[j]| <= bandwidth``.
+    ``|position[i] - position[j]| <= bandwidth``.  ``band_slots[k]`` places slot
+    k in ``dpbtrf``'s upper band storage, or past it in the lower triangle.
     """
 
     perm: np.ndarray
     position: np.ndarray
     bandwidth: int
+    band_slots: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,14 +96,12 @@ class SparsityPattern:
     """Symmetric nonzero structure of the Hessian over the free dofs.
 
     Stored in row-pointer (CSR) form with sorted column indices and a full
-    diagonal.  ``band_ordering`` is derived from it on first use.
-    ``amg_structure`` holds the ``structure`` of the latest
-    ``solvers.build_amg`` on a matrix with this pattern (empty before the
-    first): every Newton solve on the pattern, whichever call or load step
-    it belongs to, starts its build from it and leaves its own there.
-    ``build_amg`` reuses a level only where its CSR structure and
-    near-nullspace repeat exactly, so a stale entry costs a fresh
-    aggregation, never a different hierarchy.
+    diagonal.  ``mirror``, ``diagonal_slots`` and ``band_ordering`` are
+    derived from it on first use.  ``amg_structure`` holds the
+    ``structure`` of the latest ``solvers.build_amg`` on a matrix with
+    this pattern (empty before the first), where every Newton solve on
+    the pattern starts its build and leaves its own: a stale entry costs
+    a fresh aggregation, never a different hierarchy.
     """
 
     n: int
@@ -118,13 +118,38 @@ class SparsityPattern:
         rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
         return rows, self.indices
 
-    def tocsr(self, dtype=np.float64) -> sp.csr_matrix:
-        data = np.ones(self.nnz, dtype=dtype)
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The matrix holding ``data`` in the pattern's slots."""
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    def tocsr(self, dtype=np.float64) -> sp.csr_matrix:
+        return self.matrix(np.ones(self.nnz, dtype=dtype))
+
+    def holds(self, a: sp.csr_matrix) -> bool:
+        """Whether ``a`` has this CSR structure, and so its data in the pattern's slots."""
+        same = a.shape == (self.n, self.n) and np.array_equal(a.indptr, self.indptr)
+        return same and np.array_equal(a.indices, self.indices)
+
+    @functools.cached_property
+    def mirror(self) -> np.ndarray:
+        """Slot of (j, i) for each slot (i, j), int32; ``ValueError`` if not symmetric."""
+        rows, cols = self.rows_cols()
+        mirror = np.argsort(cols, kind="stable")  # (column, row) order: the transpose's
+        if not (np.array_equal(rows[mirror], cols) and np.array_equal(cols[mirror], rows)):
+            raise ValueError("the sparsity pattern is not symmetric")
+        return mirror.astype(np.int32)
+
+    @functools.cached_property
+    def diagonal_slots(self) -> np.ndarray:
+        """Slot of each row's diagonal entry, int32; ``ValueError`` if a row has none."""
+        slots = np.flatnonzero(self.mirror == np.arange(self.nnz))  # (i, i) mirrors itself
+        if slots.shape[0] != self.n:
+            raise ValueError(f"the pattern has diagonal entries in {len(slots)} of {self.n} rows")
+        return slots.astype(np.int32)
 
     @functools.cached_property
     def band_ordering(self) -> BandOrdering:
-        """Reverse Cuthill-McKee ordering and its half-bandwidth, computed on first use.
+        """Reverse Cuthill-McKee ordering, half-bandwidth and band slots, on first use.
 
         Cuthill and McKee (Proc. ACM 1969), reversed as in George and Liu,
         Computer Solution of Large Sparse Positive Definite Systems (1981).
@@ -135,14 +160,16 @@ class SparsityPattern:
         position = np.empty_like(perm)
         position[perm] = np.arange(self.n)
         rows, cols = self.rows_cols()
-        bandwidth = int(np.abs(position[rows] - position[cols]).max(initial=0))
-        return BandOrdering(perm, position, bandwidth)
+        offset = position[cols] - position[rows]
+        w = int(np.abs(offset).max(initial=0))
+        slots = np.where(offset >= 0, position[cols] * (w + 1) + w - offset, self.n * (w + 1))
+        dtype = np.int32 if self.n * (w + 1) < 2**31 else np.int64
+        return BandOrdering(perm, position, w, slots.astype(dtype))
 
     @classmethod
     def from_csr(cls, a: sp.spmatrix) -> "SparsityPattern":
         a = sp.csr_matrix(a, copy=True)  # tidied in place: leave the caller's arrays be
-        a.sum_duplicates()
-        a.sort_indices()
+        a.sum_duplicates()  # sorts the indices too
         return cls(a.shape[0], a.indptr.astype(np.int64), a.indices.astype(np.int64))
 
 

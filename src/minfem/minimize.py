@@ -5,18 +5,16 @@ feeds the stopping tests and is the line search's phi(0), and its
 gradient the Newton step.  Each iteration takes the exact sparse Hessian
 from ``EnergyProblem.hessian`` (element blocks from the energy tape for
 the benchmark energies, the colored recovery for other problems), solves
-for the Newton direction (banded Cholesky or AMG-CG depending on size;
-direct solves order by the problem's pattern, whose band ordering is
-derived once and shared by every call and load step; AMG builds start
-from the structure of the latest build on that pattern, which the
-pattern keeps, and share the aggregation wherever the sparsity structure
-and near-nullspace repeat exactly), and line-searches with
-golden section, rejecting steps where the energy is non-finite.  A
+for the Newton direction (banded Cholesky or AMG-CG depending on size,
+both starting from what the problem's pattern keeps: its band ordering,
+the structure of its latest AMG build), and line-searches with golden
+section, rejecting steps where the energy is non-finite.  A
 Hessian that is not positive definite gets one rule on both paths, a
 modified Newton step (Nocedal and Wright, Numerical Optimization, 2nd
 ed., 2006, Sec. 3.4, Alg. 3.3): the Cholesky factor or CG raises
 ``solvers.IndefiniteSystemError``, and the step retries with an
-escalating Tikhonov shift H + lambda I.  Any other solver failure and a
+escalating Tikhonov shift H + lambda I, in the pattern's slots as H is.
+Any other solver failure and a
 direction that is not finite or does not descend escalate the same way.
 The search narrows the bracket to ``INTERVAL_TOL`` and ends with one
 parabolic step: 19 energy evaluations per Newton step unless it falls
@@ -275,9 +273,9 @@ def _solve_newton_system(
     """One linear solve along the configured path; returns (x, path, inner).
 
     ``auto`` solves directly up to ``solvers.DIRECT_DOF_LIMIT`` unknowns and
-    by AMG-CG above.  A direct solve orders by ``pattern``, which holds
-    ``h``'s entries (None: ``h``'s own), and ignores ``rtol``: it keeps
-    ``solvers.solve_direct``'s 1e-10 relative-residual contract.  CG
+    by AMG-CG above.  A direct solve orders by ``pattern``, in whose slots
+    ``h`` holds its data (None: ``h``'s own), and ignores ``rtol``: it
+    keeps ``solvers.solve_direct``'s 1e-10 relative-residual contract.  CG
     (``amg`` and ``diag-cg``) stops at the relative residual ``rtol``: a
     Newton step passes its Eisenstat-Walker forcing term
     (``_forcing_term``), the p-Laplace initial guess the default.  An
@@ -337,7 +335,7 @@ def _forcing_term(
 
 
 def _newton_direction(
-    h: sp.csr_matrix | None,
+    h: sp.csr_matrix,
     grad: np.ndarray,
     config: NewtonConfig,
     near_nullspace: np.ndarray,
@@ -349,23 +347,23 @@ def _newton_direction(
 
     A solve that raises ``SolverError`` (``IndefiniteSystemError`` when the
     shifted H is not positive definite), or whose direction is not finite
-    or does not descend, moves on to the next shift.  ``pattern`` holds
-    the entries of H and, with its full diagonal, of every shifted H.
-    Every solve, shifted or not, asks CG for ``rtol``, and every AMG
-    build appends its wall time to ``build_times``.
+    or does not descend, moves on to the next shift; an all-zero H starts
+    shifted.  H holds its data in the slots of ``pattern``, as does every
+    shifted H; a pattern without a full diagonal raises ``ValueError``.
+    Every solve asks CG for ``rtol``; every AMG build adds its time to
+    ``build_times``.
     """
-    n = grad.shape[0]
-    diag_max = float(np.abs(h.diagonal()).max()) if h is not None else 0.0
-    if h is None:
-        h = sp.csr_matrix((n, n))
-    shifts = [0.0] if h.nnz else []
-    lam = SHIFT_SCALE * max(diag_max, 1.0)
+    diagonal = pattern.diagonal_slots
+    shifts = [0.0] if h.data.any() else []
+    lam = SHIFT_SCALE * max(float(np.abs(h.data[diagonal]).max()), 1.0)
     shifts += [lam * SHIFT_GROWTH**k for k in range(SHIFT_TRIES)]
-    eye = sp.identity(n, format="csr")
 
     last_error: str | None = None
     for shift in shifts:
-        candidate = h if shift == 0.0 else (h + shift * eye).tocsr()
+        candidate = h
+        if shift:
+            candidate = pattern.matrix(h.data.copy())
+            candidate.data[diagonal] += shift
         try:
             d, path, inner = _solve_newton_system(
                 candidate, -grad, config.solver, near_nullspace, build_times, pattern, rtol
@@ -416,16 +414,11 @@ def newton_minimize(
     the held J.  Energy is monotone across accepted steps by line-search
     construction.
 
-    On the AMG path, each build reuses the aggregates, tentative
-    prolongators, coarse near-nullspaces and coarsest band ordering of the
-    latest build on ``problem.pattern``, level by level, while the level's
-    CSR ``indptr``/``indices`` and near-nullspace block are exactly the
-    same (see ``solvers.build_amg``); only the numeric part is redone.
-    The pattern keeps that structure (``SparsityPattern.amg_structure``),
-    so it carries over to the next call, to the load steps of
-    ``with_dirichlet`` and to any problem that shares the pattern; a
-    fresh ``build_problem`` aggregates afresh.  The hierarchy is the same
-    to the bit either way.
+    On the AMG path, each build starts from the structure of the latest
+    build on ``problem.pattern`` (``SparsityPattern.amg_structure``), so
+    it carries over to the next call, to the load steps of
+    ``with_dirichlet`` and to any problem that shares the pattern; the
+    hierarchy is the same to the bit either way (``solvers.build_amg``).
 
     On the CG paths each step solves to its forcing term
     (``_forcing_term``), and the rule starts afresh with every call.
@@ -475,7 +468,7 @@ def newton_minimize(
         try:
             hessian = problem.hessian(u)
         except ColoringError:
-            hessian = None  # singular flat states; fall back to the shifted path
+            hessian = problem.pattern.matrix(np.zeros(problem.pattern.nnz))  # shifted steps only
         hessian_s = time.perf_counter() - hessian_started
         grad_l2 = float(np.linalg.norm(grad))
         eta = _forcing_term(grad_l2, previous_grad_l2, eta)

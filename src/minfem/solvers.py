@@ -2,8 +2,8 @@
 
 The package has one factorization: a banded Cholesky factor (LAPACK
 ``dpbtrf``/``dpbtrs``) of the upper band under the reverse Cuthill-McKee
-ordering of a sparsity pattern, which ``fem.SparsityPattern`` derives
-once per pattern.  Small systems are solved directly with it.  Large
+ordering of a sparsity pattern, derived once per pattern with each of
+its slots' band place.  Small systems are solved directly with it.  Large
 ones use conjugate gradients preconditioned by one V(1,1) cycle of a
 smoothed-aggregation multigrid hierarchy.  Each level smooths with a
 degree-``CHEB_DEGREE`` Chebyshev polynomial in D^-1 A (Adams, Brezina, Hu
@@ -23,14 +23,9 @@ With strength threshold theta = 0, a level's aggregates, tentative
 prolongator and coarse near-nullspace depend only on its sparsity
 structure and near-nullspace, and so does the band ordering of the
 coarsest level.  ``build_amg`` returns them as the hierarchy's
-``structure`` and takes a previous one back: a level whose CSR
-``indptr``, CSR ``indices`` and near-nullspace block all equal the
-stored ones exactly reuses its structure, and only the numeric part
-(Jacobi smoothing of the prolongator, the Galerkin products, the
-smoother bounds and the coarse factorization) is redone.  The first level
-that differs is rebuilt afresh, and so is every coarser one.  The Newton
-solves keep the latest structure with their ``fem.SparsityPattern``
-(``amg_structure``), so the reuse spans every call on one pattern.
+``structure`` and takes a previous one back, so that only the numeric
+part is redone; the Newton solves keep it with their
+``fem.SparsityPattern`` (``amg_structure``).
 """
 
 from __future__ import annotations
@@ -87,29 +82,14 @@ def _check_rhs(b: np.ndarray, n: int) -> np.ndarray:
     return b
 
 
-def _band_cholesky(a: sp.csr_matrix, order: BandOrdering) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor symmetric ``a`` by LAPACK ``dpbtrf`` under ``order``; returns its solve.
+def _band_cholesky(data: np.ndarray, order: BandOrdering) -> Callable[[np.ndarray], np.ndarray]:
+    """Solve of the symmetric matrix with ``data`` in the slots of ``order``'s pattern.
 
-    Only the upper triangle is read: A[i, j] with i <= j in permuted
-    positions sits at ab[w + i - j, j] of the (w + 1)-row band storage,
-    column-major, and duplicates add up.  A stored entry outside the
-    ordering's band raises ``ValueError``, a factor that breaks down
-    ``IndefiniteSystemError``.
+    Factored by ``dpbtrf`` from the upper triangle; a breakdown raises ``IndefiniteSystemError``.
     """
-    w, n = order.bandwidth, a.shape[0]
-    rows = np.repeat(order.position, np.diff(a.indptr))
-    cols = order.position[a.indices]
-    offset = cols - rows
-    outside = np.abs(offset) > w
-    if outside.any():
-        k = int(np.flatnonzero(outside)[0])
-        raise ValueError(
-            f"matrix entry ({order.perm[rows[k]]}, {a.indices[k]}) lies outside the band "
-            f"of half-bandwidth {w} of its pattern's ordering"
-        )
-    upper = offset >= 0
-    flat = cols[upper] * (w + 1) + w - offset[upper]
-    ab = np.bincount(flat, weights=a.data[upper], minlength=n * (w + 1))
+    w, n = order.bandwidth, order.perm.shape[0]
+    size = n * (w + 1)
+    ab = np.bincount(order.band_slots, weights=data, minlength=size + 1)[:size]
     factor, info = lapack.dpbtrf(ab.reshape(n, w + 1).T, overwrite_ab=True)
     if info != 0:
         raise IndefiniteSystemError(
@@ -129,14 +109,11 @@ def solve_direct(
 ) -> np.ndarray:
     """Banded Cholesky solve under the band ordering of ``pattern``.
 
-    ``pattern`` holds every stored entry of ``a`` (its entries may be
-    fewer); its ``band_ordering`` is computed once and shared by every
-    matrix with that pattern.  Without one, ``a``'s own structure is used.
-    The band storage is filled from the stored entries of ``a``'s upper
-    triangle (``a`` is taken to be symmetric), and a stored entry that
-    lies outside the ordering's band raises ``ValueError``, as do a matrix
-    of another order than ``pattern`` and a right-hand side whose shape
-    is not (n,).
+    ``a`` holds its data in the slots of ``pattern`` (else ``ValueError``),
+    whose ``band_ordering`` is shared by every matrix with that pattern;
+    without one, a canonical copy of ``a`` is ordered by its own structure.
+    Only the upper triangle is read.  A right-hand side whose shape is not
+    (n,) raises ``ValueError``.
 
     Raises ``IndefiniteSystemError`` when the factor breaks down (``a`` is
     not positive definite), and ``SolverError`` on non-finite values or
@@ -145,11 +122,13 @@ def solve_direct(
     """
     a = sp.csr_matrix(a)
     if pattern is None:
+        a = a.copy()  # made canonical in place: leave the caller's arrays be
+        a.sum_duplicates()
         pattern = SparsityPattern.from_csr(a)
-    if a.shape != (pattern.n, pattern.n):
-        raise ValueError(f"matrix of shape {a.shape} against a pattern of order {pattern.n}")
+    elif not pattern.holds(a):
+        raise ValueError("the matrix does not hold its data in the slots of its pattern")
     b = _check_rhs(b, pattern.n)
-    solve = _band_cholesky(a, pattern.band_ordering)
+    solve = _band_cholesky(a.data, pattern.band_ordering)
     x = solve(b)
     if not np.all(np.isfinite(x)):
         raise SolverError("banded Cholesky produced non-finite values")
@@ -452,8 +431,10 @@ def build_amg(
         a, b = a_coarse, level.b_coarse
     levels.append(_AmgLevel(a=a))
     # at most 64 dofs, or stalled aggregation, which only a diagonal matrix
-    # (half-bandwidth 0) has: either way a narrow band
-    coarse_solve = _band_cholesky(a, level.pattern.band_ordering)
+    # (half-bandwidth 0) has: either way a narrow band, in the level's pattern's slots
+    coarse = a.copy()
+    coarse.sum_duplicates()
+    coarse_solve = _band_cholesky(coarse.data, level.pattern.band_ordering)
     return AmgHierarchy(levels=levels, coarse_solve=coarse_solve, structure=tuple(built))
 
 

@@ -1,17 +1,19 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from minfem import coloring
 from minfem.coloring import (
     ColoringError,
     assemble_element_hessian,
     color_pattern,
     recover_hessian,
 )
-from helpers import element_dofs, element_local_program
-from minfem.energies import build_problem
+from helpers import element_dofs, element_local_program, random_benchmark_state
+from minfem.energies import PLaplaceParams, build_problem, record_plaplace
 from minfem.fem import SparsityPattern, build_dofmap, sparsity_pattern
 from minfem.minimize import benchmark_initial_guess
 from minfem.mesh import build_lshape_mesh, build_square_mesh
@@ -194,3 +196,51 @@ def test_element_assembly_nonfinite_entry_names_row():
 
     with pytest.raises(ColoringError, match="row 5$"):
         assemble_element_hessian(blocks, problem.element_slots, problem.pattern)
+
+
+def assert_in_pattern_layout(h, want: sp.csr_matrix, pattern: SparsityPattern) -> None:
+    """``h`` is on ``pattern``'s slots, equal to canonical ``want`` bit for bit where it
+    stores an entry, and an explicit zero in every other slot."""
+    assert np.array_equal(h.indptr, pattern.indptr)
+    assert np.array_equal(h.indices, pattern.indices)
+    want = want.tocsr()
+    want.sort_indices()
+    rows, cols = pattern.rows_cols()
+    want_rows = np.repeat(np.arange(pattern.n), np.diff(want.indptr))
+    slots = np.searchsorted(rows * pattern.n + cols, want_rows * pattern.n + want.indices)
+    assert np.array_equal(h.data[slots].view(np.int64), want.data.view(np.int64))
+    rest = np.ones(pattern.nnz, dtype=bool)
+    rest[slots] = False
+    assert np.all(h.data[rest] == 0.0)
+
+
+def _quadratic_plaplace(level: int):
+    problem = build_problem("plaplace", level)
+    params = PLaplaceParams(p=2.0, f_vec=problem.params.f_vec)
+    program = record_plaplace(problem.dofmap, problem.elemdata, params)
+    return dataclasses.replace(problem, params=params, program=program)
+
+
+@pytest.mark.parametrize("colored", [False, True], ids=["element", "colored"])
+@pytest.mark.parametrize("kind", ["plaplace", "ginzburg_landau", "neohooke", "p2-at-zero"])
+def test_hessian_is_scipys_symmetrization_in_the_pattern_slots(kind, colored, monkeypatch):
+    if kind == "p2-at-zero":
+        problem = _quadratic_plaplace(2)
+        u = np.zeros(problem.n_dofs)
+    else:
+        problem = build_problem(kind, 1 if kind == "neohooke" else 2)
+        u = random_benchmark_state(problem, np.random.default_rng(61))
+    if colored:
+        problem = dataclasses.replace(problem, element_slots=None)
+    unsymmetrized = []
+    symmetrized = coloring._symmetrized
+    monkeypatch.setattr(
+        coloring, "_symmetrized", lambda data, p: unsymmetrized.append(data) or symmetrized(data, p)
+    )
+    h = problem.hessian(u)
+    raw = problem.pattern.matrix(unsymmetrized[0])
+    want = (raw + raw.T) * 0.5
+    assert_in_pattern_layout(h, want, problem.pattern)
+    if kind == "p2-at-zero":
+        # the P1 Laplacian's exact zeros, which scipy's add drops, stay in their slots
+        assert want.nnz < problem.pattern.nnz

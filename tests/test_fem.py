@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from minfem.energies import build_problem
 from minfem.fem import (
     SparsityPattern,
     assemble_load_vector,
@@ -195,3 +197,43 @@ def test_pattern_from_csr_roundtrip():
     pattern = SparsityPattern.from_csr(mat)
     assert pattern.n == 3 and pattern.nnz == 7
     assert (pattern.tocsr() != mat.astype(float)).nnz == 0
+
+
+def test_pattern_mirror_maps_each_slot_to_its_transpose():
+    pattern = build_problem("neohooke", 1).pattern
+    rows, cols = pattern.rows_cols()
+    mirror = pattern.mirror
+    assert mirror.dtype == np.int32
+    assert np.array_equal(rows[mirror], cols) and np.array_equal(cols[mirror], rows)
+    assert np.array_equal(pattern.diagonal_slots, np.flatnonzero(rows == cols))
+
+
+def test_pattern_refuses_a_mirror_when_not_symmetric():
+    pattern = SparsityPattern.from_csr(sp.csr_matrix(np.array([[1, 1], [0, 1]])))
+    with pytest.raises(ValueError, match="not symmetric"):
+        pattern.mirror
+
+
+def test_pattern_refuses_diagonal_slots_when_one_is_missing():
+    pattern = SparsityPattern.from_csr(sp.csr_matrix(np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]])))
+    assert np.array_equal(pattern.mirror, [0, 2, 1, 4, 3, 5])
+    with pytest.raises(ValueError, match="diagonal entries in 2 of 3 rows"):
+        pattern.diagonal_slots
+
+
+def test_band_slots_place_the_upper_triangle_in_the_band():
+    pattern = build_problem("plaplace", 2).pattern
+    order = pattern.band_ordering
+    w, n = order.bandwidth, pattern.n
+    rows, cols = pattern.rows_cols()
+    upper = order.position[rows] <= order.position[cols]
+    assert order.band_slots.dtype == np.int32
+    assert np.all(order.band_slots[~upper] == n * (w + 1))
+    # one place per upper slot, and it is the dense band's entry
+    dense = pattern.matrix(np.arange(1.0, pattern.nnz + 1.0)).toarray()
+    dense = dense[np.ix_(order.perm, order.perm)]
+    band = np.zeros(n * (w + 1))
+    band[order.band_slots[upper]] = np.arange(1.0, pattern.nnz + 1.0)[upper]
+    band = band.reshape(n, w + 1).T
+    for k in range(w + 1):
+        assert np.array_equal(band[w - k, k:], np.diagonal(dense, offset=k))

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from helpers import make_quadratic_problem
 from minfem import solvers
@@ -16,12 +17,15 @@ from minfem.energies import (
     problem_from_mesh,
     record_plaplace,
 )
+from minfem.fem import SparsityPattern
 from minfem.mesh import bar_mesh_from_cells
 from minfem.minimize import (
     FORCING_INITIAL,
     FORCING_MAX,
     FORCING_MIN,
     INTERVAL_TOL,
+    SHIFT_GROWTH,
+    SHIFT_SCALE,
     ContinuationError,
     NewtonConfig,
     NewtonError,
@@ -407,6 +411,47 @@ def test_linear_solve_time_includes_shifted_retries(monkeypatch):
     assert log and all(rec.shift > 0.0 and rec.solve_s >= 0.02 for rec in log)
 
 
+def _quadratic_plaplace(level):
+    problem = build_problem("plaplace", level)
+    params = PLaplaceParams(p=2.0, f_vec=problem.params.f_vec)
+    program = record_plaplace(problem.dofmap, problem.elemdata, params)
+    return dataclasses.replace(problem, params=params, program=program)
+
+
+def test_shifted_hessians_are_h_plus_lambda_i_in_the_pattern_slots(monkeypatch):
+    # the p = 2 Hessian at u = 0 keeps exact zeros in its pattern's slots
+    problem = _quadratic_plaplace(2)
+    zero = np.zeros(problem.n_dofs)
+    h, grad = problem.hessian(zero), problem.gradient(zero)
+    candidates = []
+
+    def refuse(candidate, *args):
+        candidates.append(candidate)
+        raise SolverError("refused")
+
+    monkeypatch.setattr("minfem.minimize._solve_newton_system", refuse)
+    with pytest.raises(NewtonError, match="after 21 regularization attempts"):
+        _newton_direction(
+            h, grad, NewtonConfig(), problem.near_nullspace(), [], problem.pattern, 0.1
+        )
+    assert candidates[0] is h
+    lam = SHIFT_SCALE * max(float(np.abs(h.diagonal()).max()), 1.0)
+    eye = sp.identity(problem.n_dofs, format="csr")
+    rows, cols = problem.pattern.rows_cols()
+    for k, candidate in enumerate(candidates[1:]):
+        want = (h + lam * SHIFT_GROWTH**k * eye).tocsr()
+        assert problem.pattern.holds(candidate)
+        assert np.array_equal(candidate.data[rows != cols], h.data[rows != cols])
+        assert np.array_equal(candidate.diagonal().view(np.int64), want.diagonal().view(np.int64))
+
+
+def test_shift_refuses_a_pattern_without_a_full_diagonal():
+    pattern = SparsityPattern.from_csr(sp.csr_matrix(np.array([[1, 1], [1, 0]])))
+    h = pattern.matrix(np.array([2.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="diagonal entries in 1 of 2 rows"):
+        _newton_direction(h, np.ones(2), NewtonConfig(), np.ones((2, 1)), [], pattern, 0.1)
+
+
 @pytest.mark.parametrize(
     ("grad_norm", "previous_grad_norm", "previous_eta", "eta"),
     [
@@ -689,16 +734,29 @@ def test_calls_on_one_pattern_aggregate_once(monkeypatch):
     assert sizes[0] == fresh.n_dofs
 
 
+def test_initial_guess_and_newton_share_amg_level_0(monkeypatch):
+    monkeypatch.setattr(solvers, "DIRECT_DOF_LIMIT", 100)
+    sizes = _count_aggregations(monkeypatch)
+    problem = build_problem("plaplace", 3)
+    u0 = benchmark_initial_guess(problem)
+    assert sizes.count(problem.n_dofs) == 1
+    sizes.clear()
+    result = newton_minimize(problem, u0)
+    assert {rec.solver for rec in result.iteration_log} == {"amg"}
+    assert problem.n_dofs not in sizes
+
+
 def test_a_call_after_a_solve_on_another_structure_matches_a_first_call(monkeypatch):
     first = _amg_run(build_problem("plaplace", 3))
-    # the p = 2 Hessian of the p-Laplace initial guess drops exact zeros of
-    # the pattern, so its AMG solve keeps another level-0 structure
+    # the p = 2 Hessian of the p-Laplace initial guess with its exact zeros
+    # dropped, on a copy: its AMG solve keeps another level-0 structure
     problem = build_problem("plaplace", 3)
     quad_params = PLaplaceParams(p=2.0, f_vec=problem.params.f_vec)
     quad_program = record_plaplace(problem.dofmap, problem.elemdata, quad_params)
     quad = dataclasses.replace(problem, params=quad_params, program=quad_program)
     zero = np.zeros(problem.n_dofs)
-    h_quad = quad.hessian(zero)
+    h_quad = quad.hessian(zero).copy()
+    h_quad.eliminate_zeros()
     assert h_quad.nnz < problem.pattern.nnz
     _solve_newton_system(
         h_quad, -quad.gradient(zero), "amg", problem.near_nullspace(), None, problem.pattern

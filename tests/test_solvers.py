@@ -94,8 +94,21 @@ def test_direct_refuses_an_entry_outside_the_pattern_band():
     assert pattern.band_ordering.bandwidth == 1
     a = laplacian_1d(10).tolil()
     a[0, 9] = a[9, 0] = 0.5
-    with pytest.raises(ValueError, match="outside the band of half-bandwidth 1"):
+    with pytest.raises(ValueError, match="does not hold its data in the slots of its pattern"):
         solve_direct(a.tocsr(), np.ones(10), pattern)
+
+
+def test_direct_refuses_a_matrix_with_fewer_entries_than_its_pattern():
+    a = laplacian_1d(10)
+    pattern = fem.SparsityPattern.from_csr(a)
+    b = np.ones(10)
+    fewer = sp.diags(a.diagonal(), format="csr")
+    with pytest.raises(ValueError, match="does not hold its data in the slots of its pattern"):
+        solve_direct(fewer, b, pattern)
+    # the same diagonal matrix with the off-diagonal zeros kept in their slots
+    rows, cols = pattern.rows_cols()
+    kept = pattern.matrix(np.where(rows == cols, 2.0, 0.0))
+    assert np.array_equal(solve_direct(kept, b, pattern), solve_direct(fewer, b))
 
 
 def test_bar_hessians_solve_banded_with_one_ordering_per_pattern(monkeypatch):
