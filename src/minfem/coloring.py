@@ -137,5 +137,5 @@ def assemble_element_hessian(
 
 
 def _symmetrized(data: np.ndarray, pattern: SparsityPattern) -> sp.csr_matrix:
-    """(H + H^T) / 2 of the matrix with ``data`` in the pattern's slots, in them, zeros kept."""
+    """(H + H^T) / 2 of the matrix with ``data`` in the pattern's slots, kept in those slots."""
     return pattern.matrix((data + data[pattern.mirror]) * 0.5)

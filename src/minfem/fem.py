@@ -81,8 +81,8 @@ class BandOrdering:
     Position k of the permuted matrix holds row ``perm[k]``, and row i
     moves to ``position[i]``.  Every stored entry (i, j) of the pattern
     lands within ``bandwidth`` of the diagonal:
-    ``|position[i] - position[j]| <= bandwidth``.  ``band_slots[k]`` places slot
-    k in ``dpbtrf``'s upper band storage, or past it in the lower triangle.
+    ``|position[i] - position[j]| <= bandwidth``.  ``band_slots[k]`` is pattern
+    slot k's place in ``dpbtrf``'s upper band storage (past its end: lower triangle).
     """
 
     perm: np.ndarray

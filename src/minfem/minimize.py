@@ -468,7 +468,7 @@ def newton_minimize(
         try:
             hessian = problem.hessian(u)
         except ColoringError:
-            hessian = problem.pattern.matrix(np.zeros(problem.pattern.nnz))  # shifted steps only
+            hessian = problem.pattern.matrix(np.zeros(problem.pattern.nnz))  # singular: shift
         hessian_s = time.perf_counter() - hessian_started
         grad_l2 = float(np.linalg.norm(grad))
         eta = _forcing_term(grad_l2, previous_grad_l2, eta)

@@ -431,9 +431,9 @@ def build_amg(
         a, b = a_coarse, level.b_coarse
     levels.append(_AmgLevel(a=a))
     # at most 64 dofs, or stalled aggregation, which only a diagonal matrix
-    # (half-bandwidth 0) has: either way a narrow band, in the level's pattern's slots
+    # (half-bandwidth 0) has: either way a narrow band
     coarse = a.copy()
-    coarse.sum_duplicates()
+    coarse.sum_duplicates()  # canonical: the data in the slots of the level's pattern
     coarse_solve = _band_cholesky(coarse.data, level.pattern.band_ordering)
     return AmgHierarchy(levels=levels, coarse_solve=coarse_solve, structure=tuple(built))
 

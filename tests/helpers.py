@@ -7,7 +7,13 @@ import scipy.sparse as sp
 
 from minfem import energies
 from minfem.autodiff import Recorder, dot
-from minfem.energies import EnergyProblem, problem_from_mesh
+from minfem.energies import (
+    EnergyProblem,
+    PLaplaceParams,
+    build_problem,
+    problem_from_mesh,
+    record_plaplace,
+)
 from minfem.fem import DofMap, SparsityPattern
 
 DENSITIES = {
@@ -146,3 +152,27 @@ def random_benchmark_state(problem: EnergyProblem, rng: np.random.Generator) -> 
     if problem.kind == "ginzburg_landau":
         return 1.0 + 0.3 * rng.standard_normal(n)
     return 0.5 * rng.standard_normal(n)
+
+
+def quadratic_plaplace(level: int) -> EnergyProblem:
+    """The p-Laplace problem at ``level`` with its tape recorded for p = 2."""
+    problem = build_problem("plaplace", level)
+    params = PLaplaceParams(p=2.0, f_vec=problem.params.f_vec)
+    program = record_plaplace(problem.dofmap, problem.elemdata, params)
+    return dataclasses.replace(problem, params=params, program=program)
+
+
+def assert_in_pattern_layout(h, want: sp.spmatrix, pattern: SparsityPattern) -> None:
+    """``h`` holds its data in ``pattern``'s slots: equal to ``want`` bit for bit
+    on every entry ``want`` stores, and an explicit zero in every other slot."""
+    assert np.array_equal(h.indptr, pattern.indptr)
+    assert np.array_equal(h.indices, pattern.indices)
+    want = want.tocsr()
+    want.sort_indices()
+    rows, cols = pattern.rows_cols()
+    want_rows = np.repeat(np.arange(pattern.n), np.diff(want.indptr))
+    slots = np.searchsorted(rows * pattern.n + cols, want_rows * pattern.n + want.indices)
+    assert np.array_equal(h.data[slots].view(np.int64), want.data.view(np.int64))
+    rest = np.ones(pattern.nnz, dtype=bool)
+    rest[slots] = False
+    assert np.all(h.data[rest] == 0.0)

@@ -12,8 +12,14 @@ from minfem.coloring import (
     color_pattern,
     recover_hessian,
 )
-from helpers import element_dofs, element_local_program, random_benchmark_state
-from minfem.energies import PLaplaceParams, build_problem, record_plaplace
+from helpers import (
+    assert_in_pattern_layout,
+    element_dofs,
+    element_local_program,
+    quadratic_plaplace,
+    random_benchmark_state,
+)
+from minfem.energies import build_problem
 from minfem.fem import SparsityPattern, build_dofmap, sparsity_pattern
 from minfem.minimize import benchmark_initial_guess
 from minfem.mesh import build_lshape_mesh, build_square_mesh
@@ -198,34 +204,11 @@ def test_element_assembly_nonfinite_entry_names_row():
         assemble_element_hessian(blocks, problem.element_slots, problem.pattern)
 
 
-def assert_in_pattern_layout(h, want: sp.csr_matrix, pattern: SparsityPattern) -> None:
-    """``h`` is on ``pattern``'s slots, equal to canonical ``want`` bit for bit where it
-    stores an entry, and an explicit zero in every other slot."""
-    assert np.array_equal(h.indptr, pattern.indptr)
-    assert np.array_equal(h.indices, pattern.indices)
-    want = want.tocsr()
-    want.sort_indices()
-    rows, cols = pattern.rows_cols()
-    want_rows = np.repeat(np.arange(pattern.n), np.diff(want.indptr))
-    slots = np.searchsorted(rows * pattern.n + cols, want_rows * pattern.n + want.indices)
-    assert np.array_equal(h.data[slots].view(np.int64), want.data.view(np.int64))
-    rest = np.ones(pattern.nnz, dtype=bool)
-    rest[slots] = False
-    assert np.all(h.data[rest] == 0.0)
-
-
-def _quadratic_plaplace(level: int):
-    problem = build_problem("plaplace", level)
-    params = PLaplaceParams(p=2.0, f_vec=problem.params.f_vec)
-    program = record_plaplace(problem.dofmap, problem.elemdata, params)
-    return dataclasses.replace(problem, params=params, program=program)
-
-
 @pytest.mark.parametrize("colored", [False, True], ids=["element", "colored"])
 @pytest.mark.parametrize("kind", ["plaplace", "ginzburg_landau", "neohooke", "p2-at-zero"])
 def test_hessian_is_scipys_symmetrization_in_the_pattern_slots(kind, colored, monkeypatch):
     if kind == "p2-at-zero":
-        problem = _quadratic_plaplace(2)
+        problem = quadratic_plaplace(2)
         u = np.zeros(problem.n_dofs)
     else:
         problem = build_problem(kind, 1 if kind == "neohooke" else 2)
