@@ -7,6 +7,13 @@ slots every matrix on the Newton path holds its data (exact zeros kept),
 and the map from element Hessian entries to those slots.  The pattern
 keeps what depends on its structure alone: mirror and diagonal slots,
 the direct solver's band ordering and the latest AMG structure.
+
+Everything is vectorized over elements.  Triangle gradients come in
+closed form, tetrahedra through numpy's LAPACK ``inv`` and ``det``
+(``precompute_gradients`` says why).  The pattern's indices are int32
+below 2^31 stored entries, so the matrices built on it share them
+without a copy.  The slot map looks each entry up within its own CSR
+row.
 """
 
 from __future__ import annotations
@@ -114,7 +121,10 @@ class SparsityPattern:
         return self.indices.shape[0]
 
     def rows_cols(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinate form (row, col) of the stored entries."""
+        """Coordinate form (row, col) of the stored entries.
+
+        The rows are int64, so keys such as ``rows * n + cols`` do not overflow.
+        """
         rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
         return rows, self.indices
 
@@ -168,42 +178,68 @@ class SparsityPattern:
 
     @classmethod
     def from_csr(cls, a: sp.spmatrix) -> "SparsityPattern":
+        """The structure of ``a``, indices int32 below 2^31 stored entries (int64 past)."""
         a = sp.csr_matrix(a, copy=True)  # tidied in place: leave the caller's arrays be
         a.sum_duplicates()  # sorts the indices too
-        return cls(a.shape[0], a.indptr.astype(np.int64), a.indices.astype(np.int64))
+        dtype = np.int32 if a.nnz < 2**31 else np.int64
+        return cls(a.shape[0], a.indptr.astype(dtype), a.indices.astype(dtype))
 
 
 def precompute_gradients(mesh: MeshData) -> ElementData:
     """Basis gradients and volumes of every simplex.
 
-    The gradients come from the inverse of the per-element edge matrix;
-    the volume is |det| / 2 in 2D and |det| / 6 in 3D.  Raises on a
-    degenerate (zero-volume) simplex, naming the element index.
+    With the edge matrix's rows p_1 - p_0, ..., p_dim - p_0, the gradients
+    of basis functions 1..dim are the columns of its inverse; basis 0
+    closes the partition of unity.  The volume is |det| / 2 in 2D and
+    |det| / 6 in 3D.  A simplex with |det| <= 1e-12 * (largest |edge
+    entry|)^dim is degenerate: it raises ``ValueError`` naming the element
+    index, before anything divides by its determinant.
+
+    Triangles take the closed form, vectorized over elements on
+    per-coordinate arrays (as in Rahman and Valdman, Appl. Math. Comput.
+    219, 2013): the cofactors over the determinant.  numpy's batched
+    LAPACK ``inv`` and ``det`` make one call per 2x2 matrix.  Tetrahedra
+    keep LAPACK: the 3x3 cofactor form puts the Neo-Hookean energy of the
+    identity on bar L1 at 8.5e-15, where criterion 8 holds it below 1e-18
+    (``test_criterion_8_trivial_identities``,
+    ``test_neohooke_identity_is_stress_free``).
     """
-    coords = mesh.nodes[mesh.elems]  # (ne, npe, dim)
-    edges = coords[:, 1:, :] - coords[:, :1, :]  # rows are edge vectors
+    if mesh.dim == 2:
+        return _triangle_tables(mesh)
+    edges = mesh.nodes[mesh.elems[:, 1:]] - mesh.nodes[mesh.elems[:, :1]]  # rows: edges
     det = np.linalg.det(edges)
-    scale = np.abs(edges).max(axis=(1, 2))
-    bad = np.abs(det) <= 1e-12 * np.maximum(scale, 1e-300) ** mesh.dim
+    _refuse_degenerate(det, [edges[:, i, j] for i in range(3) for j in range(3)], 3)
+
+    inv = np.linalg.inv(edges)  # inv[:, k, j]: d/dx_k of basis j + 1
+    dvx, dvy, dvz = (_close_partition([inv[:, k, 0], inv[:, k, 1], inv[:, k, 2]]) for k in range(3))
+    return ElementData(elems=mesh.elems, dvx=dvx, dvy=dvy, vol=np.abs(det) / 6.0, dvz=dvz)
+
+
+def _triangle_tables(mesh: MeshData) -> ElementData:
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    p0, p1, p2 = mesh.elems.T
+    x1, y1 = x[p1] - x[p0], y[p1] - y[p0]
+    x2, y2 = x[p2] - x[p0], y[p2] - y[p0]
+    det = x1 * y2 - y1 * x2
+    _refuse_degenerate(det, [x1, y1, x2, y2], 2)
+
+    # inv([[x1, y1], [x2, y2]]) = [[y2, -y1], [-x2, x1]] / det
+    dvx = _close_partition([y2 / det, -y1 / det])
+    dvy = _close_partition([-x2 / det, x1 / det])
+    return ElementData(elems=mesh.elems, dvx=dvx, dvy=dvy, vol=np.abs(det) / 2.0)
+
+
+def _refuse_degenerate(det: np.ndarray, entries: list[np.ndarray], dim: int) -> None:
+    """``ValueError`` naming the first element whose |det| is negligible against its edges."""
+    scale = functools.reduce(np.maximum, [np.abs(v) for v in entries])
+    bad = np.abs(det) <= 1e-12 * np.maximum(scale, 1e-300) ** dim
     if bad.any():
-        raise ValueError(f"degenerate simplex at element {int(np.nonzero(bad)[0][0])}")
+        raise ValueError(f"degenerate simplex at element {int(np.flatnonzero(bad)[0])}")
 
-    # rows of inv(edges)^T are the gradients of basis functions 1..dim;
-    # basis 0 closes the partition of unity
-    grads = np.linalg.inv(edges).transpose(0, 2, 1)
-    full = np.empty((mesh.n_elems, mesh.dim + 1, mesh.dim))
-    full[:, 1:, :] = grads
-    full[:, 0, :] = -grads.sum(axis=1)
 
-    vol = np.abs(det) / (2.0 if mesh.dim == 2 else 6.0)
-    dvz = full[:, :, 2].copy() if mesh.dim == 3 else None
-    return ElementData(
-        elems=mesh.elems,
-        dvx=full[:, :, 0].copy(),
-        dvy=full[:, :, 1].copy(),
-        vol=vol,
-        dvz=dvz,
-    )
+def _close_partition(columns: list[np.ndarray]) -> np.ndarray:
+    """(E, dim + 1) table of one derivative: basis 0 first, minus the others' sum."""
+    return np.stack([-functools.reduce(np.add, columns), *columns], axis=1)
 
 
 def build_dofmap(
@@ -270,7 +306,8 @@ def sparsity_pattern(mesh: MeshData, dofmap: DofMap) -> SparsityPattern:
     Two free dofs are connected iff their nodes share an element; vector
     problems expand each node adjacency into a dense components^2 block.
     The result is symmetric with a full diagonal, reindexed to free-dof
-    positions.
+    positions.  A free dof that no element touches would leave an empty
+    row: it raises ``ValueError`` naming the dof.
     """
     elems = mesh.elems
     npe = elems.shape[1]
@@ -285,6 +322,9 @@ def sparsity_pattern(mesh: MeshData, dofmap: DofMap) -> SparsityPattern:
         adj = sp.kron(adj, np.ones((c, c), dtype=np.int8), format="csr")
     free = dofmap.freedofs
     restricted = adj[free][:, free].tocsr()
+    empty = np.flatnonzero(np.diff(restricted.indptr) == 0)
+    if empty.size:
+        raise ValueError(f"free dof {int(free[empty[0]])} belongs to no element")
     return SparsityPattern.from_csr(restricted)
 
 
@@ -294,21 +334,29 @@ def element_slots(dofs: np.ndarray, dofmap: DofMap, pattern: SparsityPattern) ->
     ``dofs`` (E, L) holds the full-field dof behind each element-local
     index (``Program.element_dofs``); entry (e, a, b) couples local row a
     with local column b of element e.  Entries on a fixed dof go to the
-    spare slot ``pattern.nnz``.  Returns int32 of shape (E, L, L).
+    spare slot ``pattern.nnz``.  Returns shape (E, L, L), in the pattern's
+    index dtype (int32 below 2^31 stored entries).
+
+    Each entry is looked up within its own CSR row, by scipy's fancy
+    indexing into a matrix that holds every slot's number.  Fixed dofs sit
+    on an extra empty row and column n, so their entries find nothing, as
+    a coupling outside the pattern does; one count tells the two apart.
     """
-    position = np.full(dofmap.n_total, -1, dtype=np.int64)
-    position[dofmap.freedofs] = np.arange(dofmap.n_free)
+    n, nnz, dtype = pattern.n, pattern.nnz, pattern.indices.dtype
+    position = np.full(dofmap.n_total, n, dtype=dtype)
+    position[dofmap.freedofs] = np.arange(n)
+    # slot k holds k - nnz, so an entry that finds nothing (0) reads as nnz
+    numbers = sp.csr_array(
+        (np.arange(-nnz, 0, dtype=dtype), pattern.indices, np.append(pattern.indptr, nnz)),
+        shape=(n + 1, n + 1),
+    )
     local = position[dofs]
-    rows, cols = local[:, :, None], local[:, None, :]
-    free = (rows >= 0) & (cols >= 0)
-    wanted = (rows * pattern.n + cols)[free]
-    # CSR storage order has strictly ascending keys row * n + col; the
-    # trailing -1 matches no key, so a coupling past the end is caught too
-    stored_rows, stored_cols = pattern.rows_cols()
-    keys = np.append(stored_rows * pattern.n + stored_cols, -1)
-    found = np.searchsorted(keys[:-1], wanted)
-    if not np.array_equal(keys[found], wanted):
+    n_elems, n_local = local.shape
+    rows = np.repeat(local, n_local, axis=1).ravel()
+    cols = np.tile(local, (1, n_local)).ravel()
+    slots = numbers[rows, cols].reshape(n_elems, n_local, n_local)
+    slots += nnz
+    free_pairs = np.count_nonzero((rows < n) & (cols < n))
+    if np.count_nonzero(slots == nnz) != slots.size - free_pairs:
         raise ValueError("an element couples free dofs outside the sparsity pattern")
-    slots = np.full(free.shape, pattern.nnz, dtype=np.int32)
-    slots[free] = found
     return slots

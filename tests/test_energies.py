@@ -316,6 +316,35 @@ def test_element_hessian_follows_the_tapes_own_gathers(monkeypatch):
         assert_matches_colored_recovery(reordered, u)
 
 
+def assert_slots_match_pattern_entries(problem):
+    # oracle: a dict from (row, col) of each stored entry to its slot
+    rows, cols = problem.pattern.rows_cols()
+    slot_of = {rc: k for k, rc in enumerate(zip(rows.tolist(), cols.tolist()))}
+    position = {dof: i for i, dof in enumerate(problem.dofmap.freedofs.tolist())}
+    spare = problem.pattern.nnz
+    slots = problem.element_slots
+    fixed = 0
+    for elem_dofs, elem_slots in zip(problem.program.element_dofs.tolist(), slots.tolist()):
+        local = [position.get(dof) for dof in elem_dofs]
+        for i, row in zip(local, elem_slots):
+            for j, slot in zip(local, row):
+                if i is None or j is None:
+                    fixed += 1
+                    assert slot == spare
+                else:
+                    assert slot == slot_of[i, j]
+    assert 0 < fixed < slots.size
+
+
+def test_element_slots_match_the_patterns_entries(tiny_bar_problem, monkeypatch):
+    problems = [build_problem("plaplace", 2), build_problem("ginzburg_landau", 2), tiny_bar_problem]
+    monkeypatch.setattr(energies, "record_neohooke", record_neohooke_gathers_reordered)
+    problems.append(problem_from_mesh("neohooke", tiny_bar_problem.mesh))
+    assert not np.array_equal(problems[-1].element_slots, tiny_bar_problem.element_slots)
+    for problem in problems:
+        assert_slots_match_pattern_entries(problem)
+
+
 def test_problem_without_element_slots_uses_colored_recovery():
     rng = np.random.default_rng(9)
     m = rng.standard_normal((6, 6))
@@ -485,15 +514,14 @@ def test_frontier_hessian_matches_colored_recovery(tiny_bar_problem):
         assert_matches_colored_recovery(problem, u)
 
 
-# SHA-256 of ``problem.hessian(u).data`` from before Ginzburg-Landau joined
-# the frontier cut: the p-Laplace and bar blocks must keep their bits.  The
-# Ginzburg-Landau digest is from before the cut was seeded by colors of the
-# density's interaction pattern: one direction must give the five one-hot
-# directions' bits
+# SHA-256 of ``problem.hessian(u).data``.  The bar's digest is from before
+# Ginzburg-Landau joined the frontier cut.  The 2D digests are from the
+# closed-form triangle areas, which moved the last bits of some element
+# areas against LAPACK's determinant
 HESSIAN_PINNED = {
-    "plaplace": (71, "91024ac05e1ddbebfa1da7694b8559b08750697dcb19a4ae2fdd5131f1d2aee1"),
+    "plaplace": (71, "b0ebc4602dd2ccf5ae41cf3942d23c33b219bde661a56f1bc36c83596b4a8add"),
     "neohooke": (73, "cc1c78e36efe4b6f14b37c5b7fad9b5fd402b2b6958d79525763495e62918362"),
-    "ginzburg_landau": (79, "cd09036f9959de33a506f3a55510103f3a547b37ac48f52801d8123efa362abd"),
+    "ginzburg_landau": (79, "2fbe2ee1b7072858e4d9cfaf65de3af67ff856081b8eb93037f6b6ac1b39d9ad"),
 }
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from minfem.energies import build_problem
+from minfem.energies import build_problem, problem_from_mesh
 from minfem.fem import (
     SparsityPattern,
     assemble_load_vector,
@@ -79,6 +79,39 @@ def test_partition_of_unity_gradients(mesh):
     if data.dvz is not None:
         assert np.abs(data.dvz.sum(axis=1)).max() < 1e-12
     assert (data.vol > 0).all()
+
+
+def lapack_tables(mesh):
+    """dvx, dvy and areas from numpy's batched LAPACK inverse and determinant."""
+    coords = mesh.nodes[mesh.elems]
+    edges = coords[:, 1:, :] - coords[:, :1, :]
+    grads = np.linalg.inv(edges).transpose(0, 2, 1)
+    full = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
+    return full[:, :, 0], full[:, :, 1], np.abs(np.linalg.det(edges)) / 2.0
+
+
+def test_closed_form_triangle_tables_match_lapack():
+    rng = np.random.default_rng(25)
+    pts = rng.uniform(-2.0, 2.0, size=(400, 3, 2))
+    edges = pts[:, 1:] - pts[:, :1]
+    det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
+    pts = pts[np.abs(det) > 0.1 * np.abs(edges).max(axis=(1, 2)) ** 2][:100]
+    assert len(pts) == 100
+    mesh = mesh_2d(pts.reshape(-1, 2), np.arange(300).reshape(100, 3))
+    data = precompute_gradients(mesh)
+    dvx, dvy, vol = lapack_tables(mesh)
+    for got, want in ((data.dvx, dvx), (data.dvy, dvy)):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max(axis=1, keepdims=True))
+    assert np.all(np.abs(data.vol - vol) <= 1e-14 * vol)
+
+
+@pytest.mark.parametrize("build", [build_square_mesh, build_lshape_mesh])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+def test_triangle_gradient_tables_keep_lapack_bits(build, level):
+    mesh = build(level)
+    data = precompute_gradients(mesh)
+    dvx, dvy, _ = lapack_tables(mesh)
+    assert np.array_equal(data.dvx, dvx) and np.array_equal(data.dvy, dvy)
 
 
 def test_degenerate_element_is_named():
@@ -168,6 +201,24 @@ def test_sparsity_two_triangles_brute_force():
     assert set(zip(rows.tolist(), cols.tolist())) == expected
 
 
+def test_sparsity_refuses_a_free_dof_outside_every_element():
+    # GL L2 plus one interior node that no element uses
+    mesh = build_square_mesh(2)
+    orphan = mesh.n_nodes
+    mesh = MeshData(
+        2,
+        np.vstack([mesh.nodes, [[0.5, 0.5]]]),
+        mesh.elems,
+        mesh.boundary_nodes,
+        Region.SQUARE,
+    )
+    dofmap = build_dofmap(mesh, 1, {int(b): 0.0 for b in mesh.boundary_nodes})
+    with pytest.raises(ValueError, match=f"free dof {orphan} belongs to no element"):
+        sparsity_pattern(mesh, dofmap)
+    with pytest.raises(ValueError, match=f"free dof {orphan} belongs to no element"):
+        problem_from_mesh("ginzburg_landau", mesh)
+
+
 def test_sparsity_single_tet_vector_block():
     pattern = sparsity_pattern(REF_TET, all_free_dofmap(REF_TET, components=3))
     assert pattern.n == 12
@@ -188,6 +239,16 @@ def test_sparsity_symmetric_with_full_diagonal(mesh, components):
     mat = pattern.tocsr()
     assert (mat != mat.T).nnz == 0
     assert np.all(mat.diagonal() == 1.0)
+
+
+@pytest.mark.parametrize("kind, level", [("ginzburg_landau", 5), ("neohooke", 1)])
+def test_pattern_matrices_share_the_patterns_int32_indices(kind, level):
+    pattern = build_problem(kind, level).pattern
+    assert pattern.indptr.dtype == pattern.indices.dtype == np.int32
+    mat = pattern.matrix(np.ones(pattern.nnz))
+    assert np.shares_memory(mat.indices, pattern.indices)
+    assert np.shares_memory(mat.indptr, pattern.indptr)
+    assert pattern.holds(mat)
 
 
 def test_pattern_from_csr_roundtrip():

@@ -638,16 +638,16 @@ def _refuse_coloring(pattern):
 
 
 # the ids keep the names these cases had when first pinned, before the
-# parabolic line-search step, the banded direct solve and the Horner line
-# programs moved the energies' last bits
+# parabolic line-search step, the banded direct solve, the Horner line
+# programs and the closed-form triangle areas moved the energies' last bits
 @pytest.mark.parametrize(
     "kind, energy",
     [
         pytest.param(
-            "plaplace", "-0x1.f1b546efd11aep+2", id="plaplace--0x1.f1b546efd11aep+2"
+            "plaplace", "-0x1.f1b546efd11a4p+2", id="plaplace--0x1.f1b546efd11aep+2"
         ),
         pytest.param(
-            "ginzburg_landau", "0x1.6b4358a0b6620p-2", id="ginzburg_landau-0x1.6b4358a0b6620p-2"
+            "ginzburg_landau", "0x1.6b4358a0b661dp-2", id="ginzburg_landau-0x1.6b4358a0b6620p-2"
         ),
     ],
 )
