@@ -43,6 +43,9 @@ __all__ = [
     "element_slots",
 ]
 
+# element Hessian entries looked up at a time by ``element_slots``
+_SLOT_LOOKUP_BLOCK = 2**20
+
 
 @dataclass(frozen=True, eq=False)
 class ElementData:
@@ -341,6 +344,8 @@ def element_slots(dofs: np.ndarray, dofmap: DofMap, pattern: SparsityPattern) ->
     indexing into a matrix that holds every slot's number.  Fixed dofs sit
     on an extra empty row and column n, so their entries find nothing, as
     a coupling outside the pattern does; one count tells the two apart.
+    The lookups run in blocks of about ``_SLOT_LOOKUP_BLOCK`` entries, so
+    that scipy's index copies stay small next to the (E, L, L) result.
     """
     n, nnz, dtype = pattern.n, pattern.nnz, pattern.indices.dtype
     position = np.full(dofmap.n_total, n, dtype=dtype)
@@ -352,11 +357,15 @@ def element_slots(dofs: np.ndarray, dofmap: DofMap, pattern: SparsityPattern) ->
     )
     local = position[dofs]
     n_elems, n_local = local.shape
-    rows = np.repeat(local, n_local, axis=1).ravel()
-    cols = np.tile(local, (1, n_local)).ravel()
-    slots = numbers[rows, cols].reshape(n_elems, n_local, n_local)
-    slots += nnz
-    free_pairs = np.count_nonzero((rows < n) & (cols < n))
-    if np.count_nonzero(slots == nnz) != slots.size - free_pairs:
-        raise ValueError("an element couples free dofs outside the sparsity pattern")
+    slots = np.empty((n_elems, n_local, n_local), dtype=dtype)
+    step = max(1, _SLOT_LOOKUP_BLOCK // n_local**2)
+    for start in range(0, n_elems, step):
+        block = local[start : start + step]
+        rows = np.repeat(block, n_local, axis=1).ravel()
+        cols = np.tile(block, (1, n_local)).ravel()
+        found = numbers[rows, cols]
+        found += nnz
+        if np.count_nonzero(found == nnz) != np.count_nonzero((rows == n) | (cols == n)):
+            raise ValueError("an element couples free dofs outside the sparsity pattern")
+        slots[start : start + step] = found.reshape(-1, n_local, n_local)
     return slots

@@ -12,7 +12,7 @@ from helpers import (
     make_quadratic_problem,
     random_benchmark_state,
 )
-from minfem import autodiff, energies
+from minfem import autodiff, energies, fem
 from minfem.autodiff import Recorder
 from minfem.coloring import ColoringError, color_pattern, recover_hessian
 from minfem.energies import (
@@ -471,6 +471,20 @@ def test_element_slots_reject_couplings_outside_pattern():
     diagonal = SparsityPattern.from_csr(sp.identity(problem.n_dofs, format="csr"))
     with pytest.raises(ValueError, match="outside the sparsity pattern"):
         element_slots(problem.program.element_dofs, problem.dofmap, diagonal)
+
+
+def test_element_slots_looked_up_in_blocks(monkeypatch, tiny_bar_problem):
+    problem = tiny_bar_problem
+    dofs, dofmap = problem.program.element_dofs, problem.dofmap
+    whole = element_slots(dofs, dofmap, problem.pattern)
+    monkeypatch.setattr(fem, "_SLOT_LOOKUP_BLOCK", 1000)  # 6 elements of 144 entries
+    assert np.array_equal(element_slots(dofs, dofmap, problem.pattern), whole)
+    # a pattern without one coupling of the last element, in the last block
+    i, j = np.flatnonzero(np.isin(dofmap.freedofs, dofs[-1]))[:2]
+    dense = problem.pattern.tocsr().toarray()
+    dense[i, j] = dense[j, i] = 0.0
+    with pytest.raises(ValueError, match="outside the sparsity pattern"):
+        element_slots(dofs, dofmap, SparsityPattern.from_csr(sp.csr_matrix(dense)))
 
 
 def test_element_cut_choice_is_pinned(tiny_bar_problem):
