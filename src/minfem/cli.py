@@ -18,6 +18,7 @@ from .coloring import ColoringError
 from .energies import EnergyProblem, build_problem
 from .mesh import MeshData
 from .minimize import (
+    SOLVERS,
     MinimizeResult,
     NewtonConfig,
     NewtonError,
@@ -78,17 +79,6 @@ def _parse_levels(text: str) -> list[int]:
 _CONFIG_FLAGS = {"grad_tol": "--tol-grad", "energy_tol": "--tol-energy", "solver": "--solver"}
 
 
-def _newton_config(overrides: dict) -> NewtonConfig:
-    kwargs = {}
-    if overrides.get("tol_grad") is not None:
-        kwargs["grad_tol"] = float(overrides["tol_grad"])
-    if overrides.get("tol_energy") is not None:
-        kwargs["energy_tol"] = float(overrides["tol_energy"])
-    if overrides.get("solver") is not None:
-        kwargs["solver"] = overrides["solver"]
-    return NewtonConfig(**kwargs)
-
-
 def _run_level(kind: str, level: int, config: NewtonConfig):
     t0 = time.perf_counter()
     problem = build_problem(kind, level)
@@ -112,24 +102,19 @@ def _run_level(kind: str, level: int, config: NewtonConfig):
 
 
 def run_benchmark(
-    name: str, levels: Iterable[int], overrides: dict | NewtonConfig | None = None
+    name: str, levels: Iterable[int], config: NewtonConfig | None = None
 ) -> BenchmarkReport:
     """Build and minimize each level, timing setup and solve separately.
 
-    ``name`` is one of plaplace | gl | hyper.  ``overrides`` is a
-    ``NewtonConfig`` or a dict of ``tol_grad``, ``tol_energy`` and
-    ``solver`` values, None meaning the default.  Nonconvergence, or a
-    solver or Hessian failure anywhere in a level (the initial guess
-    included), stops the run and yields a partial report
-    (``complete = False`` with ``error`` set).
+    ``name`` is one of plaplace | gl | hyper; ``config`` None means
+    ``NewtonConfig()``.  Nonconvergence, or a solver or Hessian failure
+    anywhere in a level (the initial guess included), stops the run and
+    yields a partial report (``complete = False`` with ``error`` set).
     """
     if name not in BENCHMARK_NAMES:
         raise ValueError(f"unknown benchmark {name!r}; expected one of {sorted(BENCHMARK_NAMES)}")
     kind = BENCHMARK_NAMES[name]
-    if isinstance(overrides, NewtonConfig):
-        config = overrides
-    else:
-        config = _newton_config(overrides or {})
+    config = config or NewtonConfig()
     levels = list(levels)
 
     report = BenchmarkReport(
@@ -254,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--level", type=int, help="single refinement level")
     run.add_argument("--tol-grad", type=float, dest="tol_grad")
     run.add_argument("--tol-energy", type=float, dest="tol_energy")
-    run.add_argument("--solver", choices=["auto", "direct", "amg", "diag-cg"])
+    run.add_argument("--solver", choices=SOLVERS)
     run.add_argument("--format", choices=["text", "csv", "json"], default="text")
     run.add_argument("--export", metavar="PATH", help="write the last solution field to PATH")
     run.add_argument("--export-format", choices=["csv", "vtk-legacy"], default="csv")
@@ -286,10 +271,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         levels = [1]
     if any(level < 1 for level in levels):
         return _error("levels must be positive")
+    values = {"grad_tol": args.tol_grad, "energy_tol": args.tol_energy, "solver": args.solver}
     try:
-        config = _newton_config(
-            {"tol_grad": args.tol_grad, "tol_energy": args.tol_energy, "solver": args.solver}
-        )
+        config = NewtonConfig(**{name: v for name, v in values.items() if v is not None})
     except ValueError as exc:
         # NewtonConfig's message starts with the field's name
         field_name = str(exc).split()[0]

@@ -30,8 +30,8 @@ within it) and line search, the line search's energy evaluations and
 the relative residual the step asked of CG.  A load-stepping loop
 handles the twisted-bar continuation.
 
-Newton is inexact on the CG paths (AMG and diagonal CG; Dembo,
-Eisenstat and Steihaug, SIAM J. Numer. Anal. 19(2), 1982): step k asks
+Newton is inexact on the AMG-CG path (Dembo, Eisenstat and Steihaug,
+SIAM J. Numer. Anal. 19(2), 1982): step k asks
 CG for the relative residual eta_k of Eisenstat and Walker's choice 2
 (SIAM J. Sci. Comput. 17(1), 1996), eta_k = 0.9 (|g_k| / |g_(k-1)|)^2 in
 gradient 2-norms, raised to 0.9 eta_(k-1)^2 when that exceeds 0.1, then
@@ -62,6 +62,7 @@ from .energies import EnergyProblem, PLaplaceParams, bar_dirichlet_values, recor
 from .fem import SparsityPattern
 
 __all__ = [
+    "SOLVERS",
     "NewtonConfig",
     "IterationRecord",
     "MinimizeResult",
@@ -93,6 +94,8 @@ FORCING_MAX = 0.5
 FORCING_MIN = 1e-8
 FORCING_GAMMA = 0.9
 FORCING_SAFEGUARD = 0.1
+# the linear paths NewtonConfig.solver selects
+SOLVERS = ("auto", "direct", "amg")
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,9 @@ class NewtonConfig:
     above.  ``grad_tol`` is a scale: the stopping threshold on the gradient
     infinity norm is ``grad_tol * (1 + |J(u_init)|)``.  ``energy_tol``
     stops on relative energy stagnation.  ``solver`` picks the linear
-    path: auto (direct up to 15,000 dofs, AMG-CG above), or forced
-    direct / amg / diag-cg.  Other values raise ``ValueError`` naming the field.
+    path, one of ``SOLVERS``: auto (direct up to 15,000 dofs, AMG-CG
+    above), or forced direct / amg.  Other values raise ``ValueError``
+    naming the field.
     """
 
     grad_tol: float = 1e-6
@@ -120,8 +124,8 @@ class NewtonConfig:
         n = self.max_iters
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
             raise ValueError(f"max_iters must be a non-negative integer, got {n!r}")
-        if self.solver not in ("auto", "direct", "amg", "diag-cg"):
-            raise ValueError(f"solver must be auto, direct, amg or diag-cg, got {self.solver!r}")
+        if self.solver not in SOLVERS:
+            raise ValueError(f"solver must be one of {', '.join(SOLVERS)}, got {self.solver!r}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,7 @@ class IterationRecord:
     included), ``solve_s`` that of finding the Newton direction (AMG
     builds and shifted retries included), ``amg_build_s`` the part of
     ``solve_s`` spent in ``solvers.build_amg`` (every shifted retry's
-    build included; 0 on the direct and diagonal-CG paths),
+    build included; 0 on the direct path),
     ``linesearch_s`` that of building the line program and the
     golden-section search over it, which evaluated the energy
     ``linesearch_evals`` times.  ``cg_rtol`` is the relative residual
@@ -266,44 +270,39 @@ def _solve_newton_system(
     rhs: np.ndarray,
     method: str,
     near_nullspace: np.ndarray,
-    build_times: list[float] | None = None,
-    pattern: SparsityPattern | None = None,
-    rtol: float = 1e-8,
-) -> tuple[np.ndarray, str, int]:
-    """One linear solve along the configured path; returns (x, path, inner).
+    pattern: SparsityPattern,
+    rtol: float,
+) -> tuple[np.ndarray, str, int, float]:
+    """One linear solve; returns (x, path, inner, amg_build_s).
 
-    ``auto`` solves directly up to ``solvers.DIRECT_DOF_LIMIT`` unknowns and
-    by AMG-CG above.  A direct solve orders by ``pattern``, in whose slots
-    ``h`` holds its data (None: ``h``'s own), and ignores ``rtol``: it
-    keeps ``solvers.solve_direct``'s 1e-10 relative-residual contract.  CG
-    (``amg`` and ``diag-cg``) stops at the relative residual ``rtol``: a
-    Newton step passes its Eisenstat-Walker forcing term
-    (``_forcing_term``), the p-Laplace initial guess the default.  An
-    AMG build starts from ``pattern.amg_structure`` and leaves its own
-    there (without a pattern it starts afresh and nothing is kept); only
-    the structure is kept, never the hierarchy.  The wall time of the
-    build, a refused one included, is appended to ``build_times``.
+    ``method`` is one of ``SOLVERS``; ``auto`` solves directly up to
+    ``solvers.DIRECT_DOF_LIMIT`` unknowns and by AMG-CG above.  A direct
+    solve orders by ``pattern``, in whose slots ``h`` holds its data, and
+    ignores ``rtol``: it keeps ``solvers.solve_direct``'s 1e-10
+    relative-residual contract.  AMG-CG stops at the relative residual
+    ``rtol``: a Newton step passes its Eisenstat-Walker forcing term
+    (``_forcing_term``), the p-Laplace initial guess 1e-8.  Its build
+    starts from ``pattern.amg_structure`` and leaves its own there; only
+    the structure is kept, never the hierarchy.  ``amg_build_s`` is the
+    build's wall time (0 on the direct path); when the build or CG
+    refuses the system, the ``SolverError`` raised carries it as its
+    ``amg_build_s`` attribute.
     """
-    n = rhs.shape[0]
     if method == "auto":
-        method = "direct" if n <= solvers.DIRECT_DOF_LIMIT else "amg"
+        method = "direct" if rhs.shape[0] <= solvers.DIRECT_DOF_LIMIT else "amg"
     if method == "direct":
-        return solvers.solve_direct(h, rhs, pattern), "direct", 0
-    if method == "amg":
-        kept = pattern.amg_structure if pattern is not None else []
-        build_started = time.perf_counter()
-        try:
-            hierarchy = solvers.build_amg(h, near_nullspace, kept)
-        finally:
-            if build_times is not None:
-                build_times.append(time.perf_counter() - build_started)
-        kept[:] = hierarchy.structure
+        return solvers.solve_direct(h, rhs, pattern), "direct", 0, 0.0
+    build_started = time.perf_counter()
+    build_s = None
+    try:
+        hierarchy = solvers.build_amg(h, near_nullspace, pattern.amg_structure)
+        build_s = time.perf_counter() - build_started
+        pattern.amg_structure[:] = hierarchy.structure
         x, inner = solvers.pcg_solve(h, rhs, hierarchy, rtol=rtol, maxiter=400)
-        return x, "amg", inner
-    if method == "diag-cg":
-        x, inner = solvers.pcg_solve(h, rhs, h.diagonal(), rtol=rtol, maxiter=10_000)
-        return x, "diag-cg", inner
-    raise ValueError(f"unknown solver method {method!r}")
+    except solvers.SolverError as exc:
+        exc.amg_build_s = time.perf_counter() - build_started if build_s is None else build_s
+        raise
+    return x, "amg", inner, build_s
 
 
 def _forcing_term(
@@ -339,19 +338,19 @@ def _newton_direction(
     grad: np.ndarray,
     config: NewtonConfig,
     near_nullspace: np.ndarray,
-    build_times: list[float],
     pattern: SparsityPattern,
     rtol: float,
-) -> tuple[np.ndarray, str, int, float]:
+) -> tuple[np.ndarray, str, int, float, float]:
     """Descent direction from H d = -g, with escalating Tikhonov shifts.
 
-    A solve that raises ``SolverError`` (``IndefiniteSystemError`` when the
-    shifted H is not positive definite), or whose direction is not finite
-    or does not descend, moves on to the next shift; an all-zero H starts
-    shifted.  H holds its data in the slots of ``pattern``, as does every
-    shifted H; a pattern without a full diagonal raises ``ValueError``.
-    Every solve asks CG for ``rtol``; every AMG build adds its time to
-    ``build_times``.
+    Returns (d, path, inner, shift, amg_build_s).  A solve that raises
+    ``SolverError`` (``IndefiniteSystemError`` when the shifted H is not
+    positive definite), or whose direction is not finite or does not
+    descend, moves on to the next shift; an all-zero H starts shifted.  H
+    holds its data in the slots of ``pattern``, as does every shifted H; a
+    pattern without a full diagonal raises ``ValueError``.  Every solve
+    asks CG for ``rtol``; ``amg_build_s`` adds up the AMG builds of every
+    try, the refused ones included.
     """
     diagonal = pattern.diagonal_slots
     shifts = [0.0] if h.data.any() else []
@@ -359,23 +358,26 @@ def _newton_direction(
     shifts += [lam * SHIFT_GROWTH**k for k in range(SHIFT_TRIES)]
 
     last_error: str | None = None
+    amg_build_s = 0.0
     for shift in shifts:
         candidate = h
         if shift:
             candidate = pattern.matrix(h.data.copy())
             candidate.data[diagonal] += shift
         try:
-            d, path, inner = _solve_newton_system(
-                candidate, -grad, config.solver, near_nullspace, build_times, pattern, rtol
+            d, path, inner, build_s = _solve_newton_system(
+                candidate, -grad, config.solver, near_nullspace, pattern, rtol
             )
         except solvers.SolverError as exc:
+            amg_build_s += getattr(exc, "amg_build_s", 0.0)
             # the message only: the exception's traceback holds this frame, which
             # would keep the failed solve's arrays alive in a cycle until the
             # garbage collector runs
             last_error = str(exc)
             continue
+        amg_build_s += build_s
         if np.all(np.isfinite(d)) and float(grad @ d) < 0.0:
-            return d, path, inner, shift
+            return d, path, inner, shift, amg_build_s
     raise NewtonError(
         f"no descent direction after {len(shifts)} regularization attempts"
         + (f" (last solver error: {last_error})" if last_error is not None else "")
@@ -420,7 +422,7 @@ def newton_minimize(
     ``with_dirichlet`` and to any problem that shares the pattern; the
     hierarchy is the same to the bit either way (``solvers.build_amg``).
 
-    On the CG paths each step solves to its forcing term
+    On the AMG-CG path each step solves to its forcing term
     (``_forcing_term``), and the rule starts afresh with every call.
     """
     started = time.perf_counter()
@@ -474,9 +476,8 @@ def newton_minimize(
         eta = _forcing_term(grad_l2, previous_grad_l2, eta)
         previous_grad_l2 = grad_l2
         solve_started = time.perf_counter()
-        build_times: list[float] = []
-        d, path, inner, shift = _newton_direction(
-            hessian, grad, cfg, near_nullspace, build_times, problem.pattern, eta
+        d, path, inner, shift, amg_build_s = _newton_direction(
+            hessian, grad, cfg, near_nullspace, problem.pattern, eta
         )
         solve_s = time.perf_counter() - solve_started
         del hessian  # freed before the line search and the next Hessian: a lower peak memory
@@ -495,7 +496,7 @@ def newton_minimize(
                 grad_s=grad_s,
                 hessian_s=hessian_s,
                 solve_s=solve_s,
-                amg_build_s=math.fsum(build_times),
+                amg_build_s=amg_build_s,
                 linesearch_s=linesearch_s,
                 linesearch_evals=linesearch_evals,
                 cg_rtol=None if path == "direct" else eta,
@@ -533,7 +534,7 @@ def benchmark_initial_guess(problem: EnergyProblem) -> np.ndarray:
     zero = np.zeros(problem.n_dofs)
     grad = quad.gradient(zero)
     return _solve_newton_system(
-        quad.hessian(zero), -grad, "auto", problem.near_nullspace(), pattern=problem.pattern
+        quad.hessian(zero), -grad, "auto", problem.near_nullspace(), problem.pattern, 1e-8
     )[0]
 
 

@@ -13,7 +13,7 @@ from minfem.cli import (
     run_benchmark,
 )
 from minfem.coloring import ColoringError
-from minfem.minimize import NewtonError
+from minfem.minimize import NewtonConfig, NewtonError
 from minfem.solvers import SolverError
 
 
@@ -165,9 +165,18 @@ def test_runs_are_deterministic():
 
 
 def test_solver_override_flag():
-    report = run_benchmark("plaplace", [1], {"solver": "diag-cg"})
+    report = run_benchmark("plaplace", [1], NewtonConfig(solver="amg"))
     assert report.complete
     assert abs(report.rows[0].J - (-7.3411)) < 5e-4
+    log = report.results[0][0].iteration_log
+    assert log and all(rec.solver == "amg" and rec.inner_iterations > 0 for rec in log)
+
+
+def test_unknown_solver_is_a_usage_error(capsys):
+    assert main(["run", "plaplace", "--level", "1", "--solver", "diag-cg"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "--solver" in captured.err and "diag-cg" in captured.err
+    assert captured.out == ""
 
 
 def test_nonconvergence_yields_partial_report(monkeypatch, capsys):

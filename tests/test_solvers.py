@@ -328,20 +328,23 @@ def test_direct_and_amg_paths_agree():
 
 
 def test_auto_dispatch_paths():
+    def auto(a, b):
+        n = a.shape[0]
+        return _solve_newton_system(
+            a, b, "auto", np.ones((n, 1)), fem.SparsityPattern.from_csr(a), 1e-8
+        )
+
     small = laplacian_1d(33)
     b = np.arange(33, dtype=float)
-    x, path, _ = _solve_newton_system(small, b, "auto", np.ones((33, 1)))
-    assert path == "direct"
+    x, path, _, build_s = auto(small, b)
+    assert path == "direct" and build_s == 0.0
     assert np.allclose(x, solve_direct(small, b))
     # the threshold is inclusive: 15,000 unknowns still go direct
-    at_limit = laplacian_1d(DIRECT_DOF_LIMIT)
-    x, path, _ = _solve_newton_system(at_limit, np.ones(DIRECT_DOF_LIMIT), "auto", np.ones((DIRECT_DOF_LIMIT, 1)))
+    _, path, _, _ = auto(laplacian_1d(DIRECT_DOF_LIMIT), np.ones(DIRECT_DOF_LIMIT))
     assert path == "direct"
     above = laplacian_1d(DIRECT_DOF_LIMIT + 1)
-    x, path, inner = _solve_newton_system(
-        above, np.ones(DIRECT_DOF_LIMIT + 1), "auto", np.ones((DIRECT_DOF_LIMIT + 1, 1))
-    )
-    assert path == "amg" and inner > 0
+    x, path, inner, build_s = auto(above, np.ones(DIRECT_DOF_LIMIT + 1))
+    assert path == "amg" and inner > 0 and build_s > 0.0
     assert np.linalg.norm(above @ x - 1.0) <= 1e-8 * np.linalg.norm(np.ones(DIRECT_DOF_LIMIT + 1))
 
 
