@@ -20,16 +20,17 @@ recorded as a constant of ones, so its derivatives are 0 at x = 0 too, and
 the adjoint of ``x**1`` is passed back unchanged.  Non-finite values
 propagate through replays without raising; the caller decides.
 
-An operation whose operands are all constants is folded into a constant
-when recorded, so every instruction depends on the input, and a slot
-depends on it exactly when it is not a constant.  One rule (``_degree``)
-gives the degree in the input of each slot while its op keeps
-polynomials closed (sums, differences, products, gathers, negation,
-division by a constant, positive integer powers, contractions with a
-constant); an affine slot is one of degree 1.  The instructions up to a
-degree bound form a prefix, and the slots where it ends, read by the
-rest, are a ``Frontier``.  Degree at most 1 gives the linear frontier
-(``Program.frontier``), degree at most 4 the line programs.
+Recording computes only an operation whose operands are all constants,
+and folds it into a constant; every other slot's shape follows from its
+operands' by one rule (``_shape``).  So every instruction depends on the
+input, and a slot depends on it exactly when it is not a constant.  One
+rule (``_degree``) gives the degree in the input of each slot while its
+op keeps polynomials closed (sums, differences, products, gathers,
+negation, division by a constant, positive integer powers, contractions
+with a constant); an affine slot is one of degree 1.  The instructions
+up to a degree bound form a prefix, and the slots where it ends, read by
+the rest, are a ``Frontier``.  Degree at most 1 gives the linear
+frontier (``Program.frontier``), degree at most 4 the line programs.
 
 ``Program.along(u, d)`` gives J(u + alpha d) as a small program over
 [alpha] for the line search.  It propagates univariate Taylor
@@ -67,8 +68,8 @@ sum over fewer than 8 columns adds the columns one by one, which is what
 ``+ 0.0``); wider rows still go through ``np.sum``.  The adjoint of a
 gather scatter-adds with ``np.bincount``, which, like ``np.add.at`` on a
 zero vector, adds each entry onto 0.0 in index order; gathers are taken
-from vectors only, and negative indices are wrapped when recorded.  The
-reverse sweep computes no adjoint for a constant operand.
+from vectors only; an index out of range is refused when recorded and a
+negative one wrapped.  No adjoint is computed for a constant operand.
 """
 
 from __future__ import annotations
@@ -399,6 +400,19 @@ class Instr:
     aux: Any = None
 
 
+def _shape(ins: Instr, shapes) -> tuple[int, ...]:
+    # the shape of the slot ins writes, from its operands', as numpy gives it
+    if ins.op == "take":
+        return np.shape(ins.aux)
+    if ins.op in ("sum", "dot"):
+        return ()
+    if ins.op == "sum_rows":
+        return shapes[ins.args[0]][:-1]
+    if ins.op == "matmul":
+        return shapes[ins.args[0]][:-1] + shapes[ins.args[1]][1:]
+    return np.broadcast_shapes(*(shapes[s] for s in ins.args))
+
+
 class Var:
     """Handle to a tape slot during recording."""
 
@@ -474,14 +488,14 @@ class Var:
 class Recorder:
     """Records an array program over one input vector.
 
-    The recording replays each primitive on an all-zeros input so that
-    shapes are concrete; the recorded values are discarded.
+    Each slot's shape follows from its operands' by one rule (``_shape``);
+    only an operation on constants alone is computed, and folded into one.
     """
 
     def __init__(self, n_inputs: int):
         self.n_inputs = int(n_inputs)
         self._instrs: list[Instr] = []
-        self._values: list[Any] = [np.zeros(self.n_inputs)]
+        self._shapes: list[tuple[int, ...]] = [(self.n_inputs,)]
         self._consts: dict[int, np.ndarray | float] = {}
         self._const_cache: dict[int, int] = {}
         self._const_keepalive: list = []  # ids in the cache must stay live
@@ -494,13 +508,13 @@ class Recorder:
         key = id(value)
         if key in self._const_cache:
             slot = self._const_cache[key]
-            return Var(self, slot, np.shape(self._values[slot]))
+            return Var(self, slot, self._shapes[slot])
         if isinstance(value, (int, float, np.floating, np.integer)):
             stored: np.ndarray | float = float(value)
         else:
             stored = np.asarray(value, dtype=float)
-        slot = len(self._values)
-        self._values.append(stored)
+        slot = len(self._shapes)
+        self._shapes.append(np.shape(stored))
         self._consts[slot] = stored
         self._const_cache[key] = slot
         self._const_keepalive.append(value)
@@ -515,25 +529,25 @@ class Recorder:
 
     def _emit(self, op: str, args: tuple[Var, ...], aux=None) -> Var:
         slots = tuple(a.slot for a in args)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            value = _FORWARD[op]([self._values[s] for s in slots], aux)
         if all(s in self._consts for s in slots):
             # nothing here depends on the input: fold it into a constant
-            return self.constant(value)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                return self.constant(_FORWARD[op]([self._consts[s] for s in slots], aux))
+        ins = Instr(op, len(self._shapes), slots, aux)
+        shape = _shape(ins, self._shapes)
         # numpy lines tangents up with values only if no operand that depends
         # on the input is broadcast; its adjoint is never summed back either
-        shapes = [np.shape(self._values[s]) for s in slots]
+        shapes = [a.shape for a in args]
         if op in ("add", "sub", "mul", "div") and any(
-            s not in self._consts and shape != np.shape(value) for s, shape in zip(slots, shapes)
+            s not in self._consts and a != shape for s, a in zip(slots, shapes)
         ):
             raise TypeError(
                 f"{op!r} broadcasts an operand that depends on the input: "
-                f"operand shapes {shapes}, result shape {np.shape(value)}"
+                f"operand shapes {shapes}, result shape {shape}"
             )
-        out = len(self._values)
-        self._values.append(value)
-        self._instrs.append(Instr(op, out, slots, aux))
-        return Var(self, out, np.shape(value))
+        self._shapes.append(shape)
+        self._instrs.append(ins)
+        return Var(self, ins.out, shape)
 
     # -- primitives ---------------------------------------------------------
 
@@ -549,9 +563,12 @@ class Recorder:
             raise TypeError("gather index must be an integer array")
         if len(a.shape) != 1:
             raise TypeError(f"gather needs a 1-D operand, got shape {a.shape}")
+        n = a.shape[0]
+        if idx.size and not -n <= idx.min() <= idx.max() < n:
+            raise IndexError(f"gather index out of range for an operand of length {n}")
         if idx.dtype.kind == "i" and (idx < 0).any():
             # the reverse sweep's bincount takes only non-negative indices
-            idx = np.where(idx < 0, idx + a.shape[0], idx)
+            idx = np.where(idx < 0, idx + n, idx)
         return self._emit("take", (a,), idx)
 
     def _matmul(self, a: Var, m: np.ndarray) -> Var:
@@ -575,11 +592,11 @@ class Recorder:
 
     def build(self, output: Var) -> "Program":
         """Freeze the tape with ``output`` as the scalar result."""
-        if np.shape(self._values[output.slot]) != ():
+        if self._shapes[output.slot] != ():
             raise ValueError("program output must be a scalar")
         return Program(
             instrs=tuple(self._instrs),
-            n_slots=len(self._values),
+            shapes=tuple(self._shapes),
             n_inputs=self.n_inputs,
             input_slot=0,
             output_slot=output.slot,
@@ -773,19 +790,6 @@ class ElementCut:
         return tuple(runs)
 
 
-def _ndim(ins: Instr, ndim: dict[int, int]) -> int:
-    # the number of axes of the slot ins writes, from its operands'
-    if ins.op == "take":
-        return np.ndim(ins.aux)
-    if ins.op in ("sum", "dot"):
-        return 0
-    if ins.op == "sum_rows":
-        return ndim[ins.args[0]] - 1
-    if ins.op == "matmul":
-        return ndim[ins.args[0]] + ndim[ins.args[1]] - 2
-    return max(ndim[s] for s in ins.args)
-
-
 def _element_slots(program: "Program") -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The gathers' slots (tape order) and the per-element frontier slots,
     after one pass that checks that the tape is a sum of element densities
@@ -797,16 +801,14 @@ def _element_slots(program: "Program") -> tuple[tuple[int, ...], tuple[int, ...]
     one number of axes n, and no constant operand has more than n.  A
     linear slot enters the energy only linearly: it has degree 1
     (``_degree``) in per-element and linear slots, as the density sum and
-    a load term have.  Only numbers of axes are read, so nothing is
-    replayed.
+    a load term have.  Only numbers of axes are read (``Program.shapes``),
+    so nothing is replayed.
     """
     consts = program.consts
-    ndim = {slot: np.ndim(value) for slot, value in consts.items()}
-    ndim[program.input_slot] = 1
+    ndim = [len(shape) for shape in program.shapes]
     # the per-element and linear slots, each of degree 1 to the linear test
     gathers, rows, degree = [], set(), {program.input_slot: 1}
     for ins in program.instrs:
-        ndim[ins.out] = _ndim(ins, ndim)
         n = max(ndim[s] for s in ins.args if s not in consts)
         if ins.op == "take" and ins.args[0] == program.input_slot:
             gathers.append(ins.out)
@@ -890,9 +892,11 @@ def _element_cut(program: "Program") -> ElementCut:
     """
     n_elems, n_local = program.element_dofs.shape
     gathers, slots = _element_slots(program)
+    row_shapes = tuple(program.shapes[slot][1:] for slot in slots)
+    width = sum(int(np.prod(shape)) for shape in row_shapes)
+    jacobian = np.empty((n_elems, width, n_local))
     c = len(gathers)
     eye = np.eye(n_local)
-    jacobian = None
     for start in range(0, n_local, _ELEMENT_PROBE_BLOCK):
         stop = min(start + _ELEMENT_PROBE_BLOCK, n_local)
         # one-hot local directions, in the order of element_dofs
@@ -901,10 +905,6 @@ def _element_cut(program: "Program") -> ElementCut:
             for k, g in enumerate(gathers)
         }
         ws = program._forward(np.zeros(program.n_inputs), seeds, program.frontier.prefix)
-        if jacobian is None:
-            row_shapes = tuple(ws[slot].val.shape[1:] for slot in slots)
-            width = sum(int(np.prod(shape)) for shape in row_shapes)
-            jacobian = np.empty((n_elems, width, n_local))
         row = 0
         for slot, shape in zip(slots, row_shapes):
             entries = int(np.prod(shape))
@@ -923,14 +923,16 @@ def _element_cut(program: "Program") -> ElementCut:
 
 @dataclass(frozen=True, eq=False)
 class Program:
-    """A recorded scalar-valued array program over one input vector."""
+    """A recorded scalar-valued array program over one input vector; ``shapes[s]`` is slot s's."""
 
     instrs: tuple[Instr, ...]
-    n_slots: int
+    shapes: tuple[tuple[int, ...], ...]
     n_inputs: int
     input_slot: int
     output_slot: int
     consts: dict[int, np.ndarray | float]
+
+    n_slots = property(lambda self: len(self.shapes))
 
     def signature(self) -> bytes:
         """Deterministic byte serialization of the tape and constants."""
@@ -1111,6 +1113,7 @@ class Program:
                         ws[s] = None  # a lower peak memory
         alpha_input, alpha = self.n_slots, self.n_slots + 1
         instrs = [Instr("take", alpha, (alpha_input,), np.asarray(0))]
+        shapes = [*self.shapes, (1,), ()]
         consts = {s: self.consts[s] for ins in split.suffix for s in ins.args if s in self.consts}
         slot = self.n_slots + 2
         for out in split.slots:
@@ -1125,10 +1128,11 @@ class Program:
                 instrs += [Instr("mul", scaled, (alpha, acc)), Instr("add", total, (coef, scaled))]
                 acc = total
                 slot += 3
+            shapes += [self.shapes[out]] * (slot - len(shapes))  # each step's shape is out's
         instrs += split.suffix
         return LineProgram(
             instrs=tuple(instrs),
-            n_slots=slot,
+            shapes=tuple(shapes),
             n_inputs=1,
             input_slot=alpha_input,
             output_slot=self.output_slot,

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -15,7 +16,8 @@ from helpers import (
 )
 from minfem import autodiff
 from minfem.autodiff import Recorder, dot, log
-from minfem.energies import build_problem
+from minfem.energies import build_problem, problem_from_mesh
+from minfem.mesh import build_bar_mesh, build_lshape_mesh, build_square_mesh
 
 
 def sum_of_squares_program(n=3):
@@ -655,6 +657,49 @@ def test_operations_on_constants_are_folded():
     assert program.evaluate(np.array([1.0, 1.0])) == 4.0 + 7.0
 
 
+def count_forward_rules(monkeypatch) -> collections.Counter:
+    """Count every call of a replay rule, by op, from here on."""
+    calls = collections.Counter()
+    for op, rule in list(autodiff._FORWARD.items()):
+
+        def counted(v, aux, op=op, rule=rule):
+            calls[op] += 1
+            return rule(v, aux)
+
+        monkeypatch.setitem(autodiff._FORWARD, op, counted)
+    return calls
+
+
+def test_recording_replays_nothing_but_folds_of_constants(monkeypatch):
+    meshes = [
+        ("plaplace", build_lshape_mesh(1)),
+        ("ginzburg_landau", build_square_mesh(1)),
+        ("neohooke", build_bar_mesh(1)),
+    ]
+    calls = count_forward_rules(monkeypatch)
+    for kind, mesh in meshes:
+        problem_from_mesh(kind, mesh)
+        assert calls == {}, kind
+    # an operation on constants alone is computed once, to fold it
+    rec = Recorder(3)
+    twice = rec.constant(np.ones(3)) * 2.0
+    program = rec.build((twice * rec.input_var).sum())
+    assert calls == {"mul": 1}
+    assert twice.slot in program.consts and [ins.op for ins in program.instrs] == ["mul", "sum"]
+    assert_same_bits(program.consts[twice.slot], np.full(3, 2.0))
+
+
+def test_out_of_range_gathers_are_refused_when_recorded():
+    rec = Recorder(4)
+    for idx in (np.array([[0, 1], [2, 4]]), np.array([[-5, 1]])):
+        with pytest.raises(IndexError, match="out of range for an operand of length 4"):
+            rec.input_var[idx]
+    # an index in range that is negative wraps, as numpy's does
+    program = rec.build((rec.input_var[np.array([[-1, 0]])] ** 2).sum())
+    assert program.instrs[0].aux.tolist() == [[3, 0]]
+    assert program.evaluate(U4) == np.sum(U4[[3, 0]] ** 2)
+
+
 def test_element_hessians_of_linear_terms_are_zero():
     rec = Recorder(3)
     v = rec.input_var
@@ -875,3 +920,49 @@ def test_a_refused_tape_gets_its_hessian_by_colored_recovery():
     got = problem.hessian(U4).toarray()
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert np.abs(want).max() > 1.0
+
+
+def assert_shapes_match_a_replay(tape, u):
+    # every slot an instruction writes holds a value of the recorded shape
+    ws = tape._forward(u)
+    for ins in tape.instrs:
+        assert tape.shapes[ins.out] == np.shape(ws[ins.out]), ins
+
+
+IDX3 = np.array([[[0, 1], [1, 2], [2, 3]], [[3, 0], [0, 2], [1, 3]]])
+
+SHAPE_RULE_TAPES = [
+    pytest.param(
+        lambda v, g, z: ((g * np.array([1.0, -1.0]) + np.ones((1, 2))) * 2.0).sum()
+        + (1.0 - z).sum(),
+        id="broadcast-constants",
+    ),
+    pytest.param(
+        lambda v, g, z: (g @ np.array([0.5, 2.0]) + (g @ M2).sum(axis=1)).sum()
+        + ((v[IDX3] @ M2) ** 2).sum(),
+        id="matmul-by-vectors-and-matrices",
+    ),
+    pytest.param(
+        lambda v, g, z: (v @ np.ones((4, 2))).sum() + np.ones(4) @ v + dot(z, z**2),
+        id="contractions-of-vectors",
+    ),
+    *SUMS_OF_ELEMENT_DENSITIES,
+]
+
+
+@pytest.mark.parametrize("energy", SHAPE_RULE_TAPES)
+def test_the_shape_rule_agrees_with_numpy_on_tiny_tapes(energy):
+    rng = np.random.default_rng(79)
+    program = row_sum_tape(energy)
+    assert_shapes_match_a_replay(program, rng.standard_normal(4))
+    line = program.along(rng.standard_normal(4), rng.standard_normal(4))
+    assert_shapes_match_a_replay(line, rng.standard_normal(1))
+
+
+def test_the_shape_rule_agrees_with_numpy_on_benchmarks(small_benchmarks):
+    rng = np.random.default_rng(83)
+    for problem in [*small_benchmarks, build_problem("neohooke", 1)]:
+        u = random_benchmark_state(problem, rng)
+        assert_shapes_match_a_replay(problem.program, problem.full_field(u))
+        line = problem.along(u, random_benchmark_state(problem, rng) - u)
+        assert_shapes_match_a_replay(line, rng.uniform(0.0, 2.0, 1))
