@@ -14,11 +14,13 @@ input-dependent operand has another shape than the result raises
 
 The primitive set is exactly what the benchmark energies need: gather by
 an index matrix, elementwise arithmetic, scalar powers, log, abs, row/full
-sums, dot products, and products against constant matrices.  ``abs``
-differentiates with sign(x), taking the value 0 at x = 0; ``x**0`` is
-recorded as a constant of ones, so its derivatives are 0 at x = 0 too, and
-the adjoint of ``x**1`` is passed back unchanged.  Non-finite values
-propagate through replays without raising; the caller decides.
+sums, and products against constant matrices and vectors.  Shorthands are
+recorded as the primitives they stand for: a dot product of two vectors
+(``dot`` or ``@``) as their product and its sum, ``-x`` as ``x * -1.0``,
+``x**1`` as ``x`` itself and ``x**0`` as a constant of ones, so the
+derivatives of ``x**0`` are 0 at x = 0.  ``abs`` differentiates with
+sign(x), taking the value 0 at x = 0.  Non-finite values propagate
+through replays without raising; the caller decides.
 
 Recording computes only an operation whose operands are all constants,
 and folds it into a constant; every other slot's shape follows from its
@@ -26,8 +28,8 @@ operands' by one rule (``_shape``).  So every instruction depends on the
 input, and a slot depends on it exactly when it is not a constant.  One
 rule (``_degree``) gives the degree in the input of each slot while its
 op keeps polynomials closed (sums, differences, products, gathers,
-negation, division by a constant, positive integer powers, contractions
-with a constant); an affine slot is one of degree 1.  The instructions
+division by a constant, positive integer powers, contractions with a
+constant); an affine slot is one of degree 1.  The instructions
 up to a degree bound form a prefix, and the slots where it ends, read by
 the rest, are a ``Frontier``.  Degree at most 1 gives the linear
 frontier (``Program.frontier``), degree at most 4 the line programs.
@@ -172,7 +174,7 @@ def _div(a, b):
 def _pow(a, e):
     if not isinstance(a, _Dual):
         return a**e
-    if e == 1.0:
+    if e == 1.0:  # the adjoint of every square takes a**1
         return _Dual(a.val**e, a.dot)
     return _Dual(a.val**e, a.dot * (e * a.val ** (e - 1.0)))
 
@@ -240,19 +242,6 @@ def _bcast_full(g, shape):
         dot = g.dot.reshape(g.dot.shape + (1,) * len(shape))
         return _Dual(_bcast_full(g.val, shape), np.broadcast_to(dot, g.dot.shape + shape))
     return np.broadcast_to(np.asarray(g), shape)
-
-
-def _vdot(a, b):
-    # 1-D dot product, scalar result
-    if not isinstance(a, _Dual) and not isinstance(b, _Dual):
-        return float(a @ b)
-    val = float(_val(a) @ _val(b))
-    dot = 0.0
-    if isinstance(a, _Dual):
-        dot = dot + a.dot @ _val(b)
-    if isinstance(b, _Dual):
-        dot = dot + b.dot @ _val(a)
-    return _Dual(val, dot)
 
 
 def _stack_matmul(a, m):
@@ -368,22 +357,16 @@ def _poly_pow(a, e):
         base = _square(base)
 
 
-def _poly_dot(a, b):
-    return _Poly(a.c @ b) if isinstance(a, _Poly) else _Poly(b.c @ a)
-
-
 # each rule is called only where _degree gives a degree
 _POLY: dict[str, Callable] = {
     "add": lambda v, aux: _poly_sum(v[0], v[1], False),
     "sub": lambda v, aux: _poly_sum(v[0], v[1], True),
     "mul": lambda v, aux: _poly_mul(v[0], v[1]),
     "div": lambda v, aux: _Poly(v[0].c / v[1]),
-    "neg": lambda v, aux: _Poly(-v[0].c),
     "pow": lambda v, aux: _poly_pow(v[0], aux),
     "sum": lambda v, aux: _Poly(v[0].c.reshape(len(v[0].c), -1).sum(axis=1)),
     "sum_rows": lambda v, aux: _Poly(_sum_rows(v[0].c)),
     "take": lambda v, aux: _Poly(np.take(v[0].c, aux, axis=1)),
-    "dot": lambda v, aux: _poly_dot(v[0], v[1]),
     "matmul": lambda v, aux: _Poly(_stack_matmul(v[0].c, v[1])),
 }
 
@@ -404,7 +387,7 @@ def _shape(ins: Instr, shapes) -> tuple[int, ...]:
     # the shape of the slot ins writes, from its operands', as numpy gives it
     if ins.op == "take":
         return np.shape(ins.aux)
-    if ins.op in ("sum", "dot"):
+    if ins.op == "sum":
         return ()
     if ins.op == "sum_rows":
         return shapes[ins.args[0]][:-1]
@@ -447,7 +430,7 @@ class Var:
         return self.rec._binary("div", other, self)
 
     def __neg__(self):
-        return self.rec._unary("neg", self)
+        return self.rec._binary("mul", self, -1.0)
 
     def __abs__(self):
         return self.rec._unary("abs", self)
@@ -458,6 +441,8 @@ class Var:
         if exponent == 0:
             # x**0 = 1 everywhere, NaN included, with derivative 0
             return self.rec.constant(np.ones(self.shape))
+        if exponent == 1:
+            return self
         return self.rec._unary("pow", self, aux=float(exponent))
 
     def __matmul__(self, other):
@@ -469,7 +454,7 @@ class Var:
         return self.rec._matmul(self, other)
 
     def __rmatmul__(self, other):
-        # plain_vector @ var is a 1-D dot product
+        # plain_vector @ var is a dot product
         return self.rec._dot(other, self)
 
     def __getitem__(self, idx):
@@ -585,13 +570,15 @@ class Recorder:
             raise TypeError(f"dot products need 1-D operands, got shapes {sa} and {sb}")
         if sa != sb:
             raise ValueError(f"dot product contracts mismatched lengths: shapes {sa} and {sb}")
-        return self._emit("dot", (self._as_var(a), self._as_var(b)))
+        return self._binary("mul", a, b).sum()
 
     def log(self, a: Var) -> Var:
         return self._unary("log", a)
 
     def build(self, output: Var) -> "Program":
         """Freeze the tape with ``output`` as the scalar result."""
+        if output.rec is not self:
+            raise ValueError("program output recorded on another tape")
         if self._shapes[output.slot] != ():
             raise ValueError("program output must be a scalar")
         return Program(
@@ -628,14 +615,12 @@ _FORWARD: dict[str, Callable] = {
     "sub": lambda v, aux: _sub(v[0], v[1]),
     "mul": lambda v, aux: _mul(v[0], v[1]),
     "div": lambda v, aux: _div(v[0], v[1]),
-    "neg": lambda v, aux: _neg(v[0]),
     "abs": lambda v, aux: _abs(v[0]),
     "pow": lambda v, aux: _pow(v[0], aux),
     "log": lambda v, aux: _log(v[0]),
     "sum": lambda v, aux: _sum_all(v[0]),
     "sum_rows": lambda v, aux: _sum_rows(v[0]),
     "take": lambda v, aux: _take(v[0], aux),
-    "dot": lambda v, aux: _vdot(v[0], v[1]),
     "matmul": lambda v, aux: _matmul(v[0], _val(v[1])),
 }
 
@@ -656,21 +641,14 @@ def _vjp(instr: Instr, ws: list, g, consts: dict) -> list[tuple[int, Any]]:
         return each(lambda: g, lambda: g)
     if op == "sub":
         return each(lambda: g, lambda: _neg(g))
-    if op == "dot":
-        # spread the scalar adjoint over the vectors' entries
-        g = _bcast_full(g, np.shape(_val(a)))
-    if op == "mul" or op == "dot":
+    if op == "mul":
         return each(lambda: _mul(g, ws[args[1]]), lambda: _mul(g, a))
     if op == "div":
         da = _div(g, ws[args[1]])
         return each(lambda: da, lambda: _neg(_mul(da, ws[instr.out])))
-    if op == "neg":
-        return each(lambda: _neg(g))
     if op == "abs":
         return each(lambda: _mul(g, np.sign(_val(a))))
     if op == "pow":
-        if aux == 1.0:
-            return each(lambda: g)
         return each(lambda: _mul(g, _mul(_pow(a, aux - 1.0), aux)))
     if op == "log":
         return each(lambda: _div(g, a))
@@ -703,9 +681,9 @@ def _degree(ins: Instr, degree: dict[int, int], consts: dict) -> int | None:
     if op in ("add", "sub"):
         return max(degree[s] for s in live)
     # a contraction with a constant keeps the degree, as a product with one does
-    if op == "mul" or (op in ("dot", "matmul") and len(live) == 1):
+    if op == "mul" or (op == "matmul" and len(live) == 1):
         return sum(degree[s] for s in live)
-    if op in ("take", "neg", "sum", "sum_rows") or (op == "div" and args[1] in consts):
+    if op in ("take", "sum", "sum_rows") or (op == "div" and args[1] in consts):
         return degree[args[0]]
     if op == "pow" and ins.aux > 0 and float(ins.aux).is_integer():
         return degree[args[0]] * int(ins.aux)
@@ -797,7 +775,7 @@ def _element_slots(program: "Program") -> tuple[tuple[int, ...], tuple[int, ...]
 
     Each slot must be per-element or linear.  A per-element slot is a
     gather from the input or is built row by row from them: its op is not
-    ``take``, ``sum`` or ``dot``, its live operands are per-element with
+    ``take`` or ``sum``, its live operands are per-element with
     one number of axes n, and no constant operand has more than n.  A
     linear slot enters the energy only linearly: it has degree 1
     (``_degree``) in per-element and linear slots, as the density sum and
@@ -813,7 +791,7 @@ def _element_slots(program: "Program") -> tuple[tuple[int, ...], tuple[int, ...]
         if ins.op == "take" and ins.args[0] == program.input_slot:
             gathers.append(ins.out)
             rows.add(ins.out)
-        elif ins.op not in ("take", "sum", "dot") and all(
+        elif ins.op not in ("take", "sum") and all(
             s in rows and ndim[s] == n if s not in consts else ndim[s] <= n for s in ins.args
         ):
             rows.add(ins.out)
@@ -843,14 +821,13 @@ def _interaction_pattern(program: "Program", slots, shapes) -> np.ndarray:
     array of shape row shape + (F,), or (F,) where every entry has the
     same set).  Elementwise ops union their operands' sets entry by
     entry; the ops that mix entries (``sum_rows``, ``sum``, ``take``,
-    ``dot``, ``matmul``) give the union of all.  The nonlinear ops record
+    ``matmul``) give the union of all.  The nonlinear ops record
     couplings, as nonlinear interaction domains do (Walther, ACM TOMS
-    34(1), 2008): a product or dot product of two live operands couples
-    them, a live denominator couples itself and the numerator, and a
-    power other than 1 (``x**0`` is recorded as a constant) and a log
-    couple their operand with itself.  ``abs`` is piecewise linear and
-    couples nothing.  The pattern so holds every entry of W'' that is
-    nonzero at some input.
+    34(1), 2008): a product of two live operands couples them, a live
+    denominator couples itself and the numerator, and a power (``x**0``
+    and ``x**1`` are not recorded as one) and a log couple their operand
+    with itself.  ``abs`` is piecewise linear and couples nothing.  The
+    pattern so holds every entry of W'' that is nonzero at some input.
     """
     width = sum(int(np.prod(shape)) for shape in shapes)
     eye = np.eye(width, dtype=bool)
@@ -864,14 +841,14 @@ def _interaction_pattern(program: "Program", slots, shapes) -> np.ndarray:
     for ins in program.frontier.suffix:
         op, args = ins.op, ins.args
         live = [deps.get(s, none) for s in args if s not in program.consts]
-        if op in ("mul", "dot") and len(live) == 2:
+        if op == "mul" and len(live) == 2:
             _couple(pattern, live[0], live[1])
         elif op == "div" and args[1] not in program.consts:
             for other in live:  # the denominator itself and a live numerator
                 _couple(pattern, live[-1], other)
-        elif (op == "pow" and ins.aux != 1.0) or op == "log":
+        elif op in ("pow", "log"):
             _couple(pattern, live[0], live[0])
-        if op in ("sum_rows", "sum", "take", "dot", "matmul"):
+        if op in ("sum_rows", "sum", "take", "matmul"):
             live = [d.reshape(-1, width).any(0) for d in live]
         deps[ins.out] = functools.reduce(np.logical_or, live)
     return pattern
@@ -1048,9 +1025,10 @@ class Program:
         input (tape order), so L = c * npe; for c interleaved components
         gathered one per component, a is node i, component k.
         ``element_hessians`` and ``fem.element_slots`` follow this table.
-        Raises ``ValueError`` when anything but gathers and dot products
-        with a constant reads the input, or when the gathers are not all
-        by one (E, npe) matrix.
+        Besides the gathers, the input may be read only by products with a
+        constant (a load term ``dot(f, v)`` is recorded as ``f * v`` and
+        its sum); ``ValueError`` when anything else reads it, or when the
+        gathers are not all by one (E, npe) matrix.
         """
         gathers = []
         for ins in self.instrs:
@@ -1058,7 +1036,7 @@ class Program:
                 continue
             if ins.op == "take":
                 gathers.append(ins.aux)
-            elif not (ins.op == "dot" and sum(s not in self.consts for s in ins.args) == 1):
+            elif not (ins.op == "mul" and sum(s not in self.consts for s in ins.args) == 1):
                 raise ValueError(f"the input is read by {ins.op!r}, not only by gathers")
         if len({idx.shape for idx in gathers}) != 1 or gathers[0].ndim != 2:
             raise ValueError("element Hessians need gathers from the input by one (E, npe) matrix")

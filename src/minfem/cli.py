@@ -32,8 +32,9 @@ __all__ = ["BenchmarkReport", "ReportRow", "run_benchmark", "report_table", "exp
 
 BENCHMARK_NAMES = {"plaplace": "plaplace", "gl": "ginzburg_landau", "hyper": "neohooke"}
 CSV_HEADER = "dofs,setup_s,solve_s,iters,J"
-# failures that end a level with a partial report instead of a traceback
-LEVEL_ERRORS = (NewtonError, SolverError, ColoringError)
+# failures that end a level with a partial report instead of a traceback;
+# MemoryError covers a level too large to build
+LEVEL_ERRORS = (NewtonError, SolverError, ColoringError, MemoryError)
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,10 @@ def run_benchmark(
     """Build and minimize each level, timing setup and solve separately.
 
     ``name`` is one of plaplace | gl | hyper; ``config`` None means
-    ``NewtonConfig()``.  Nonconvergence, or a solver or Hessian failure
-    anywhere in a level (the initial guess included), stops the run and
-    yields a partial report (``complete = False`` with ``error`` set).
+    ``NewtonConfig()``.  Nonconvergence, a solver or Hessian failure
+    anywhere in a level (the initial guess included), or a level too
+    large to build stops the run and yields a partial report (``complete
+    = False`` with ``error`` naming the level).
     """
     if name not in BENCHMARK_NAMES:
         raise ValueError(f"unknown benchmark {name!r}; expected one of {sorted(BENCHMARK_NAMES)}")
@@ -134,7 +136,7 @@ def run_benchmark(
             rows, results = _run_level(kind, level, config)
         except LEVEL_ERRORS as exc:
             report.complete = False
-            report.error = str(exc)
+            report.error = f"level {level}: {exc}"
             break
         report.rows.extend(rows)
         report.results.extend(results)

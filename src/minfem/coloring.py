@@ -70,7 +70,8 @@ def color_pattern(pattern: SparsityPattern) -> Coloring:
     degree = np.diff(a.indptr)
     order = np.lexsort((np.arange(n), -degree))
     color = [-1] * n
-    indptr, indices = conflict.indptr.tolist(), conflict.indices.tolist()
+    # memoryviews, as in solvers._aggregate: no Python int per stored entry
+    indptr, indices = memoryview(conflict.indptr), memoryview(conflict.indices)
     for j in order.tolist():
         used = {color[i] for i in indices[indptr[j] : indptr[j + 1]]}
         c = 0

@@ -81,6 +81,16 @@ def _check_level(level: int) -> None:
         raise ValueError(f"refinement level must be a positive integer, got {level!r}")
 
 
+def _check_size(elem_entries: int) -> None:
+    # the element table is a builder's largest array; numpy refuses one of
+    # more bytes than its index type holds with a bare ValueError
+    if elem_entries * np.dtype(np.int64).itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(
+            f"mesh too large: its element table of {elem_entries} entries "
+            "exceeds numpy's index range"
+        )
+
+
 def _split_cells_into_triangles(ll, lr, ul, ur) -> np.ndarray:
     # lower-left -> upper-right diagonal; both triangles counterclockwise
     n = ll.size
@@ -104,6 +114,7 @@ def build_lshape_mesh(level: int) -> MeshData:
     n = 2 ** (level + 2)  # cells per side of the bounding square
     m = n // 2
     h = 2.0 / n
+    _check_size(6 * (n * n - m * m))
 
     jj, ii = np.mgrid[0 : n + 1, 0 : n + 1]  # y-major enumeration
     keep = (ii <= m) | (jj <= m)
@@ -144,6 +155,7 @@ def build_square_mesh(level: int) -> MeshData:
     _check_level(level)
     n = 2 ** (level + 2)
     h = 2.0 / n
+    _check_size(6 * n * n)
 
     jj, ii = np.mgrid[0 : n + 1, 0 : n + 1]
     ik = ii.ravel()
@@ -224,4 +236,6 @@ def build_bar_mesh(level: int) -> MeshData:
     """
     _check_level(level)
     f = 2 ** (level - 1)
-    return bar_mesh_from_cells(80 * f, 2 * f, 2 * f, BAR_CELL_SIZE / f)
+    nx, ny, nz = 80 * f, 2 * f, 2 * f
+    _check_size(24 * nx * ny * nz)  # six tetrahedra of 4 nodes per cell
+    return bar_mesh_from_cells(nx, ny, nz, BAR_CELL_SIZE / f)

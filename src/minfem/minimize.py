@@ -171,18 +171,25 @@ class MinimizeResult:
     relative) or ``"max_iters"`` (neither, after ``max_iters`` steps: the
     iterate carried by the ``NewtonError`` raised then).
     ``solve_s`` is the wall time of the ``newton_minimize`` call that
-    produced it.
+    produced it.  ``iterations`` and ``converged`` are read from
+    ``iteration_log`` and ``stop_reason``.
     """
 
     u_star: np.ndarray
     u_full: np.ndarray
     energy: float
-    iterations: int
     grad_norm: float
     iteration_log: tuple[IterationRecord, ...]
-    converged: bool
     stop_reason: str
     solve_s: float
+
+    @property
+    def iterations(self) -> int:
+        return len(self.iteration_log)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "max_iters"
 
 
 class NewtonError(RuntimeError):
@@ -447,10 +454,8 @@ def newton_minimize(
             u_star=u,
             u_full=problem.full_field(u),
             energy=energy,
-            iterations=len(log),
             grad_norm=grad_norm,
             iteration_log=tuple(log),
-            converged=stop_reason != "max_iters",
             stop_reason=stop_reason,
             solve_s=time.perf_counter() - started,
         )

@@ -166,7 +166,8 @@ def test_one_dimensional_matmul_records_a_dot_product(var_first):
     rec = Recorder(3)
     cubes = rec.input_var**3
     prog = rec.build(cubes @ w if var_first else w @ cubes)
-    assert [ins.op for ins in prog.instrs] == ["pow", "dot"]
+    # a dot product is recorded as the product and its sum
+    assert [ins.op for ins in prog.instrs] == ["pow", "mul", "sum"]
     assert prog.evaluate(u) == np.dot(u**3.0, w)
     assert np.allclose(prog.gradient(u), 3.0 * u**2 * w, rtol=1e-15, atol=0.0)
 
@@ -425,7 +426,7 @@ def test_element_hessians_reject_other_reads_of_the_input():
     rec = Recorder(3)
     v = rec.input_var
     prog = rec.build((v[np.array([[0, 1], [1, 2]])] ** 2).sum() + dot(v, v))
-    with pytest.raises(ValueError, match="'dot'"):
+    with pytest.raises(ValueError, match="'mul'"):
         prog.element_hessians(np.zeros(3))
 
 
@@ -443,8 +444,8 @@ def test_frontier_of_benchmark_tapes(small_benchmarks):
     assert len(bar.frontier.prefix) + len(bar.frontier.suffix) == len(bar.instrs)
     # Ginzburg-Landau: f_x, f_y and v_elems @ ip
     assert ops_of(gl, gl.frontier.slots) == ["sum_rows", "sum_rows", "matmul"]
-    # p-Laplace: f_x, f_y and the load term's dot product
-    assert ops_of(pl, pl.frontier.slots) == ["sum_rows", "sum_rows", "dot"]
+    # p-Laplace: f_x, f_y and the load term, the sum of f * v
+    assert ops_of(pl, pl.frontier.slots) == ["sum_rows", "sum_rows", "sum"]
 
 
 def test_along_matches_evaluate_on_benchmarks(small_benchmarks):
@@ -573,7 +574,7 @@ def test_line_programs_of_benchmarks_evaluate_polynomials_by_horner(small_benchm
     writers = {ins.out: ins for ins in program.instrs}
     ((grad2, grad2_degree), (load, load_degree)), rest = horner_chains(program, line)
     assert (grad2_degree, writers[grad2].op) == (2, "add")
-    assert (load_degree, writers[load].op) == (1, "dot")
+    assert (load_degree, writers[load].op) == (1, "sum")
     assert [ins.op for ins in rest] == ["pow", "mul", "mul", "sum", "sub"]
 
 
@@ -653,7 +654,7 @@ def test_operations_on_constants_are_folded():
     rec = Recorder(2)
     c = rec.constant(np.array([1.0, 2.0]))
     program = rec.build(dot(c * 3.0 + 1.0, rec.input_var))
-    assert [ins.op for ins in program.instrs] == ["dot"]
+    assert [ins.op for ins in program.instrs] == ["mul", "sum"]
     assert program.evaluate(np.array([1.0, 1.0])) == 4.0 + 7.0
 
 
@@ -896,14 +897,15 @@ def test_row_sum_tape_derivatives_match_central_differences(energy):
     ("outer", "frontier_op", "suffix"),
     [
         (lambda z: z / 4.0, "div", ["pow", "sum"]),
-        (lambda z: -z, "neg", ["pow", "sum"]),
+        (lambda z: -z, "mul", ["pow", "sum"]),
         (lambda z: 1.0 / z, "sum_rows", ["div", "pow", "sum"]),
-        (lambda z: z**1.0, "pow", ["pow", "sum"]),
+        (lambda z: z**1.0, "sum_rows", ["pow", "sum"]),
     ],
     ids=["divided-by-a-constant", "negated", "constant-divided-by-it", "first-power"],
 )
 def test_affine_quotients_and_negations_join_the_prefix(outer, frontier_op, suffix):
-    # z / 4, -z and z**1 are affine in the input; 1 / z is not, so z is the frontier
+    # z / 4 and -z (recorded as z * -1.0) are affine in the input; z**1 is
+    # recorded as z itself, and 1 / z is not affine, so z is the frontier
     program = row_sum_tape(lambda v, g, z: (outer(z) ** 3).sum())
     assert ops_of(program, program.frontier.slots) == [frontier_op]
     assert [ins.op for ins in program.frontier.suffix] == suffix
@@ -966,3 +968,72 @@ def test_the_shape_rule_agrees_with_numpy_on_benchmarks(small_benchmarks):
         assert_shapes_match_a_replay(problem.program, problem.full_field(u))
         line = problem.along(u, random_benchmark_state(problem, rng) - u)
         assert_shapes_match_a_replay(line, rng.uniform(0.0, 2.0, 1))
+
+
+TAPE_OPS = {"add", "sub", "mul", "div", "abs", "pow", "log", "sum", "sum_rows", "take", "matmul"}
+
+
+def test_every_public_operation_records_one_of_eleven_ops():
+    # each public operation once; the shorthands -x, x**1, dot and
+    # vector @ var are recorded as the products and sums they stand for
+    rec = Recorder(4)
+    v = rec.input_var
+
+    def recorded(operation):
+        start = len(rec._instrs)
+        out = operation()
+        return out, [ins.op for ins in rec._instrs[start:]]
+
+    g, ops = recorded(lambda: v[ROW_PAIRS])
+    assert ops == ["take"]
+    z = (g * np.array([1.0, -1.0])).sum(axis=1)
+    w = np.array([1.5, -0.4, 0.9])
+    arithmetic = (1.0 + g) * g - (2.0 - g) / (3.0 + g * g) + g / 4.0 - g * 2.0
+    transcendental = log(1.0 + g**2) + abs(g) * g**0
+    first, ops = recorded(lambda: g**1)
+    assert first is g and ops == []
+    negated, ops = recorded(lambda: -z)
+    assert ops == ["mul"] and rec._consts[rec._instrs[-1].args[1]] == -1.0
+    contractions = (g @ M2).sum(axis=1) * (g @ np.array([0.5, 2.0]))
+    dotted, ops = recorded(lambda: dot(z, z**2))
+    assert ops == ["pow", "mul", "sum"]
+    weighted, ops = recorded(lambda: w @ z)
+    assert ops == ["mul", "sum"]
+    energy = (arithmetic + transcendental).sum() + (contractions + negated).sum() + dotted + weighted
+    program = rec.build(energy)
+    assert {ins.op for ins in program.instrs} == set(autodiff._FORWARD) == TAPE_OPS
+    assert set(autodiff._POLY) == TAPE_OPS - {"abs", "log"}
+    grad = program.gradient(U4)
+    want = central_difference_gradient(program, U4)
+    assert np.abs(grad - want).max() <= 1e-7 * max(1.0, np.abs(want).max())
+
+
+def test_operands_and_outputs_from_another_tape_are_refused():
+    first, second = Recorder(3), Recorder(3)
+    theirs = (second.input_var**2).sum()
+    with pytest.raises(ValueError, match="operands recorded on different tapes"):
+        first.input_var + second.input_var
+    with pytest.raises(ValueError, match="output recorded on another tape"):
+        first.build(theirs)
+    # also where the slot number exists on the other tape
+    (first.input_var**2).sum()
+    with pytest.raises(ValueError, match="output recorded on another tape"):
+        first.build(theirs)
+
+
+@pytest.mark.parametrize(
+    "energy",
+    [
+        lambda v: (v[np.array([[0, 1], [1, 2]])] ** 2).sum() + (v[np.array([[0, 1, 2]])] ** 2).sum(),
+        lambda v: (v[np.array([0, 2])] ** 2).sum(),
+    ],
+    ids=["two-gather-shapes", "one-dimensional-gather"],
+)
+def test_element_dofs_need_gathers_by_one_matrix(energy):
+    rec = Recorder(3)
+    program = rec.build(energy(rec.input_var))
+    message = r"element Hessians need gathers from the input by one \(E, npe\) matrix"
+    with pytest.raises(ValueError, match=message):
+        program.element_dofs
+    with pytest.raises(ValueError, match=message):
+        program.element_hessians(np.zeros(3))

@@ -235,6 +235,16 @@ def test_failure_outside_newton_yields_partial_report(error, monkeypatch, capsys
     assert "incomplete" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["plaplace", "gl", "hyper"])
+def test_level_too_large_to_build_yields_partial_report(name, capsys):
+    # level 40's element table overflows numpy's index range, so the mesh
+    # builder refuses it before allocating anything
+    assert main(["run", name, "--level", "40"]) == 2
+    captured = capsys.readouterr()
+    assert "incomplete: level 40: mesh too large" in captured.out
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("flag", ["--tol-grad", "--tol-energy"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-6"])
 def test_nonfinite_or_nonpositive_tolerances_are_usage_errors(flag, value, capsys):

@@ -137,6 +137,16 @@ def test_rejects_nonpositive_level(builder, bad):
         builder(bad)
 
 
+@pytest.mark.parametrize(
+    "builder", [build_lshape_mesh, build_square_mesh, build_bar_mesh]
+)
+@pytest.mark.parametrize("level", [29, 40])
+def test_levels_beyond_numpys_index_range_raise_memory_error(builder, level):
+    # refused before anything is allocated
+    with pytest.raises(MemoryError, match="exceeds numpy's index range"):
+        builder(level)
+
+
 def test_bar_cells_validation():
     with pytest.raises(ValueError):
         bar_mesh_from_cells(0, 2, 2, 0.005)
