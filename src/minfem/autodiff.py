@@ -61,7 +61,21 @@ coloring of the pattern of W'', which one symbolic pass over the
 nonlinear rest of the tape finds: entries that no nonlinear op couples
 share a tangent (one tangent for Ginzburg-Landau's five entries).  The
 adjoint tangents are read per element and never scattered into the
-field.
+field.  After that one sweep, ``Program.element_hessian_blocks`` fills
+W'' and forms K^T W'' K for ``_ELEMENT_ROW_BLOCK`` elements at a time,
+so the working set of a block stays a few hundred KB and no (E, F, F)
+or (E, L, L) array is built; ``element_hessians`` stacks the blocks.
+
+Every replay of the whole tape (``evaluate``, gradients, HVPs, element
+Hessians) frees each slot after its last reader (the liveness rule for
+tapes; Griewank and Walther, ch. 4).  It holds only what is read after
+it: the input, the constants, the output, the slots
+where the reverse sweep stops, and the values the reverse rules read,
+which are both factors of ``mul``, the denominator and the quotient of
+``div`` and the operand of ``pow``, ``log`` and ``abs``.  The rules of
+``sum``, ``sum_rows`` and ``take`` take their operand's shape from
+``Program.shapes``.  The plan is computed once per program and per set
+of stop slots.
 
 The replay kernels are written for speed but keep numpy's bits.  A row
 sum over fewer than 8 columns adds the columns one by one, which is what
@@ -77,9 +91,10 @@ negative one wrapped.  No adjoint is computed for a constant operand.
 from __future__ import annotations
 
 import functools
+import itertools
 import pickle
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -101,6 +116,10 @@ __all__ = [
 # local directions per element-Hessian product: the tape's working memory
 # grows with the number of directions pushed at once
 _ELEMENT_PROBE_BLOCK = 6
+
+# elements per block of K^T W'' K: each block's arrays stay small enough
+# that the allocator reuses them from one Hessian to the next
+_ELEMENT_ROW_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -625,11 +644,25 @@ _FORWARD: dict[str, Callable] = {
 }
 
 
-def _vjp(instr: Instr, ws: list, g, consts: dict) -> list[tuple[int, Any]]:
+def _reverse_reads(ins: Instr) -> tuple[int, ...]:
+    # the slots whose values _vjp reads for ins, besides a matmul's constant
+    if ins.op == "mul":
+        return ins.args
+    if ins.op == "div":
+        return (ins.args[1], ins.out)
+    if ins.op in ("pow", "log", "abs"):
+        return ins.args
+    return ()
+
+
+def _vjp(instr: Instr, ws: list, g, consts: dict, shapes) -> list[tuple[int, Any]]:
     """Adjoint contributions of one instruction to its operands that are
     not in ``consts``.
 
     A constant operand gets no contribution, so none is computed for it.
+    Only the values of ``_reverse_reads`` and of a matmul's constant are
+    read from ``ws``; the rules of ``sum``, ``sum_rows`` and ``take`` take
+    their operand's shape from ``shapes`` (``Program.shapes``).
     """
     op, args, aux = instr.op, instr.args, instr.aux
     a = ws[args[0]]
@@ -653,11 +686,11 @@ def _vjp(instr: Instr, ws: list, g, consts: dict) -> list[tuple[int, Any]]:
     if op == "log":
         return each(lambda: _div(g, a))
     if op == "sum":
-        return each(lambda: _bcast_full(g, np.shape(_val(a))))
+        return each(lambda: _bcast_full(g, shapes[args[0]]))
     if op == "sum_rows":
-        return each(lambda: _bcast_rows(g, np.shape(_val(a))[1]))
+        return each(lambda: _bcast_rows(g, shapes[args[0]][1]))
     if op == "take":
-        return each(lambda: _scatter_add(g, aux, np.shape(_val(a))[0]))
+        return each(lambda: _scatter_add(g, aux, shapes[args[0]][0]))
     if op == "matmul":
         m = _val(ws[args[1]])
         if m.ndim == 2:
@@ -931,19 +964,53 @@ class Program:
             raise ValueError(f"input must have shape ({self.n_inputs},), got {u.shape}")
         return u
 
-    def _forward(self, u_value, seeds: dict | None = None, instrs=None) -> list:
+    @functools.cached_property
+    def _plans(self) -> dict:
+        # _dead_after's plans, one per stop tuple
+        return {}
+
+    def _dead_after(self, stop: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        # for each instruction, the slots it is the last reader (or, unread,
+        # the writer) of and that nothing after the forward sweep reads: the
+        # input, the constants, the output, the stop slots and every value
+        # a reverse rule reads (_reverse_reads) are held
+        plan = self._plans.get(stop)
+        if plan is None:
+            held = {self.input_slot, self.output_slot, *stop, *self.consts}
+            held.update(s for ins in self.instrs for s in _reverse_reads(ins))
+            last = {}
+            for i, ins in enumerate(self.instrs):
+                last[ins.out] = i
+                last.update((s, i) for s in ins.args)
+            dead: list[list[int]] = [[] for _ in self.instrs]
+            for slot, i in last.items():
+                if slot not in held:
+                    dead[i].append(slot)
+            plan = self._plans[stop] = tuple(map(tuple, dead))
+        return plan
+
+    def _forward(self, u_value, seeds: dict | None = None, instrs=None, stop=None) -> list:
         # seeds[slot] turns the value written to slot into a dual with that
         # tangent alone, dropping any it was computed with (a seeded slot is
         # its own variable); instrs replays a part of the tape (default: all)
+        # and holds every slot.  Given the stop slots of the reverse sweep to
+        # follow (() if none follows), a replay of the whole tape drops each
+        # value after its last reader unless that sweep or the caller reads
+        # it (_dead_after): a lower peak memory
         seeds = seeds or {}
         ws: list = [None] * self.n_slots
         for slot, value in self.consts.items():
             ws[slot] = value
         ws[self.input_slot] = u_value
+        if instrs is None:
+            instrs = self.instrs
+        dead = itertools.repeat(()) if stop is None else self._dead_after(stop)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for ins in self.instrs if instrs is None else instrs:
+            for ins, free in zip(instrs, dead):
                 value = _FORWARD[ins.op]([ws[s] for s in ins.args], ins.aux)
                 ws[ins.out] = value if ins.out not in seeds else _Dual(_val(value), seeds[ins.out])
+                for s in free:
+                    ws[s] = None
         return ws
 
     def _reverse(self, ws, seed, stop: tuple[int, ...] | None = None) -> list:
@@ -960,7 +1027,7 @@ class Program:
                     # each slot is written by one instruction: its adjoint is final here
                     g, adj[ins.out] = adj[ins.out], None
                     if g is not None:
-                        for slot, contrib in _vjp(ins, ws, g, self.consts):
+                        for slot, contrib in _vjp(ins, ws, g, self.consts, self.shapes):
                             cur = adj[slot]
                             adj[slot] = contrib if cur is None else _add(cur, contrib)
                 # every reader of this slot comes later in the tape and is swept
@@ -970,12 +1037,12 @@ class Program:
     def evaluate(self, u) -> float:
         """Replay the program, returning the scalar value J(u)."""
         u = self._check_input(u)
-        return float(_val(self._forward(u)[self.output_slot]))
+        return float(_val(self._forward(u, stop=())[self.output_slot]))
 
     def value_and_gradient(self, u) -> tuple[float, np.ndarray]:
         """J(u) and its exact gradient in one forward/reverse sweep."""
         u = self._check_input(u)
-        ws = self._forward(u)
+        ws = self._forward(u, stop=(self.input_slot,))
         value = float(_val(ws[self.output_slot]))
         (grad,) = self._reverse(ws, 1.0)
         if grad is None:
@@ -1001,7 +1068,7 @@ class Program:
             raise ValueError(
                 f"direction must have leading dimension {self.n_inputs}, got {s.shape}"
             )
-        ws = self._forward(_Dual(u, np.ascontiguousarray(s.T)))
+        ws = self._forward(_Dual(u, np.ascontiguousarray(s.T)), stop=(self.input_slot,))
         (grad,) = self._reverse(ws, 1.0)
         if grad is None or not isinstance(grad, _Dual):
             out = np.zeros((self.n_inputs, s.shape[1]))
@@ -1118,18 +1185,36 @@ class Program:
         )
 
     def element_hessians(self, u) -> np.ndarray:
-        """Every element's (L, L) Hessian block at u, for a sum of element densities.
+        """Every element's (L, L) Hessian block at u, shape (E, L, L): the
+        blocks of ``element_hessian_blocks`` stacked in element order."""
+        blocks = self.element_hessian_blocks(u)
+        n_elems, _, n_local = self.element_cut.jacobian.shape
+        out = np.empty((n_elems, n_local, n_local))
+        for start, block in blocks:
+            out[start : start + len(block)] = block
+        return out
 
-        The local indices are those of ``element_dofs``.  Each color of
+    def element_hessian_blocks(self, u) -> Iterator[tuple[int, np.ndarray]]:
+        """The element Hessian blocks at u in row blocks, for a sum of element densities.
+
+        One forward-over-reverse sweep runs when this is called.  The
+        local indices are those of ``element_dofs``.  Each color of
         ``element_cut`` seeds one tangent, which is 1 at that color's
         per-element entries, and the reverse sweep stops at the frontier.
         Entry i's adjoint tangent for the color of entry j is then W''[i,
         j], the density's second derivative with respect to the two, at
         every (i, j) of the cut's pattern, because no other entry of that
-        color couples with i; W'' (E, F, F) is 0 elsewhere.  On
-        Ginzburg-Landau W'' is diagonal and one tangent replaces five; a
-        dense pattern has F colors, which seed the one-hot tangents.  The
-        blocks are K^T W'' K with K the cut's Jacobian.  F = 0 (a linear
+        color couples with i; W'' is 0 elsewhere.  On Ginzburg-Landau W''
+        is diagonal and one tangent replaces five; a dense pattern has F
+        colors, which seed the one-hot tangents.
+
+        The returned iterator, single-pass, then yields ``(start,
+        block)`` in element order: block (b, L, L), b at most
+        ``_ELEMENT_ROW_BLOCK``, is K^T W'' K for the elements start to
+        start + b, with K the cut's Jacobian and W'' filled into one
+        buffer that every block reuses, so no (E, F, F) or (E, L, L)
+        array is built.  Each block holds the bits that one product over
+        all elements gives, whatever the block size.  F = 0 (a linear
         tape) gives zero blocks.  Raises ``ValueError`` where
         ``element_dofs`` does, or when the tape is not a sum of element
         densities (see ``_element_slots``): a slot that mixes elements and
@@ -1138,8 +1223,7 @@ class Program:
         """
         u = self._check_input(u)
         cut = self.element_cut
-        k = cut.jacobian
-        n_elems, width = k.shape[:2]
+        n_elems, width = cut.jacobian.shape[:2]
         n_colors = cut.coloring.n_colors
         # tangent c is 1 at the entries of color c; each slot's entries are
         # its columns among the F
@@ -1152,7 +1236,7 @@ class Program:
             seeds[slot] = np.broadcast_to(seed, (n_colors, n_elems) + shape)
             start = end
         stop = self.frontier.slots
-        adjoints = dict(zip(stop, self._reverse(self._forward(u, seeds), 1.0, stop)))
+        adjoints = dict(zip(stop, self._reverse(self._forward(u, seeds, stop=stop), 1.0, stop)))
         # each entry's adjoint tangents (n_colors, E), or None where it has none
         tangents = []
         for slot, shape in zip(cut.slots, cut.shapes):
@@ -1163,11 +1247,23 @@ class Program:
                 tangents += [t[:, :, i] for i in range(entries)]
             else:
                 tangents += [None] * entries
-        w = np.zeros((n_elems, width, width))
+        return _row_blocks(cut, tangents)
+
+
+def _row_blocks(cut: ElementCut, tangents: list) -> Iterator[tuple[int, np.ndarray]]:
+    # K^T W'' K in blocks of _ELEMENT_ROW_BLOCK elements, W'' read from the
+    # entries' adjoint tangents by cut.fill into one buffer; the entries
+    # outside the fill are written by no block and stay 0
+    k = cut.jacobian
+    n_elems, width = k.shape[:2]
+    w = np.zeros((min(_ELEMENT_ROW_BLOCK, n_elems), width, width))
+    for start in range(0, n_elems, _ELEMENT_ROW_BLOCK):
+        stop = min(start + _ELEMENT_ROW_BLOCK, n_elems)
+        wb, kb = w[: stop - start], k[start:stop]
         for i, j0, j1, c in cut.fill:
             if tangents[i] is not None:
-                w[:, i, j0:j1] = tangents[i][c : c + j1 - j0].T
-        return np.matmul(k.transpose(0, 2, 1), np.matmul(w, k))
+                wb[:, i, j0:j1] = tangents[i][c : c + j1 - j0, start:stop].T
+        yield start, np.matmul(kb.transpose(0, 2, 1), np.matmul(wb, kb))
 
 
 class LineProgram(Program):

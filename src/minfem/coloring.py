@@ -11,14 +11,16 @@ Two constructions share the pattern and the symmetrization in its slots:
   densities and every element's (L, L) Hessian block, L = npe *
   components (12 for tetrahedra, 3 for triangles), which
   ``EnergyProblem.hessian`` takes from the energy tape
-  (``Program.element_hessians``).  The blocks are summed into the
-  pattern through a precomputed slot map.
+  (``Program.element_hessian_blocks``) a few hundred elements at a time.
+  The blocks are summed into the pattern through a precomputed slot map
+  by ``np.add.at``, which adds in the order ``np.bincount`` does, so no
+  (E, L, L) array is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -114,21 +116,31 @@ def recover_hessian(
 
 
 def assemble_element_hessian(
-    blocks: np.ndarray,
+    blocks: Iterable[tuple[int, np.ndarray]],
     slots: np.ndarray,
     pattern: SparsityPattern,
 ) -> sp.csr_matrix:
     """Assemble the sparse Hessian of a sum of element densities.
 
-    ``blocks`` (E, L, L) holds every element's Hessian block and ``slots``
-    (E, L, L) the pattern slot of each block entry, the spare slot
-    ``pattern.nnz`` for entries on fixed dofs; the entries are summed there
-    and symmetrized as in ``recover_hessian``.  A non-finite sum raises,
-    naming its row.
+    ``blocks`` yields ``(start, block)`` pairs in element order
+    (``Program.element_hessian_blocks``): block (b, L, L) holds the
+    Hessian blocks of elements start to start + b.  ``slots`` (E, L, L)
+    holds the pattern slot of each block entry, the spare slot
+    ``pattern.nnz`` for entries on fixed dofs.  ``np.add.at`` adds each
+    block's entries there, onto zeros, in index order, so the sums are
+    those of one ``np.bincount`` over all blocks, bit for bit; they are
+    symmetrized as in ``recover_hessian``.  A block whose shape is not
+    that of its rows of ``slots`` raises ``ValueError``, and a non-finite
+    sum ``ColoringError``, naming its row.
     """
-    if blocks.shape != slots.shape:
-        raise ValueError(f"element blocks have shape {blocks.shape}, slots {slots.shape}")
-    data = np.bincount(slots.ravel(), weights=blocks.ravel(), minlength=pattern.nnz + 1)
+    data = np.zeros(pattern.nnz + 1)
+    for start, block in blocks:
+        part = slots[start : start + len(block)]
+        if block.shape != part.shape:
+            raise ValueError(
+                f"element blocks from row {start} have shape {block.shape}, slots {part.shape}"
+            )
+        np.add.at(data, part.ravel(), block.ravel())
     data = data[: pattern.nnz]
     finite = np.isfinite(data)
     if not finite.all():

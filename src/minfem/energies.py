@@ -12,10 +12,11 @@ gradients and Hessian-vector products back to the free dofs.
 ``build_problem`` bundles mesh, element tables, Dirichlet scaffolding,
 that tape, the sparsity pattern and the element slot map into a reusable
 problem object.  ``EnergyProblem.hessian`` takes the element blocks from
-the tape (``Program.element_hessians``, cut at the linear frontier) and
-sums them into the pattern; a problem without a slot map colors the
-pattern on first use.  ``EnergyProblem.along`` gives the energy on a
-line through a free-dof iterate as a program over the step length.
+the tape in row blocks (``Program.element_hessian_blocks``, cut at the
+linear frontier) and sums them into the pattern; a problem without a
+slot map colors the pattern on first use.  ``EnergyProblem.along``
+gives the energy on a line through a free-dof iterate as a program over
+the step length.
 """
 
 from __future__ import annotations
@@ -292,15 +293,15 @@ class EnergyProblem:
         """Exact sparse Hessian at u over the free dofs.
 
         With a slot map, the element blocks come from ``program`` itself
-        (``Program.element_hessians``); without one, the Hessian is
-        recovered through the coloring.  A tape that is not a
+        in row blocks (``Program.element_hessian_blocks``); without one,
+        the Hessian is recovered through the coloring.  A tape that is not a
         sum of element densities raises ``ValueError`` with a slot map and
         needs a problem without one.  A non-finite Hessian raises
         ``ColoringError`` either way.
         """
         if self.element_slots is None:
             return recover_hessian(self.hvp_operator(u), self.coloring, self.pattern)
-        blocks = self.program.element_hessians(self.full_field(u))
+        blocks = self.program.element_hessian_blocks(self.full_field(u))
         return assemble_element_hessian(blocks, self.element_slots, self.pattern)
 
     def along(self, u: np.ndarray, d: np.ndarray) -> LineProgram:

@@ -162,6 +162,12 @@ def quadratic_plaplace(level: int) -> EnergyProblem:
     return dataclasses.replace(problem, params=params, program=program)
 
 
+def assert_same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    assert x.shape == y.shape
+    assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
 def assert_in_pattern_layout(h, want: sp.spmatrix, pattern: SparsityPattern) -> None:
     """``h`` holds its data in ``pattern``'s slots: equal to ``want`` bit for bit
     on every entry ``want`` stores, and an explicit zero in every other slot."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assert_same_bits,
     central_difference_gradient,
     dense_hessian_by_probes,
     element_blocks_by_hvp,
@@ -262,12 +263,6 @@ def oracle_scatter_add(g, idx, n):
     return autodiff._Dual(val, dot)
 
 
-def assert_same_bits(x, y):
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    assert x.shape == y.shape
-    assert np.array_equal(x.view(np.int64), y.view(np.int64))
-
-
 def assert_same_dual_bits(x, y):
     if isinstance(y, autodiff._Dual):
         assert isinstance(x, autodiff._Dual)
@@ -483,6 +478,53 @@ def test_every_slot_has_one_source_and_every_instruction_a_live_operand(small_be
             read = {s for ins in tape.instrs for s in ins.args} | {tape.output_slot}
             assert read <= set(sources), problem.kind
             assert all(any(s not in tape.consts for s in ins.args) for ins in tape.instrs)
+
+
+def values_read_in_reverse(program):
+    # both factors of a product, the denominator and the quotient of a
+    # division, and the operand of a power, a log and an abs
+    read = set()
+    for ins in program.instrs:
+        if ins.op == "mul":
+            read.update(ins.args)
+        elif ins.op == "div":
+            read.update((ins.args[1], ins.out))
+        elif ins.op in ("pow", "log", "abs"):
+            read.add(ins.args[0])
+    return read
+
+
+@pytest.mark.parametrize("kind", ["ginzburg_landau", "neohooke"])
+def test_forward_sweeps_hold_only_the_slots_read_after_them(kind):
+    problem = build_problem(kind, 1)
+    program = problem.program
+    u = problem.full_field(random_benchmark_state(problem, np.random.default_rng(37)))
+    for stop in ((), (program.input_slot,), program.frontier.slots):
+        ws = program._forward(u, stop=stop)
+        held = {slot for slot, value in enumerate(ws) if value is not None}
+        want = {program.input_slot, program.output_slot, *stop, *program.consts}
+        assert held == want | values_read_in_reverse(program), stop
+        assert len(held) < program.n_slots
+    # a replay without stop slots holds every slot
+    assert all(value is not None for value in program._forward(u))
+
+
+@pytest.mark.parametrize("kind", ["ginzburg_landau", "neohooke"])
+def test_reverse_rules_of_sums_and_gathers_read_shapes_not_values(kind):
+    problem = build_problem(kind, 1)
+    program = problem.program
+    rng = np.random.default_rng(41)
+    u = problem.full_field(random_benchmark_state(problem, rng))
+    s = rng.standard_normal((2, program.n_inputs))
+    operands = {ins.args[0] for ins in program.instrs if ins.op in ("sum", "sum_rows", "take")}
+    assert operands and not operands & values_read_in_reverse(program)
+    for x in (u, autodiff._Dual(u, s)):
+        (want,) = program._reverse(program._forward(x), 1.0)
+        ws = program._forward(x)
+        for slot in operands:
+            ws[slot] = None
+        (got,) = program._reverse(ws, 1.0)
+        assert_same_dual_bits(got, want)
 
 
 def test_along_inverting_direction_is_nonfinite(tiny_bar_problem):

@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from minfem import coloring
+from minfem import autodiff, coloring
 from minfem.coloring import (
     ColoringError,
     assemble_element_hessian,
@@ -14,11 +15,13 @@ from minfem.coloring import (
 )
 from helpers import (
     assert_in_pattern_layout,
+    assert_same_bits,
     element_dofs,
     element_local_program,
     quadratic_plaplace,
     random_benchmark_state,
 )
+from minfem.autodiff import Recorder
 from minfem.energies import build_problem
 from minfem.fem import SparsityPattern, build_dofmap, sparsity_pattern
 from minfem.minimize import benchmark_initial_guess
@@ -201,7 +204,88 @@ def test_element_assembly_nonfinite_entry_names_row():
     blocks[problem.elemdata.elems == target] = np.inf
 
     with pytest.raises(ColoringError, match="row 5$"):
-        assemble_element_hessian(blocks, problem.element_slots, problem.pattern)
+        assemble_element_hessian([(0, blocks)], problem.element_slots, problem.pattern)
+
+
+def bincount_assembly(problem, u):
+    """The Hessian from one (E, L, L) array of element blocks and one
+    ``np.bincount``, symmetrized in the pattern's slots."""
+    blocks = problem.program.element_hessians(problem.full_field(u))
+    slots, pattern = problem.element_slots, problem.pattern
+    data = np.bincount(slots.ravel(), weights=blocks.ravel(), minlength=pattern.nnz + 1)
+    data = data[: pattern.nnz]
+    return blocks, pattern.matrix((data + data[pattern.mirror]) * 0.5)
+
+
+@pytest.mark.parametrize(
+    "kind,level", [("plaplace", 2), ("ginzburg_landau", 2), ("neohooke", 1), ("tiny-bar", 0)]
+)
+def test_row_blocks_assemble_the_bits_of_one_bincount(kind, level, tiny_bar_problem, monkeypatch):
+    problem = tiny_bar_problem if kind == "tiny-bar" else build_problem(kind, level)
+    u = random_benchmark_state(problem, np.random.default_rng(29))
+    n_elems = problem.element_slots.shape[0]
+    # one block of every element computes the blocks in one product
+    monkeypatch.setattr(autodiff, "_ELEMENT_ROW_BLOCK", n_elems)
+    blocks, want = bincount_assembly(problem, u)
+    for rows in (1, 7, 10**6):
+        monkeypatch.setattr(autodiff, "_ELEMENT_ROW_BLOCK", rows)
+        pairs = problem.program.element_hessian_blocks(problem.full_field(u))
+        assert [start for start, _ in pairs] == list(range(0, n_elems, rows))
+        assert_same_bits(problem.program.element_hessians(problem.full_field(u)), blocks)
+        h = problem.hessian(u)
+        assert np.array_equal(h.indptr, want.indptr) and np.array_equal(h.indices, want.indices)
+        assert_same_bits(h.data, want.data)
+
+
+def test_row_blocks_of_a_linear_tape_are_zero(monkeypatch):
+    # F = 0: no cut entry, so every block is K^T W'' K over empty matrices
+    rec = Recorder(3)
+    z = rec.input_var[np.array([[0, 1], [1, 2]])]
+    program = rec.build((z @ np.array([1.0, 2.0])).sum())
+    monkeypatch.setattr(autodiff, "_ELEMENT_ROW_BLOCK", 1)
+    pairs = list(program.element_hessian_blocks(np.ones(3)))
+    assert [start for start, _ in pairs] == [0, 1]
+    for _, block in pairs:
+        assert_same_bits(block, np.zeros((1, 2, 2)))
+
+
+def test_nonfinite_entry_in_a_later_block_names_its_row():
+    problem = build_problem("plaplace", 1)
+    u = benchmark_initial_guess(problem)
+    blocks = problem.program.element_hessians(problem.full_field(u))
+    elems, free = problem.elemdata.elems, problem.dofmap.freedofs
+    # the free node whose first element comes last: none of its rows is in the first block
+    first = [np.flatnonzero((elems == node).any(axis=1))[0] for node in free]
+    row = int(np.argmax(first))
+    assert first[row] >= 7
+    blocks[elems == free[row]] = np.inf
+    pairs = [(start, blocks[start : start + 7]) for start in range(0, len(blocks), 7)]
+    with pytest.raises(ColoringError, match=f"row {row}$"):
+        assemble_element_hessian(pairs, problem.element_slots, problem.pattern)
+
+
+def test_blocks_that_disagree_with_their_slots_are_refused():
+    problem = build_problem("plaplace", 1)
+    blocks = problem.program.element_hessians(problem.full_field(np.zeros(problem.n_dofs)))
+    slots, pattern = problem.element_slots, problem.pattern
+    for pairs in ([(0, blocks[:, :2])], [(0, blocks[:3]), (len(blocks) - 1, blocks[3:5])]):
+        with pytest.raises(ValueError, match="element blocks from row"):
+            assemble_element_hessian(pairs, slots, pattern)
+
+
+def test_element_hessian_working_set_stays_under_two_element_arrays():
+    # a warm bar L1 Hessian allocates less than two (E, L, L) arrays at
+    # its peak: no (E, L, L) stack, and the sweep drops its dead slots
+    problem = build_problem("neohooke", 1)
+    u = random_benchmark_state(problem, np.random.default_rng(31))
+    problem.hessian(u)
+    tracemalloc.start()
+    try:
+        problem.hessian(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * problem.element_slots.size * np.dtype(float).itemsize
 
 
 @pytest.mark.parametrize("colored", [False, True], ids=["element", "colored"])
