@@ -66,16 +66,18 @@ W'' and forms K^T W'' K for ``_ELEMENT_ROW_BLOCK`` elements at a time,
 so the working set of a block stays a few hundred KB and no (E, F, F)
 or (E, L, L) array is built; ``element_hessians`` stacks the blocks.
 
-Every replay of the whole tape (``evaluate``, gradients, HVPs, element
-Hessians) frees each slot after its last reader (the liveness rule for
-tapes; Griewank and Walther, ch. 4).  It holds only what is read after
-it: the input, the constants, the output, the slots
-where the reverse sweep stops, and the values the reverse rules read,
-which are both factors of ``mul``, the denominator and the quotient of
-``div`` and the operand of ``pow``, ``log`` and ``abs``.  The rules of
-``sum``, ``sum_rows`` and ``take`` take their operand's shape from
-``Program.shapes``.  The plan is computed once per program and per set
-of stop slots.
+Every forward replay is one loop (``Program._forward``) over the tape or
+a frontier's prefix, on values and duals or, for ``along``, on
+coefficient stacks.  It frees each slot after its last reader (the
+liveness rule for tapes; Griewank and Walther, ch. 4) and holds only
+what is read after it: the constants, the slots where it stops (the cut
+slots for the cut's K probe, the line frontier for ``along``) and, in a
+replay of the whole tape, which a reverse sweep may follow, the input,
+the output and the values the reverse rules read: both factors of
+``mul``, the denominator and the quotient of ``div`` and the operand of
+``pow``, ``log`` and ``abs``.  The rules of ``sum``, ``sum_rows`` and
+``take`` take their operand's shape from ``Program.shapes``.  The plan
+is computed once per program, replayed sequence and set of stop slots.
 
 The replay kernels are written for speed but keep numpy's bits.  A row
 sum over fewer than 8 columns adds the columns one by one, which is what
@@ -112,10 +114,6 @@ __all__ = [
     "log",
     "dot",
 ]
-
-# local directions per element-Hessian product: the tape's working memory
-# grows with the number of directions pushed at once
-_ELEMENT_PROBE_BLOCK = 6
 
 # elements per block of K^T W'' K: each block's arrays stay small enough
 # that the allocator reuses them from one Hessian to the next
@@ -893,9 +891,10 @@ def _element_cut(program: "Program") -> ElementCut:
     The local dofs are those of ``Program.element_dofs``, and the tape
     must be a sum of element densities (``_element_slots``); ``ValueError``
     otherwise.  Frontier slots that are not per-element enter the energy
-    linearly and add nothing to the Hessian.  The Jacobian comes from the
-    local one-hot directions pushed through the prefix at u = 0, a few at
-    a time; the pattern of W'' from one symbolic pass over the suffix
+    linearly and add nothing to the Hessian.  The Jacobian comes from all
+    L local one-hot directions pushed through the prefix at u = 0 in one
+    replay, which holds only the constants and the cut slots; the
+    pattern of W'' from one symbolic pass over the suffix
     (``_interaction_pattern``), and its colors from the greedy distance-2
     rule of the global Hessians (Gebremedhin, Tarafdar, Pothen and
     Walther, INFORMS J. Computing 21(2), 2009).
@@ -907,21 +906,18 @@ def _element_cut(program: "Program") -> ElementCut:
     jacobian = np.empty((n_elems, width, n_local))
     c = len(gathers)
     eye = np.eye(n_local)
-    for start in range(0, n_local, _ELEMENT_PROBE_BLOCK):
-        stop = min(start + _ELEMENT_PROBE_BLOCK, n_local)
-        # one-hot local directions, in the order of element_dofs
-        seeds = {
-            g: np.broadcast_to(eye[start:stop, None, k::c], (stop - start, n_elems, n_local // c))
-            for k, g in enumerate(gathers)
-        }
-        ws = program._forward(np.zeros(program.n_inputs), seeds, program.frontier.prefix)
-        row = 0
-        for slot, shape in zip(slots, row_shapes):
-            entries = int(np.prod(shape))
-            tangent = ws[slot].dot.reshape(-1, n_elems, entries)
-            jacobian[:, row : row + entries, start:stop] = tangent.transpose(1, 2, 0)
-            row += entries
-        del ws  # one block's working set at a time
+    # one-hot local directions, in the order of element_dofs
+    seeds = {
+        g: np.broadcast_to(eye[:, None, k::c], (n_local, n_elems, n_local // c))
+        for k, g in enumerate(gathers)
+    }
+    ws = program._forward(np.zeros(program.n_inputs), seeds, slots, program.frontier)
+    row = 0
+    for slot, shape in zip(slots, row_shapes):
+        entries = int(np.prod(shape))
+        tangent = ws[slot].dot.reshape(n_local, n_elems, entries)
+        jacobian[:, row : row + entries] = tangent.transpose(1, 2, 0)
+        row += entries
     pattern = _interaction_pattern(program, slots, row_shapes)
     coloring = color_pattern(SparsityPattern.from_csr(sp.csr_matrix(pattern)))
     return ElementCut(slots, row_shapes, jacobian, pattern, coloring)
@@ -966,48 +962,52 @@ class Program:
 
     @functools.cached_property
     def _plans(self) -> dict:
-        # _dead_after's plans, one per stop tuple
+        # _dead_after's plans, one per replayed sequence and stop tuple
         return {}
 
-    def _dead_after(self, stop: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        # for each instruction, the slots it is the last reader (or, unread,
-        # the writer) of and that nothing after the forward sweep reads: the
-        # input, the constants, the output, the stop slots and every value
-        # a reverse rule reads (_reverse_reads) are held
-        plan = self._plans.get(stop)
+    def _dead_after(self, prefix_of: Frontier | None, stop: tuple[int, ...]) -> tuple:
+        # for each instruction of the replayed sequence (the tape, or
+        # prefix_of's prefix), the slots it last reads (or writes, unread)
+        # that nothing reads after the replay (see the module docstring); two
+        # prefixes can end at the same stop slots, so the key names the sequence
+        plan = self._plans.get((prefix_of, stop))
         if plan is None:
-            held = {self.input_slot, self.output_slot, *stop, *self.consts}
-            held.update(s for ins in self.instrs for s in _reverse_reads(ins))
+            held = {*stop, *self.consts}
+            if prefix_of is None:
+                instrs = self.instrs
+                held.update((self.input_slot, self.output_slot))
+                held.update(s for ins in instrs for s in _reverse_reads(ins))
+            else:
+                instrs = prefix_of.prefix
             last = {}
-            for i, ins in enumerate(self.instrs):
+            for i, ins in enumerate(instrs):
                 last[ins.out] = i
                 last.update((s, i) for s in ins.args)
-            dead: list[list[int]] = [[] for _ in self.instrs]
+            dead: list[list[int]] = [[] for _ in instrs]
             for slot, i in last.items():
                 if slot not in held:
                     dead[i].append(slot)
-            plan = self._plans[stop] = tuple(map(tuple, dead))
+            plan = self._plans[prefix_of, stop] = tuple(map(tuple, dead))
         return plan
 
-    def _forward(self, u_value, seeds: dict | None = None, instrs=None, stop=None) -> list:
-        # seeds[slot] turns the value written to slot into a dual with that
-        # tangent alone, dropping any it was computed with (a seeded slot is
-        # its own variable); instrs replays a part of the tape (default: all)
-        # and holds every slot.  Given the stop slots of the reverse sweep to
-        # follow (() if none follows), a replay of the whole tape drops each
-        # value after its last reader unless that sweep or the caller reads
-        # it (_dead_after): a lower peak memory
+    def _forward(self, u_value, seeds=None, stop=None, prefix_of=None, rules=_FORWARD) -> list:
+        # the one forward replay, by rules (_POLY for along's stacks), of the
+        # tape or prefix_of's prefix.  seeds[slot] turns the value written to
+        # slot into a dual with that tangent alone, dropping any it was
+        # computed with (a seeded slot is its own variable).  Given the stop
+        # slots (() if none), each value is dropped after its last reader
+        # unless read after the replay (_dead_after); without them all are held
         seeds = seeds or {}
         ws: list = [None] * self.n_slots
         for slot, value in self.consts.items():
             ws[slot] = value
-        ws[self.input_slot] = u_value
-        if instrs is None:
-            instrs = self.instrs
-        dead = itertools.repeat(()) if stop is None else self._dead_after(stop)
+        # no local name holds the input: the plan alone decides when it goes
+        ws[self.input_slot], u_value = u_value, None
+        instrs = self.instrs if prefix_of is None else prefix_of.prefix
+        dead = itertools.repeat(()) if stop is None else self._dead_after(prefix_of, stop)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for ins, free in zip(instrs, dead):
-                value = _FORWARD[ins.op]([ws[s] for s in ins.args], ins.aux)
+                value = rules[ins.op]([ws[s] for s in ins.args], ins.aux)
                 ws[ins.out] = value if ins.out not in seeds else _Dual(_val(value), seeds[ins.out])
                 for s in free:
                     ws[s] = None
@@ -1061,13 +1061,12 @@ class Program:
         """
         u = self._check_input(u)
         s = np.asarray(s, dtype=float)
+        if s.ndim not in (1, 2) or s.shape[0] != self.n_inputs:
+            n = self.n_inputs
+            raise ValueError(f"direction must have shape ({n},) or ({n}, k), got {s.shape}")
         single = s.ndim == 1
         if single:
             s = s[:, None]
-        if s.shape[0] != self.n_inputs:
-            raise ValueError(
-                f"direction must have leading dimension {self.n_inputs}, got {s.shape}"
-            )
         ws = self._forward(_Dual(u, np.ascontiguousarray(s.T)), stop=(self.input_slot,))
         (grad,) = self._reverse(ws, 1.0)
         if grad is None or not isinstance(grad, _Dual):
@@ -1131,8 +1130,9 @@ class Program:
         slot's coefficients (z0, z1) of z0 + alpha * z1.  The pass covers
         the prefix of degree at most ``_LINE_DEGREE`` = 4 (``_split``, by
         the rule of the linear frontier: a slot stays a polynomial while
-        its op keeps polynomials closed), and each stack is dropped after
-        its last reader.  The returned program Horner-evaluates that
+        its op keeps polynomials closed), and, as in every replay
+        (``_forward``, here with the ``_POLY`` rules), each stack is dropped
+        after its last reader.  The returned program Horner-evaluates that
         prefix's frontier slots (the polynomial slots that the other
         instructions or the output read) and replays only the other
         instructions: on Ginzburg-Landau the whole energy is one scalar
@@ -1145,17 +1145,10 @@ class Program:
         if direction.shape != u.shape:
             raise ValueError(f"direction must have shape {u.shape}, got {direction.shape}")
         split = self._line_frontier
-        ws: list = [None] * self.n_slots
-        for slot, value in self.consts.items():
-            ws[slot] = value
-        ws[self.input_slot] = _Poly(np.stack((u, direction)))
-        last = {s: ins.out for ins in split.prefix for s in ins.args}
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for ins in split.prefix:
-                ws[ins.out] = _POLY[ins.op]([ws[s] for s in ins.args], ins.aux)
-                for s in ins.args:
-                    if last[s] == ins.out and s not in split.slots:
-                        ws[s] = None  # a lower peak memory
+        # passed, not named here, so that the replay can drop the stacked input
+        ws = self._forward(
+            _Poly(np.stack((u, direction))), stop=split.slots, prefix_of=split, rules=_POLY
+        )
         alpha_input, alpha = self.n_slots, self.n_slots + 1
         instrs = [Instr("take", alpha, (alpha_input,), np.asarray(0))]
         shapes = [*self.shapes, (1,), ()]
@@ -1274,11 +1267,12 @@ class LineProgram(Program):
     replayed rest of the tape reads (or of the output), then that rest.
     The ``mul`` broadcasts the scalar alpha into per-element coefficients,
     which the recorder refuses because the reverse sweep cannot sum its
-    adjoint back; so every derivative raises ``TypeError`` by name instead
+    adjoint back; so every derivative, and ``along``, whose coefficient
+    stacks meet the same broadcast, raises ``TypeError`` by name instead
     of failing inside a kernel.
     """
 
     def _evaluate_only(self, *args):
         raise TypeError("a line program supports evaluate only, not derivatives")
 
-    value_and_gradient = gradient = hessian_vector_product = _evaluate_only
+    value_and_gradient = gradient = hessian_vector_product = along = _evaluate_only

@@ -225,13 +225,13 @@ class EnergyProblem:
 
     ``element_slots`` maps each element's Hessian block, indexed by
     ``program.element_dofs``, into ``pattern``; ``hessian`` takes the
-    blocks from ``program`` itself, as second-order
-    adjoints at its element cut (``Program.element_cut``).  That needs a
-    tape that is a sum of element densities; ``Program.element_hessians``
-    refuses any other.  A problem without a slot map gets its Hessian
-    through ``coloring``, colored on first use, instead: build one so for
-    an energy that is refused, such as one that mixes elements with a
-    ``take`` before a nonlinear term.
+    blocks from ``program`` itself, in row blocks of second-order
+    adjoints at its element cut (``Program.element_hessian_blocks``).
+    That needs a tape that is a sum of element densities, and
+    ``element_hessian_blocks`` refuses any other.  A problem without a
+    slot map gets its Hessian through ``coloring``, colored on first
+    use, instead: build one so for an energy that is refused, such as
+    one that mixes elements with a ``take`` before a nonlinear term.
     """
 
     kind: str
@@ -279,6 +279,9 @@ class EnergyProblem:
     def hessian_vector_product(self, u: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Exact H(u) @ s over the free dofs, for (n,) or stacked (n, k) directions."""
         s = np.asarray(s, dtype=float)
+        if s.ndim not in (1, 2) or s.shape[0] != self.n_dofs:
+            n = self.n_dofs
+            raise ValueError(f"direction must have shape ({n},) or ({n}, k), got {s.shape}")
         free = self.dofmap.freedofs
         lifted = np.zeros((self.dofmap.n_total,) + s.shape[1:])
         lifted[free] = s

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,14 @@ def test_input_shape_errors():
         prog.evaluate(np.zeros(4))
     with pytest.raises(ValueError):
         prog.hessian_vector_product(np.zeros(3), np.zeros((4, 2)))
+
+
+def test_hvp_refuses_directions_that_are_not_one_or_a_stack():
+    program = build_problem("ginzburg_landau", 1).program
+    n = program.n_inputs
+    for shape in ((n, 2, 2), (), (n + 1,), (n - 1, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"({n},) or ({n}, k), got {shape}")):
+            program.hessian_vector_product(np.zeros(n), np.zeros(shape))
 
 
 def test_nonfinite_propagates_to_caller():
@@ -495,7 +504,7 @@ def values_read_in_reverse(program):
 
 
 @pytest.mark.parametrize("kind", ["ginzburg_landau", "neohooke"])
-def test_forward_sweeps_hold_only_the_slots_read_after_them(kind):
+def test_forward_sweeps_hold_only_the_slots_read_after_them(kind, monkeypatch):
     problem = build_problem(kind, 1)
     program = problem.program
     u = problem.full_field(random_benchmark_state(problem, np.random.default_rng(37)))
@@ -507,6 +516,20 @@ def test_forward_sweeps_hold_only_the_slots_read_after_them(kind):
         assert len(held) < program.n_slots
     # a replay without stop slots holds every slot
     assert all(value is not None for value in program._forward(u))
+    # replays of a prefix hold only the constants and their stop slots: the
+    # element cut's K probe and along's coefficient stacks
+    want = [set(program.element_cut.slots), set(program._line_frontier.slots)]
+    held, forward = [], autodiff.Program._forward
+
+    def spy(self, *args, **kwargs):
+        ws = forward(self, *args, **kwargs)
+        held.append({slot for slot, value in enumerate(ws) if value is not None})
+        return ws
+
+    monkeypatch.setattr(autodiff.Program, "_forward", spy)
+    autodiff._element_cut(program)
+    program.along(u, np.ones_like(u))
+    assert held == [set(program.consts) | slots for slots in want]
 
 
 @pytest.mark.parametrize("kind", ["ginzburg_landau", "neohooke"])
@@ -654,6 +677,7 @@ def test_line_program_refuses_derivatives_by_name():
         lambda: line.gradient([0.3]),
         lambda: line.value_and_gradient([0.3]),
         lambda: line.hessian_vector_product([0.3], [1.0]),
+        lambda: line.along([0.3], [1.0]),
     ):
         with pytest.raises(TypeError, match="line program supports evaluate only"):
             derivative()

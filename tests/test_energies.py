@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -464,6 +465,15 @@ def test_problem_gradient_routes_only_free_dofs():
     assert np.array_equal(problem.hessian_vector_product(u, np.array([1.0, 3.0])), [2.0, 6.0])
     with pytest.raises(ValueError, match="free-dof vector"):
         problem.evaluate(np.zeros(3))
+
+
+def test_problem_hvp_refuses_directions_by_free_dof_shape():
+    problem = build_problem("ginzburg_landau", 1)
+    n, u = problem.n_dofs, problem.initial_guess
+    # (n_total,) is a field, not a free-dof vector
+    for shape in ((problem.dofmap.n_total,), (n + 1, 3), (n, 2, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"({n},) or ({n}, k), got {shape}")):
+            problem.hessian_vector_product(u, np.zeros(shape))
 
 
 def test_element_slots_reject_couplings_outside_pattern():
