@@ -71,13 +71,18 @@ a frontier's prefix, on values and duals or, for ``along``, on
 coefficient stacks.  It frees each slot after its last reader (the
 liveness rule for tapes; Griewank and Walther, ch. 4) and holds only
 what is read after it: the constants, the slots where it stops (the cut
-slots for the cut's K probe, the line frontier for ``along``) and, in a
-replay of the whole tape, which a reverse sweep may follow, the input,
-the output and the values the reverse rules read: both factors of
-``mul``, the denominator and the quotient of ``div`` and the operand of
-``pow``, ``log`` and ``abs``.  The rules of ``sum``, ``sum_rows`` and
-``take`` take their operand's shape from ``Program.shapes``.  The plan
-is computed once per program, replayed sequence and set of stop slots.
+slots for the cut's K probe, the line frontier for ``along``, the stop
+slots of the reverse sweep that follows a replay of the tape), the
+output of a replay of the tape and, ahead of a reverse sweep, what the
+rules of that sweep read (the to-be-recorded values of Hascoët, Naumann
+and Pascual, FGCS 21(8), 2005).  Those rules, one per operand of each op
+and run only for an operand that is not a constant, are one table
+(``_REVERSE``): the adjoint passed back and the slots whose values it
+reads.  The reverse sweep runs them, the liveness plan holds what they
+read, the W'' pattern couples each operand with what its rule reads, and
+none keeps a copy.  So ``evaluate`` holds only the constants and the
+output, and a product by a constant only the constant.  The plan is
+computed once per program, replayed sequence and set of stop slots.
 
 The replay kernels are written for speed but keep numpy's bits.  A row
 sum over fewer than 8 columns adds the columns one by one, which is what
@@ -87,7 +92,7 @@ sum over fewer than 8 columns adds the columns one by one, which is what
 gather scatter-adds with ``np.bincount``, which, like ``np.add.at`` on a
 zero vector, adds each entry onto 0.0 in index order; gathers are taken
 from vectors only; an index out of range is refused when recorded and a
-negative one wrapped.  No adjoint is computed for a constant operand.
+negative one wrapped.
 """
 
 from __future__ import annotations
@@ -96,7 +101,7 @@ import functools
 import itertools
 import pickle
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -275,11 +280,14 @@ def _matmul(a, m):
     return _Dual(a.val @ m, _stack_matmul(a.dot, m))
 
 
-def _outer_vec(g, w):
-    # adjoint of (E,3) @ w -> (E,): spread g over the columns of w
+def _matmul_adjoint(g, m):
+    # adjoint of a @ m for a constant m: g @ m.T for a matrix, g spread over
+    # the columns of a vector
+    if m.ndim == 2:
+        return _matmul(g, m.T)
     if isinstance(g, _Dual):
-        return _Dual(_outer_vec(g.val, w), _outer_vec(g.dot, w))
-    return g[..., None] * w
+        return _Dual(_matmul_adjoint(g.val, m), _matmul_adjoint(g.dot, m))
+    return g[..., None] * m
 
 
 # ---------------------------------------------------------------------------
@@ -642,59 +650,54 @@ _FORWARD: dict[str, Callable] = {
 }
 
 
-def _reverse_reads(ins: Instr) -> tuple[int, ...]:
-    # the slots whose values _vjp reads for ins, besides a matmul's constant
-    if ins.op == "mul":
-        return ins.args
-    if ins.op == "div":
-        return (ins.args[1], ins.out)
-    if ins.op in ("pow", "log", "abs"):
-        return ins.args
-    return ()
+class _Adjoint(NamedTuple):
+    """An op's reverse rule for one operand: ``rule(g, values, aux, shape)``
+    passes the output's adjoint g back to an operand of shape ``shape``,
+    reading no values but ``values``, those of ``reads`` (operands by
+    position, ``_OUT`` for the output).  ``tangents`` is False where what
+    it reads has no tangent: ``abs`` reads its operand's sign."""
+
+    rule: Callable
+    reads: tuple[int, ...] = ()
+    tangents: bool = True
 
 
-def _vjp(instr: Instr, ws: list, g, consts: dict, shapes) -> list[tuple[int, Any]]:
-    """Adjoint contributions of one instruction to its operands that are
-    not in ``consts``.
+_OUT = -1  # in reads: the output, last of the operands and output
 
-    A constant operand gets no contribution, so none is computed for it.
-    Only the values of ``_reverse_reads`` and of a matmul's constant are
-    read from ``ws``; the rules of ``sum``, ``sum_rows`` and ``take`` take
-    their operand's shape from ``shapes`` (``Program.shapes``).
-    """
-    op, args, aux = instr.op, instr.args, instr.aux
-    a = ws[args[0]]
 
-    def each(*rules):
-        return [(slot, rule()) for slot, rule in zip(args, rules) if slot not in consts]
+def _times(g, v, *_):
+    return _mul(g, v[0])
 
-    if op == "add":
-        return each(lambda: g, lambda: g)
-    if op == "sub":
-        return each(lambda: g, lambda: _neg(g))
-    if op == "mul":
-        return each(lambda: _mul(g, ws[args[1]]), lambda: _mul(g, a))
-    if op == "div":
-        da = _div(g, ws[args[1]])
-        return each(lambda: da, lambda: _neg(_mul(da, ws[instr.out])))
-    if op == "abs":
-        return each(lambda: _mul(g, np.sign(_val(a))))
-    if op == "pow":
-        return each(lambda: _mul(g, _mul(_pow(a, aux - 1.0), aux)))
-    if op == "log":
-        return each(lambda: _div(g, a))
-    if op == "sum":
-        return each(lambda: _bcast_full(g, shapes[args[0]]))
-    if op == "sum_rows":
-        return each(lambda: _bcast_rows(g, shapes[args[0]][1]))
-    if op == "take":
-        return each(lambda: _scatter_add(g, aux, shapes[args[0]][0]))
-    if op == "matmul":
-        m = _val(ws[args[1]])
-        if m.ndim == 2:
-            return each(lambda: _matmul(g, m.T))
-        return each(lambda: _outer_vec(g, m))
-    raise AssertionError(f"unknown op {op}")
+
+# one rule per operand, run only for an operand that is not a constant;
+# matmul's right operand is always a constant
+_REVERSE: dict[str, tuple[_Adjoint, ...]] = {
+    "add": (_Adjoint(lambda g, *_: g),) * 2,
+    "sub": (_Adjoint(lambda g, *_: g), _Adjoint(lambda g, *_: _neg(g))),
+    "mul": (_Adjoint(_times, (1,)), _Adjoint(_times, (0,))),
+    "div": (
+        _Adjoint(lambda g, v, *_: _div(g, v[0]), (1,)),
+        _Adjoint(lambda g, v, *_: _neg(_mul(_div(g, v[0]), v[1])), (1, _OUT)),
+    ),
+    "abs": (_Adjoint(lambda g, v, *_: _mul(g, np.sign(_val(v[0]))), (0,), tangents=False),),
+    "pow": (_Adjoint(lambda g, v, aux, _: _mul(g, _mul(_pow(v[0], aux - 1.0), aux)), (0,)),),
+    "log": (_Adjoint(lambda g, v, *_: _div(g, v[0]), (0,)),),
+    "sum": (_Adjoint(lambda g, v, aux, shape: _bcast_full(g, shape)),),
+    "sum_rows": (_Adjoint(lambda g, v, aux, shape: _bcast_rows(g, shape[1])),),
+    "take": (_Adjoint(lambda g, v, aux, shape: _scatter_add(g, aux, shape[0])),),
+    "matmul": (_Adjoint(lambda g, v, *_: _matmul_adjoint(g, v[0]), (1,)),),
+}
+
+
+def _adjoints(ins: Instr, consts: dict) -> list[tuple[int, _Adjoint, tuple[int, ...]]]:
+    # the rules of _REVERSE a reverse sweep runs for ins: (operand slot, rule,
+    # the slots whose values it reads) for each operand that is not a constant
+    slots = (*ins.args, ins.out)  # _OUT indexes the output
+    return [
+        (slot, adjoint, tuple(slots[r] for r in adjoint.reads))
+        for slot, adjoint in zip(ins.args, _REVERSE[ins.op])
+        if slot not in consts
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -852,13 +855,13 @@ def _interaction_pattern(program: "Program", slots, shapes) -> np.ndarray:
     array of shape row shape + (F,), or (F,) where every entry has the
     same set).  Elementwise ops union their operands' sets entry by
     entry; the ops that mix entries (``sum_rows``, ``sum``, ``take``,
-    ``matmul``) give the union of all.  The nonlinear ops record
-    couplings, as nonlinear interaction domains do (Walther, ACM TOMS
-    34(1), 2008): a product of two live operands couples them, a live
-    denominator couples itself and the numerator, and a power (``x**0``
-    and ``x**1`` are not recorded as one) and a log couple their operand
-    with itself.  ``abs`` is piecewise linear and couples nothing.  The
-    pattern so holds every entry of W'' that is nonzero at some input.
+    ``matmul``) give the union of all.  As in nonlinear interaction
+    domains (Walther, ACM TOMS 34(1), 2008), each live operand is coupled
+    with every slot whose value its reverse rule (``_REVERSE``) reads: a
+    product couples its live factors, a live denominator itself and the
+    quotient, a power and a log their operand with itself.  ``abs`` reads
+    a sign, with no tangent, and couples nothing.  The pattern so holds
+    every entry of W'' that is nonzero at some input.
     """
     width = sum(int(np.prod(shape)) for shape in shapes)
     eye = np.eye(width, dtype=bool)
@@ -870,18 +873,13 @@ def _interaction_pattern(program: "Program", slots, shapes) -> np.ndarray:
     none = np.zeros(width, dtype=bool)
     pattern = eye.copy()
     for ins in program.frontier.suffix:
-        op, args = ins.op, ins.args
-        live = [deps.get(s, none) for s in args if s not in program.consts]
-        if op == "mul" and len(live) == 2:
-            _couple(pattern, live[0], live[1])
-        elif op == "div" and args[1] not in program.consts:
-            for other in live:  # the denominator itself and a live numerator
-                _couple(pattern, live[-1], other)
-        elif op in ("pow", "log"):
-            _couple(pattern, live[0], live[0])
-        if op in ("sum_rows", "sum", "take", "matmul"):
+        live = [deps.get(s, none) for s in ins.args if s not in program.consts]
+        if ins.op in ("sum_rows", "sum", "take", "matmul"):
             live = [d.reshape(-1, width).any(0) for d in live]
         deps[ins.out] = functools.reduce(np.logical_or, live)
+        for slot, adjoint, reads in _adjoints(ins, program.consts):
+            for read in reads if adjoint.tangents else ():
+                _couple(pattern, deps.get(slot, none), deps.get(read, none))
     return pattern
 
 
@@ -968,17 +966,18 @@ class Program:
     def _dead_after(self, prefix_of: Frontier | None, stop: tuple[int, ...]) -> tuple:
         # for each instruction of the replayed sequence (the tape, or
         # prefix_of's prefix), the slots it last reads (or writes, unread)
-        # that nothing reads after the replay (see the module docstring); two
+        # that nothing reads after the replay: not the constants, the stop
+        # slots, the output of the tape or, ahead of the reverse sweep to the
+        # stop slots of the tape, what its rules read (_adjoints).  Two
         # prefixes can end at the same stop slots, so the key names the sequence
         plan = self._plans.get((prefix_of, stop))
         if plan is None:
             held = {*stop, *self.consts}
+            instrs = self.instrs if prefix_of is None else prefix_of.prefix
             if prefix_of is None:
-                instrs = self.instrs
-                held.update((self.input_slot, self.output_slot))
-                held.update(s for ins in instrs for s in _reverse_reads(ins))
-            else:
-                instrs = prefix_of.prefix
+                held.add(self.output_slot)
+                for ins in instrs if stop else ():
+                    held.update(s for *_, reads in _adjoints(ins, self.consts) for s in reads)
             last = {}
             for i, ins in enumerate(instrs):
                 last[ins.out] = i
@@ -1027,9 +1026,9 @@ class Program:
                     # each slot is written by one instruction: its adjoint is final here
                     g, adj[ins.out] = adj[ins.out], None
                     if g is not None:
-                        for slot, contrib in _vjp(ins, ws, g, self.consts, self.shapes):
-                            cur = adj[slot]
-                            adj[slot] = contrib if cur is None else _add(cur, contrib)
+                        for slot, adjoint, reads in _adjoints(ins, self.consts):
+                            d = adjoint.rule(g, [ws[s] for s in reads], ins.aux, self.shapes[slot])
+                            adj[slot] = d if adj[slot] is None else _add(adj[slot], d)
                 # every reader of this slot comes later in the tape and is swept
                 ws[ins.out] = None
         return [adj[slot] for slot in stop]

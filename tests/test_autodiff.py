@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -490,14 +491,19 @@ def test_every_slot_has_one_source_and_every_instruction_a_live_operand(small_be
 
 
 def values_read_in_reverse(program):
-    # both factors of a product, the denominator and the quotient of a
-    # division, and the operand of a power, a log and an abs
+    # what the adjoint rules of the operands that are not constants read: a
+    # product's other factor, a division's denominator, with the quotient
+    # for a live denominator, and the operand of a power, a log and an abs;
+    # a constant operand's rule reads nothing
     read = set()
     for ins in program.instrs:
+        live = [s not in program.consts for s in ins.args]
         if ins.op == "mul":
-            read.update(ins.args)
+            read.update(s for s, other in zip(ins.args, live[::-1]) if other)
         elif ins.op == "div":
-            read.update((ins.args[1], ins.out))
+            read.add(ins.args[1])
+            if live[1]:
+                read.add(ins.out)
         elif ins.op in ("pow", "log", "abs"):
             read.add(ins.args[0])
     return read
@@ -508,11 +514,13 @@ def test_forward_sweeps_hold_only_the_slots_read_after_them(kind, monkeypatch):
     problem = build_problem(kind, 1)
     program = problem.program
     u = problem.full_field(random_benchmark_state(problem, np.random.default_rng(37)))
+    # a replay of the whole tape holds the constants, the output and the stop
+    # slots, and ahead of a reverse sweep to them what its rules read
     for stop in ((), (program.input_slot,), program.frontier.slots):
         ws = program._forward(u, stop=stop)
         held = {slot for slot, value in enumerate(ws) if value is not None}
-        want = {program.input_slot, program.output_slot, *stop, *program.consts}
-        assert held == want | values_read_in_reverse(program), stop
+        want = {program.output_slot, *stop, *program.consts}
+        assert held == (want | values_read_in_reverse(program) if stop else want), stop
         assert len(held) < program.n_slots
     # a replay without stop slots holds every slot
     assert all(value is not None for value in program._forward(u))
@@ -1067,7 +1075,8 @@ def test_every_public_operation_records_one_of_eleven_ops():
     assert ops == ["mul", "sum"]
     energy = (arithmetic + transcendental).sum() + (contractions + negated).sum() + dotted + weighted
     program = rec.build(energy)
-    assert {ins.op for ins in program.instrs} == set(autodiff._FORWARD) == TAPE_OPS
+    ops = {ins.op for ins in program.instrs}
+    assert ops == set(autodiff._FORWARD) == set(autodiff._REVERSE) == TAPE_OPS
     assert set(autodiff._POLY) == TAPE_OPS - {"abs", "log"}
     grad = program.gradient(U4)
     want = central_difference_gradient(program, U4)
@@ -1103,3 +1112,163 @@ def test_element_dofs_need_gathers_by_one_matrix(energy):
         program.element_dofs
     with pytest.raises(ValueError, match=message):
         program.element_hessians(np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# differential tests on random sums of element densities
+
+
+def random_density_tape(seed):
+    """A random sum of element densities and a state: ``(program, u)``.
+
+    Gathers of one or two interleaved components by a random (E, npe)
+    table, each row's nodes in random order, feed five to twelve random
+    steps over per-element rows (E, npe) and values (E,): ``+ - * /`` with
+    each other or with constants, positive integer powers (``x**1``
+    included), logs and abs of guarded operands, negations, row sums and
+    contractions with constant vectors and matrices.  The energy sums what
+    every step gives, with a load term half the time.
+    """
+    rng = np.random.default_rng(seed)
+    comps, n_nodes = int(rng.integers(1, 3)), 5
+    n_elems, npe = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+    elems = np.stack([rng.permutation(n_nodes)[:npe] for _ in range(n_elems)])
+    rec = Recorder(comps * n_nodes)
+    v = rec.input_var
+    rows = [v[comps * elems + k] for k in range(comps)]
+    # a value that depends on a whole row but couples no entries
+    pools = {"row": rows, "value": [rows[-1].sum(axis=1), abs(rows[0]) @ rng.uniform(1, 2, npe)]}
+    shapes = {"row": [(), (npe,), (n_elems, npe)], "value": [(), (n_elems,)]}
+
+    def pick(kind):
+        # the latest half the time, so that steps chain
+        return pools[kind][-1 if rng.random() < 0.5 else int(rng.integers(len(pools[kind])))]
+
+    def positive(kind):
+        shape = shapes[kind][int(rng.integers(len(shapes[kind])))]
+        return float(rng.uniform(0.5, 2.0)) if shape == () else rng.uniform(0.5, 2.0, shape)
+
+    steps = [
+        lambda a, b, c: a + b,
+        lambda a, b, c: a - b,
+        lambda a, b, c: c - a,
+        lambda a, b, c: a * b,
+        lambda a, b, c: a * c,
+        lambda a, b, c: -a,
+        lambda a, b, c: a / c,
+        lambda a, b, c: a / (c + b * b),
+        lambda a, b, c: a / (c + abs(b)),
+        lambda a, b, c: c / (1.0 + a**2),
+        lambda a, b, c: a ** int(rng.integers(1, 5)),
+        lambda a, b, c: log(c + a * a),
+        lambda a, b, c: log(abs(a) + c),
+        lambda a, b, c: abs(a) * b,
+        lambda a, b, c: abs(a) + abs(b),
+    ]
+    given = []
+    for _ in range(int(rng.integers(5, 13))):
+        kind = "row" if rng.random() < 0.5 else "value"
+        a, b, c = pick(kind), pick(kind), positive(kind)
+        # one step in four mixes a row's entries or weights the values
+        choice = int(rng.integers(4 * len(steps) // 3))
+        if choice < len(steps):
+            out = steps[choice](a, b, c)
+        elif kind == "value":
+            out = a * rng.standard_normal(n_elems)
+        elif choice % 3 == 0:
+            out = a @ rng.standard_normal((npe, npe))
+        elif choice % 3 == 1:
+            out = abs(a) @ rng.standard_normal(npe)
+        else:
+            out = a.sum(axis=1)
+        pools["row" if len(out.shape) == 2 else "value"].append(out)
+        given.append(out)
+    terms = [x.sum() for x in given]
+    if rng.random() < 0.5:
+        terms.append(dot(rng.standard_normal(v.shape[0]), v))
+    energy = terms[0]
+    for term in terms[1:]:
+        energy = energy + term
+    return rec.build(energy), rng.normal(0.0, 0.5, v.shape[0])
+
+
+DIFFERENTIAL_SEEDS = range(32)
+
+
+def test_random_densities_record_every_op():
+    programs = [random_density_tape(seed)[0] for seed in DIFFERENTIAL_SEEDS]
+    assert {ins.op for program in programs for ins in program.instrs} == TAPE_OPS
+    # a live denominator, and W'' patterns that are neither diagonal nor dense
+    divisions = [(ins, p) for p in programs for ins in p.instrs if ins.op == "div"]
+    assert any(ins.args[1] not in p.consts for ins, p in divisions)
+    partial = [1 < p.element_cut.coloring.n_colors < len(p.element_cut.pattern) for p in programs]
+    assert any(partial)
+
+
+@pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
+def test_random_densities_element_hessians_match_the_hvp(seed):
+    assert_scatters_to_hessian(*random_density_tape(seed))
+
+
+@pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
+def test_random_densities_derivatives_match_central_differences(seed):
+    # the one oracle here that shares no rule with the reverse sweep
+    program, u = random_density_tape(seed)
+    grad = program.gradient(u)
+    want = central_difference_gradient(program, u)
+    assert np.abs(grad - want).max() <= 1e-6 * max(1.0, np.abs(want).max())
+    h, steps = 1e-6, 1e-6 * np.eye(u.size)
+    columns = [program.gradient(u + step) - program.gradient(u - step) for step in steps]
+    want = np.stack(columns, axis=1) / (2.0 * h)
+    hessian = program.hessian_vector_product(u, np.eye(u.size))
+    assert np.abs(hessian - want).max() <= 1e-6 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
+def test_random_densities_planned_replays_match_hold_all_replays(seed, monkeypatch):
+    # the tape is recorded anew for each replay rule, so its cut is too
+    results = []
+    for plan in (autodiff.Program._dead_after, lambda *_: itertools.repeat(())):
+        monkeypatch.setattr(autodiff.Program, "_dead_after", plan)
+        program, u = random_density_tape(seed)
+        s = np.random.default_rng(seed).standard_normal((u.size, 3))
+        value, grad = program.value_and_gradient(u)
+        hvp = program.hessian_vector_product(u, s)
+        sample = program.along(u, s[:, 0]).evaluate([0.7])
+        results.append([value, grad, hvp, program.element_hessians(u), sample])
+    for got, want in zip(*results):
+        assert_same_bits(got, want)
+
+
+def dense_second_derivatives(program, u):
+    """W'' of every element by one-hot probes of all F cut entries, shape
+    (F, E, F): [j, e, i] is element e's second derivative with respect to
+    entries i and j, uncompressed by the cut's coloring."""
+    cut = program.element_cut
+    n_elems, width = cut.jacobian.shape[:2]
+    eye, seeds, start = np.eye(width), {}, 0
+    for slot, shape in zip(cut.slots, cut.shapes):
+        end = start + int(np.prod(shape))
+        seed = eye[:, start:end].reshape((width, 1) + shape)
+        seeds[slot] = np.broadcast_to(seed, (width, n_elems) + shape)
+        start = end
+    stop = program.frontier.slots
+    ws = program._forward(u, seeds, stop=stop)
+    adjoints = dict(zip(stop, program._reverse(ws, 1.0, stop)))
+    columns = []
+    for slot, shape in zip(cut.slots, cut.shapes):
+        adjoint, entries = adjoints[slot], int(np.prod(shape))
+        if isinstance(adjoint, autodiff._Dual):
+            columns.append(adjoint.dot.reshape(width, n_elems, entries))
+        else:
+            columns.append(np.zeros((width, n_elems, entries)))
+    return np.concatenate(columns, axis=2) if columns else np.zeros((0, n_elems, 0))
+
+
+@pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
+def test_random_densities_second_derivatives_lie_in_the_cut_pattern(seed):
+    program, u = random_density_tape(seed)
+    w = dense_second_derivatives(program, u)
+    assert np.isfinite(w).all()
+    nonzero = (w != 0.0).any(axis=1).T
+    assert not (nonzero & ~program.element_cut.pattern).any()
